@@ -1,8 +1,12 @@
+import functools
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletree import (
     CustomModel,
@@ -11,12 +15,14 @@ from tripletree import (
     OracleState,
     build_lower_bound_pair,
     expectation_query,
+    generate_random_ultrametric,
+    make_model,
     p_correct_homogeneous,
     query,
     triple_distribution,
     tree_from_topology,
 )
-from tripletree.noise_oracle import _splitmix64, keyed_uniform
+from tripletree.noise_oracle import _BLOCK_ROWS, _splitmix64, keyed_uniform
 
 from conftest import random_tree
 
@@ -184,6 +190,110 @@ def test_empirical_frequency_matches_distribution():
     freq = float(np.mean(u < p0))
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(freq - p) <= 3 * sigma
+
+
+# ---------------------------------------------------------------------- #
+# The answer store against a store-free reference                         #
+# ---------------------------------------------------------------------- #
+
+_PERMS = np.array(list(itertools.permutations(range(3))), dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _store_tree(n):
+    return generate_random_ultrametric(n, 0.002, seed=n)
+
+
+def _reference_slots(tree, model, seed, i, j, k):
+    """Answer slot of canonical rows drawn afresh, with no answer store."""
+    n = tree.n_leaves
+    D = tree.distance_matrix()
+    p0, p1, _ = model.slot_probs(D[i, j], D[i, k], D[j, k])
+    if not model.sampled:
+        return np.where(p0 == 1.0, 0, np.where(p1 == 1.0, 1, 2))
+    u = keyed_uniform(seed, (i * n * n + j * n + k).astype(np.uint64))
+    return (u >= p0).astype(np.int64) + (u >= p0 + p1)
+
+
+def _reference_wins(tree, model, seed, A, B, C):
+    T = np.sort(np.stack([A, B, C], axis=1), axis=1)
+    i, j, k = T[:, 0], T[:, 1], T[:, 2]
+    slot = _reference_slots(tree, model, seed, i, j, k)
+    lo, hi = np.minimum(A, B), np.maximum(A, B)
+    target = np.where(hi == j, 0, np.where(lo == i, 1, 2))
+    return (slot == target).astype(np.float64)
+
+
+def _triple_pool(rng, n, size):
+    """``size`` random canonical triples of distinct leaves (with repeats)."""
+    return np.sort(np.argsort(rng.random((size, n)), axis=1)[:, :3], axis=1)
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("wins"),
+              st.sampled_from([1, 7, 300, _BLOCK_ROWS - 1, _BLOCK_ROWS + 5,
+                               2 * _BLOCK_ROWS + 3]),
+              st.sampled_from([1, 5, 60, 4000])),
+    st.tuples(st.just("query"), st.just(1), st.just(1)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([3, 9, 40, 322, 323, 341]),
+    model=st.sampled_from(["homogeneous", "noiseless"]),
+    seed=st.integers(0, 2 ** 64 - 1),
+    data_seed=st.integers(0, 2 ** 32 - 1),
+    ops=st.lists(_OPS, min_size=1, max_size=6),
+)
+def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, ops):
+    # one triple up to 341 leaves, batches longer than one block, repeats
+    # inside a block and across blocks and calls, any argument order
+    tree = _store_tree(n)
+    model = make_model(model)
+    labs = tree.leaf_labels
+    o = OracleState(tree, model, seed=seed)
+    assert len(o._store) == math.ceil(math.comb(n, 3) / 4)
+    rng = np.random.default_rng(data_seed)
+    asked = set()
+    for kind, rows, pool_size in ops:
+        T = _triple_pool(rng, n, pool_size)
+        T = T[rng.integers(0, len(T), size=rows)]
+        asked.update(map(tuple, T.tolist()))
+        T = np.take_along_axis(T, _PERMS[rng.integers(0, 6, size=rows)], axis=1)
+        A, B, C = T[:, 0], T[:, 1], T[:, 2]
+        if kind == "wins":
+            np.testing.assert_array_equal(
+                o.wins(A, B, C), _reference_wins(tree, model, seed, A, B, C)
+            )
+        else:
+            i, j, k = sorted(int(x) for x in T[0])
+            slot = int(_reference_slots(
+                tree, model, seed, np.array([i]), np.array([j]), np.array([k])
+            )[0])
+            a, b, c = labs[i], labs[j], labs[k]
+            assert o.query(labs[int(A[0])], labs[int(B[0])], labs[int(C[0])]) == (
+                ((a, b), (a, c), (b, c))[slot]
+            )
+        assert o.query_count == len(asked)
+
+
+@pytest.mark.parametrize("model, seed, digest", [
+    ("homogeneous", 17,
+     "9d3be38fce1f1af4090a55f96bba3d5b241f871c5efdd190721031321693d7e2"),
+    ("noiseless", 0,
+     "c37fde43f0b6080dfb40d9acbc8f528be0462fe22f9d21ec0bee12024b194eae"),
+])
+def test_wins_pinned_over_all_triples(model, seed, digest):
+    # pins the triple id -> answer slot mapping, not just the hash: the
+    # three target pairs of every triple of a 40-leaf tree
+    t = generate_random_ultrametric(40, 0.02, seed=3)
+    I, J, K = (np.array(x, dtype=np.int64)
+               for x in zip(*itertools.combinations(range(40), 3)))
+    o = OracleState(t, model, seed=seed)
+    w = np.concatenate([o.wins(I, J, K), o.wins(K, I, J), o.wins(J, K, I)])
+    assert hashlib.sha256(w.tobytes()).hexdigest() == digest
+    assert o.query_count == math.comb(40, 3)
 
 
 def test_module_level_query_wrapper():
