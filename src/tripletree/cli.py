@@ -47,7 +47,7 @@ from .tree_core import (
     to_newick,
     topology_equal,
 )
-from .weights import WeightConfig, reconstruct_weights
+from .weights import EstimationFailure, WeightConfig, reconstruct_weights
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "TRIPLETREE_"
@@ -180,6 +180,8 @@ def run_trial(cfg_dict, trial):
             raise ValueError(f"run_trial does not handle mode {cfg.mode!r}")
     except ReconstructionFailure as exc:
         res.failure = f"{exc.stage}: {exc.detail}"
+    except EstimationFailure as exc:
+        res.failure = f"estimation: {exc}"
     res.query_count = int(oracle.query_count)
     res.wall_time = time.perf_counter() - t0
     return res

@@ -186,12 +186,8 @@ def triple_distribution(tree, model, a, b, c):
     return float(p_ab), float(p_bc), float(p_ca)
 
 
-def expectation_query(tree, model, a, b, c):
-    """
-    Infinite-sample stand-in for a noisy experiment: the exact answer
-    distribution, identical to ``triple_distribution``.
-    """
-    return triple_distribution(tree, model, a, b, c)
+# Infinite-sample stand-in for a noisy experiment: the exact distribution.
+expectation_query = triple_distribution
 
 
 # ---------------------------------------------------------------------- #
@@ -213,6 +209,22 @@ class _OracleBase:
         self.n_leaves = len(self.labels)
         self.index_of = {lab: i for i, lab in enumerate(self.labels)}
         self._D = None
+        self._count = 0
+
+    @property
+    def query_count(self):
+        """Distinct triples asked so far (0 in expectation mode)."""
+        return self._count
+
+    def distribution(self, a, b, c):
+        return triple_distribution(self.tree, self.model, a, b, c)
+
+    @staticmethod
+    def _rows(A, B, C):
+        """Leaf-index arguments of ``wins`` as int64 arrays of one shape."""
+        return np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (A, B, C))
+        )
 
     @property
     def distances(self):
@@ -259,11 +271,6 @@ class OracleState(_OracleBase):
         self._c3 = self._c2 * (m - 2) // 3
         n_triples = n * (n - 1) * (n - 2) // 6
         self._store = np.zeros((n_triples + 3) // 4, dtype=np.uint8)
-        self._count = 0
-
-    @property
-    def query_count(self):
-        return self._count
 
     # -- answers ------------------------------------------------------- #
 
@@ -304,10 +311,7 @@ class OracleState(_OracleBase):
         answered with the pair (A, B).  Arguments are canonical leaf
         indices (arrays or scalars).
         """
-        A = np.atleast_1d(np.asarray(A, dtype=np.int64))
-        B = np.atleast_1d(np.asarray(B, dtype=np.int64))
-        C = np.atleast_1d(np.asarray(C, dtype=np.int64))
-        A, B, C = np.broadcast_arrays(A, B, C)
+        A, B, C = self._rows(A, B, C)
         shape = A.shape
         A, B, C = (x.reshape(-1) for x in (A, B, C))
         out = np.empty(A.size, dtype=np.float64)
@@ -332,9 +336,6 @@ class OracleState(_OracleBase):
         slot = int(self._draw_slots(i, j, k)[0])
         return ((key[0], key[1]), (key[0], key[2]), (key[1], key[2]))[slot]
 
-    def distribution(self, a, b, c):
-        return triple_distribution(self.tree, self.model, a, b, c)
-
 
 class ExpectationOracle(_OracleBase):
     """
@@ -344,19 +345,8 @@ class ExpectationOracle(_OracleBase):
     the reconstruction pipeline exact up to float round-off.
     """
 
-    def __init__(self, tree, model):
-        super().__init__(tree, model)
-        self._count = 0
-
-    @property
-    def query_count(self):
-        return self._count
-
     def wins(self, A, B, C):
-        A = np.atleast_1d(np.asarray(A, dtype=np.int64))
-        B = np.atleast_1d(np.asarray(B, dtype=np.int64))
-        C = np.atleast_1d(np.asarray(C, dtype=np.int64))
-        A, B, C = np.broadcast_arrays(A, B, C)
+        A, B, C = self._rows(A, B, C)
         i, j, k = self._canonical(A, B, C)
         p0, p1, p2 = self.model.slot_probs(
             self._dist(i, j), self._dist(i, k), self._dist(j, k)
@@ -367,9 +357,6 @@ class ExpectationOracle(_OracleBase):
     def query(self, a, b, c):
         """Expectation mode has no single answer; exposes the distribution."""
         return self.distribution(a, b, c)
-
-    def distribution(self, a, b, c):
-        return triple_distribution(self.tree, self.model, a, b, c)
 
 
 def query(oracle, a, b, c):

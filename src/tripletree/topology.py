@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise_oracle import ExpectationOracle
-from .tree_core import _Builder
+from .tree_core import map_plan, tree_from_topology
 
 _CHUNK = 1 << 21
 
@@ -95,12 +95,17 @@ class ReconstructionConfig:
         exact): with no noise, any positive margin is decisive.
         """
         cfg = cls(**overrides)
-        if "c_thr" not in overrides and (
-            isinstance(oracle, ExpectationOracle)
-            or oracle.model.kind == "noiseless"
-        ):
+        if "c_thr" not in overrides and _exact_source(oracle):
             cfg.c_thr = 0.0
         return cfg
+
+
+def _exact_source(oracle):
+    """
+    True for answer sources without sampling noise: expectation mode, or a
+    model that draws nothing (the noiseless model).
+    """
+    return isinstance(oracle, ExpectationOracle) or not oracle.model.sampled
 
 
 def compare_sums(x, y, n, cfg=None):
@@ -222,7 +227,7 @@ def sibling_scores(oracle, forest, ambient, n=None, cfg=None):
 
 
 # ---------------------------------------------------------------------- #
-# Assembly engine: repeated sibling-pair merging                          #
+# Assembly: repeated sibling-pair merging by score                        #
 # ---------------------------------------------------------------------- #
 
 
@@ -324,23 +329,6 @@ def _find_sibling_pair(a, b, reps, provider, stage):
             )
 
 
-def _assemble_engine(ids, plans, provider, stage="triple-assembly"):
-    """
-    Build a topology over the given cluster representatives by repeatedly
-    locating a sibling pair (a pair that no third representative displaces)
-    and merging it.
-    """
-    reps = [int(v) for v in ids]
-    plans = dict(zip(reps, plans))
-    while len(reps) > 1:
-        reps.sort()
-        a, b = _find_sibling_pair(reps[0], reps[1], reps, provider, stage)
-        lo, hi = min(a, b), max(a, b)
-        plans[lo] = (plans[lo], plans.pop(hi))
-        reps.remove(hi)
-    return plans[reps[0]]
-
-
 def _assemble_by_scores(ids, plans, M, provider, stage, exact):
     """
     Agglomerate by merging the pair of clusters with the highest score: the
@@ -356,6 +344,10 @@ def _assemble_by_scores(ids, plans, M, provider, stage, exact):
     decision draws on every leaf pair across two clusters; a tie is a
     chance coincidence of counts, and a single direct answer is right with
     probability at most 1/2, so ties go to ``_tie_key`` over the scores.
+
+    With an all-zero ``M`` and ``exact`` every pair ties, so each merge is
+    the displacement walk from the smallest pair over ``provider``'s
+    answers: a BUILD-style assembly from closest-pair answers alone.
     """
     ids = [int(v) for v in ids]
     pos = {v: i for i, v in enumerate(ids)}
@@ -458,15 +450,13 @@ def assemble_from_triples(closest_pair_fn, leaves, verify=True):
     leaves = sorted(leaves)
     if len(leaves) < 2:
         raise ValueError("need at least two leaves")
-    if len(leaves) == 2:
-        return tree_from_plan((leaves[0], leaves[1]))
-    idx = {lab: i for i, lab in enumerate(leaves)}
+    m = len(leaves)
     provider = _CallableProvider(closest_pair_fn, lambda i: leaves[i])
-    plan = _assemble_engine(
-        list(range(len(leaves))), [leaves[i] for i in range(len(leaves))], provider
-    )
-    tree = tree_from_plan(plan)
+    plan = _assemble_by_scores(range(m), leaves, np.zeros((m, m)), provider,
+                               "triple-assembly", exact=True)
+    tree = tree_from_topology(plan)
     if verify:
+        idx = {lab: i for i, lab in enumerate(leaves)}
         depth = _pair_lca_depths(plan, idx)
 
         for a, b, c in itertools.combinations(leaves, 3):
@@ -484,22 +474,20 @@ def assemble_from_triples(closest_pair_fn, leaves, verify=True):
 
 
 def _pair_lca_depths(plan, idx):
-    """Matrix of LCA depths between leaf positions of a nested plan."""
+    """
+    Matrix over the leaf positions of a nested plan that orders each pair's
+    LCA as its depth does: minus the LCA's postorder merge rank (a node
+    merges after every node below it).
+    """
     m = len(idx)
     depth = np.zeros((m, m), dtype=np.int64)
+    rank = itertools.count()
 
-    def walk(node, d):
-        if not isinstance(node, tuple):
-            return [idx[node]]
-        left = walk(node[0], d + 1)
-        right = walk(node[1], d + 1)
-        li = np.array(left, dtype=np.int64)
-        ri = np.array(right, dtype=np.int64)
-        depth[np.ix_(li, ri)] = d
-        depth[np.ix_(ri, li)] = d
+    def node(left, right):
+        depth[np.ix_(left, right)] = depth[np.ix_(right, left)] = -next(rank)
         return left + right
 
-    walk(plan, 0)
+    map_plan(plan, lambda x: [idx[x]], node)
     return depth
 
 
@@ -510,99 +498,19 @@ def _plan_closest(depth, i, j, k):
 
 
 # ---------------------------------------------------------------------- #
-# Plans (nested index tuples) and conversion to trees                     #
+# Plans (nested index tuples)                                             #
 # ---------------------------------------------------------------------- #
 
 
 def graft_plan(plan, target, subplan):
-    """Replace the leaf ``target`` in ``plan`` with ``subplan`` (iterative)."""
-    if not isinstance(plan, tuple):
-        return subplan if plan == target else plan
-    # postorder rebuild with an explicit stack
-    done = {}
-    stack = [(plan, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not isinstance(node, tuple):
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.append((node[0], False))
-            stack.append((node[1], False))
-            continue
-        kids = []
-        for ch in node:
-            if isinstance(ch, tuple):
-                kids.append(done[id(ch)])
-            else:
-                kids.append(subplan if ch == target else ch)
-        done[id(node)] = (kids[0], kids[1])
-    return done[id(plan)]
+    """Replace the leaf ``target`` in ``plan`` with ``subplan``."""
+    return map_plan(plan, lambda x: subplan if x == target else x,
+                    lambda l, r: (l, r))
 
 
-def tree_from_plan(plan, height=1.0):
-    """Tree with the plan's topology; heights proportional to level depth."""
-    levels = {}
-    stack = [(plan, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not isinstance(node, tuple):
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.append((node[0], False))
-            stack.append((node[1], False))
-        else:
-            levels[id(node)] = 1 + max(
-                levels.get(id(node[0]), 0), levels.get(id(node[1]), 0)
-            )
-    if not isinstance(plan, tuple):
-        raise ValueError("plan must contain at least two leaves")
-    total = levels[id(plan)]
-    b = _Builder()
-    done = {}
-    stack = [(plan, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not isinstance(node, tuple):
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.append((node[0], False))
-            stack.append((node[1], False))
-            continue
-        kids = []
-        for ch in node:
-            if isinstance(ch, tuple):
-                kids.append(done[id(ch)])
-            else:
-                kids.append(b.add_leaf(str(ch)))
-        done[id(node)] = b.add_internal(
-            kids[0], kids[1], height * levels[id(node)] / total
-        )
-    return b.finish()
-
-
-def _plan_ids_to_labels(plan, labels):
-    if not isinstance(plan, tuple):
-        return labels[int(plan)]
-    done = {}
-    stack = [(plan, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not isinstance(node, tuple):
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.append((node[0], False))
-            stack.append((node[1], False))
-            continue
-        kids = [
-            done[id(ch)] if isinstance(ch, tuple) else labels[int(ch)]
-            for ch in node
-        ]
-        done[id(node)] = (kids[0], kids[1])
-    return done[id(plan)]
+def _relabel(plan, names):
+    """The plan with every leaf id ``x`` replaced by ``names[x]``."""
+    return map_plan(plan, lambda x: names[int(x)], lambda l, r: (l, r))
 
 
 # ---------------------------------------------------------------------- #
@@ -611,15 +519,25 @@ def _plan_ids_to_labels(plan, labels):
 
 
 class _Driver:
-    def __init__(self, oracle, cfg):
+    """
+    One reconstruction over ``oracle``.  ``n`` (default: the oracle's leaf
+    count) scales the thresholds, size band and sample floors; ``cfg``
+    defaults to ``ReconstructionConfig.for_oracle(oracle)``.
+    """
+
+    def __init__(self, oracle, cfg=None, n=None):
         self.oracle = oracle
-        self.n = oracle.n_leaves
-        self.cfg = cfg
+        self.n = n or oracle.n_leaves
+        self.cfg = cfg or ReconstructionConfig.for_oracle(oracle)
         self.expansion = {}  # virtual id -> np.array of physical ids
-        self.stats = RunStats(n=self.n, band=cfg.band(self.n))
-        self._all = np.arange(self.n, dtype=np.int64)
+        self.stats = RunStats(n=self.n, band=self.cfg.band(self.n))
+        self._all = np.arange(oracle.n_leaves, dtype=np.int64)
         # exact answer sources make score ties systematic (see the module note)
-        self.exact = isinstance(oracle, ExpectationOracle) or not oracle.model.sampled
+        self.exact = _exact_source(oracle)
+
+    def tree(self, plan):
+        """Tree over leaf labels with the topology of a plan over leaf ids."""
+        return tree_from_topology(_relabel(plan, self.oracle.labels))
 
     # -- expansion bookkeeping ------------------------------------------ #
 
@@ -637,7 +555,7 @@ class _Driver:
         )
 
     def outside(self, members):
-        mask = np.ones(self.n, dtype=bool)
+        mask = np.ones(len(self._all), dtype=bool)
         mask[self.exp_ids(members)] = False
         return self._all[mask]
 
@@ -892,12 +810,12 @@ class _Driver:
         )
         answers = np.argmax(stacked, axis=0)
 
-        provider = _ScoreProvider(
-            self.oracle, members, np.zeros((m, m))
-        )  # all-tie scores: every answer comes from the direct experiment
+        # all-tie scores: every answer comes from the direct experiment
+        zeros = np.zeros((m, m))
+        provider = _ScoreProvider(self.oracle, members, zeros)
         try:
-            plan = _assemble_engine(members, list(members), provider,
-                                    "small-direct")
+            plan = _assemble_by_scores(members, members, zeros, provider,
+                                       "small-direct", exact=True)
             if self._plan_agreement(plan, members, trips, answers) == len(trips):
                 return plan
         except ReconstructionFailure:
@@ -905,7 +823,7 @@ class _Driver:
         plans, codes = _topology_tables(m)
         scores = np.sum(codes == answers.astype(np.int8), axis=1)
         best = int(np.argmax(scores))  # enumeration order is deterministic
-        return _substitute_positions(plans[best], members)
+        return _relabel(plans[best], members)
 
     def _plan_agreement(self, plan, members, trips, answers):
         idx = {v: i for i, v in enumerate(members)}
@@ -1020,36 +938,23 @@ def build_subtree(oracle, leaves, n=None, cfg=None):
     size lies in the configured band; returns a Tree carrying its merge
     topology.
     """
-    cfg = cfg or ReconstructionConfig.for_oracle(oracle)
-    drv = _Driver(oracle, cfg)
-    if n is not None:
-        drv.n = n
-    ids = [oracle.index_of[lab] for lab in leaves]
-    leaf_ids, plan = drv.build_subtree(ids)
-    return tree_from_plan(_plan_ids_to_labels(plan, oracle.labels))
+    drv = _Driver(oracle, cfg, n)
+    _, plan = drv.build_subtree([oracle.index_of[lab] for lab in leaves])
+    return drv.tree(plan)
 
 
 def partition(oracle, base_leaves, pivot_leaves, candidates, n=None, cfg=None):
     """Split candidate labels into (below, same-bucket, above) the pivot."""
-    cfg = cfg or ReconstructionConfig.for_oracle(oracle)
-    drv = _Driver(oracle, cfg)
-    if n is not None:
-        drv.n = n
+    drv = _Driver(oracle, cfg, n)
     conv = lambda ls: [oracle.index_of[x] for x in ls]
-    P1, P2, P3 = drv.partition(conv(base_leaves), conv(pivot_leaves),
-                               conv(candidates))
-    back = lambda ids: [oracle.labels[i] for i in ids]
-    return back(P1), back(P2), back(P3)
+    parts = drv.partition(conv(base_leaves), conv(pivot_leaves), conv(candidates))
+    return tuple([oracle.labels[i] for i in ids] for ids in parts)
 
 
 def completion_induced(oracle, leaves, n=None, cfg=None):
     """Resolve the induced topology on ``leaves`` from outside scores."""
-    cfg = cfg or ReconstructionConfig.for_oracle(oracle)
-    drv = _Driver(oracle, cfg)
-    if n is not None:
-        drv.n = n
-    plan = drv.completion_induced([oracle.index_of[x] for x in leaves])
-    return tree_from_plan(_plan_ids_to_labels(plan, oracle.labels))
+    drv = _Driver(oracle, cfg, n)
+    return drv.tree(drv.completion_induced([oracle.index_of[x] for x in leaves]))
 
 
 def completion_quotient(oracle, subtree_leaves, n=None, cfg=None):
@@ -1058,14 +963,11 @@ def completion_quotient(oracle, subtree_leaves, n=None, cfg=None):
     ``subtree_leaves``: the collapsed part appears as its representative
     (smallest) leaf label.
     """
-    cfg = cfg or ReconstructionConfig.for_oracle(oracle)
-    drv = _Driver(oracle, cfg)
-    if n is not None:
-        drv.n = n
+    drv = _Driver(oracle, cfg, n)
     inside = [oracle.index_of[x] for x in subtree_leaves]
     cands = sorted(set(range(oracle.n_leaves)) - set(inside))
     plan, _rep = drv.completion_quotient(inside, cands)
-    return tree_from_plan(_plan_ids_to_labels(plan, oracle.labels))
+    return drv.tree(plan)
 
 
 def reconstruct_topology(oracle, cfg=None, return_stats=False):
@@ -1080,12 +982,10 @@ def reconstruct_topology(oracle, cfg=None, return_stats=False):
     tree, or when two parts of a partition are too large to coexist.
     Raises ValueError for fewer than two leaves.
     """
-    cfg = cfg or ReconstructionConfig.for_oracle(oracle)
     if oracle.n_leaves < 2:
         raise ValueError("need at least two leaves")
     drv = _Driver(oracle, cfg)
-    plan = drv.resolve(range(oracle.n_leaves))
-    tree = tree_from_plan(_plan_ids_to_labels(plan, oracle.labels))
+    tree = drv.tree(drv.resolve(range(oracle.n_leaves)))
     if return_stats:
         return tree, drv.stats
     return tree
@@ -1127,29 +1027,6 @@ def _topology_tables(m):
         ])
         codes[:, t] = np.argmax(cols, axis=0)
     return plans, codes
-
-
-def _substitute_positions(plan, members):
-    """Rewrite a position-labeled plan with the actual member ids."""
-    if not isinstance(plan, tuple):
-        return members[plan]
-    done = {}
-    stack = [(plan, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not isinstance(node, tuple):
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.append((node[0], False))
-            stack.append((node[1], False))
-            continue
-        kids = [
-            done[id(ch)] if isinstance(ch, tuple) else members[ch]
-            for ch in node
-        ]
-        done[id(node)] = (kids[0], kids[1])
-    return done[id(plan)]
 
 
 def _all_plans(members):

@@ -291,9 +291,30 @@ class _Builder:
                     self.height, self.weight, self.labels)
 
 
+def map_plan(plan, leaf, node):
+    """
+    Fold a nested-pair plan bottom-up without recursion: ``leaf(x)`` on
+    every non-tuple, ``node(l, r)`` on every pair with the results of its
+    two children, left child first.  Returns the result at the top.
+    """
+    out = []
+    stack = [(plan, False)]
+    while stack:
+        s, ready = stack.pop()
+        if ready:
+            r = out.pop()
+            out.append(node(out.pop(), r))
+        elif isinstance(s, tuple):
+            stack += ((s, True), (s[1], False), (s[0], False))
+        else:
+            out.append(leaf(s))
+    return out[0]
+
+
 def tree_from_topology(shape, height=1.0):
     """
-    Build a Tree from a nested-pair topology, e.g. ``(("a", "b"), "c")``.
+    Build a Tree from a nested-pair topology, e.g. ``(("a", "b"), "c")``;
+    leaves are labelled ``str(x)``.
 
     Heights are assigned so every node sits at ``height * levels_below /
     levels_below_root`` where levels counts edges on the longest downward
@@ -301,26 +322,16 @@ def tree_from_topology(shape, height=1.0):
     topology equals the given shape.  Useful for tests and for giving a
     reconstructed topology a concrete ultrametric embedding.
     """
-
-    def levels(s):
-        if isinstance(s, str):
-            return 0
-        return 1 + max(levels(s[0]), levels(s[1]))
-
-    total = levels(shape)
+    total = map_plan(shape, lambda x: 0, lambda l, r: 1 + max(l, r))
     if total == 0:
         raise ValueError("topology must contain at least two leaves")
     b = _Builder()
 
-    def build(s):
-        if isinstance(s, str):
-            return b.add_leaf(s)
-        left = build(s[0])
-        right = build(s[1])
-        h = height * levels(s) / total
-        return b.add_internal(left, right, h)
+    def node(l, r):
+        level = 1 + max(l[1], r[1])
+        return b.add_internal(l[0], r[0], height * level / total), level
 
-    build(shape)
+    map_plan(shape, lambda x: (b.add_leaf(str(x)), 0), node)
     return b.finish()
 
 
@@ -458,32 +469,18 @@ def induced_topology(tree, leaf_subset):
         raise KeyError(f"unknown leaves {sorted(unknown)!r}")
 
     b = _Builder()
-
-    def build(v):  # returns new node id for the pruned subtree at v, or None
-        stack = [(int(v), False)]
-        done = {}
-        while stack:
-            u, ready = stack.pop()
-            if tree.is_leaf(u):
-                lab = tree.labels[u]
-                done[u] = b.add_leaf(lab) if lab in keep else None
-                continue
-            c1, c2 = tree.children(u)
-            if not ready:
-                stack.append((u, True))
-                stack.append((c1, False))
-                stack.append((c2, False))
-                continue
-            k1, k2 = done[c1], done[c2]
-            if k1 is not None and k2 is not None:
-                done[u] = b.add_internal(k1, k2, float(tree.height[u]))
-            else:
-                done[u] = k1 if k1 is not None else k2
-        return done[int(v)]
-
-    top = build(tree.root)
-    if top is None:
-        raise ValueError("no leaves kept")
+    done = {}  # node -> id of its pruned subtree in the new tree, or None
+    for u in tree.topo_order()[::-1]:
+        u = int(u)
+        if tree.is_leaf(u):
+            lab = tree.labels[u]
+            done[u] = b.add_leaf(lab) if lab in keep else None
+            continue
+        k1, k2 = (done.pop(c) for c in tree.children(u))
+        if k1 is not None and k2 is not None:
+            done[u] = b.add_internal(k1, k2, float(tree.height[u]))
+        else:
+            done[u] = k1 if k1 is not None else k2
     return b.finish()
 
 
@@ -494,36 +491,16 @@ def quotient(tree, subtree_root):
     ``(quotient_tree, rep_map)`` where ``rep_map`` maps the representative
     label to the sorted list of collapsed labels.
 
-    Distances among surviving leaves are unchanged; the representative sits
-    at depth equal to the collapsed root's former position plus its height,
-    so its distances to all outside leaves are also unchanged.
+    The quotient is the topology induced on the outside leaves plus the
+    representative, so all their distances are unchanged.
     """
     v = int(subtree_root)
     if v == tree.root:
         raise ValueError("cannot take the quotient by the whole tree")
     collapsed = tree.subtree_leaf_labels(v)
     rep = collapsed[0]
-    if tree.is_leaf(v):
-        keep = set(tree.leaf_labels)
-    else:
-        keep = (set(tree.leaf_labels) - set(collapsed)) | {rep}
-
-    b = _Builder()
-
-    def build(u):
-        if u == v:
-            return b.add_leaf(rep)
-        if tree.is_leaf(u):
-            lab = tree.labels[u]
-            return b.add_leaf(lab) if lab in keep else None
-        c1, c2 = tree.children(u)
-        k1, k2 = build(c1), build(c2)
-        if k1 is not None and k2 is not None:
-            return b.add_internal(k1, k2, float(tree.height[u]))
-        return k1 if k1 is not None else k2
-
-    build(tree.root)
-    return b.finish(), {rep: collapsed}
+    keep = (set(tree.leaf_labels) - set(collapsed)) | {rep}
+    return induced_topology(tree, keep), {rep: collapsed}
 
 
 def topology_equal(t1, t2):
@@ -679,14 +656,6 @@ def from_newick(text):
         error("a tree needs at least two leaves")
 
     b = _Builder()
-
-    def depth_below(node):
-        if node[0] == "leaf":
-            return 0.0
-        (c1, w1), (c2, w2) = node[1], node[2]
-        d1 = w1 + depth_below(c1)
-        d2 = w2 + depth_below(c2)
-        return max(d1, d2)
 
     def build(node):
         if node[0] == "leaf":

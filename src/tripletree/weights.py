@@ -270,6 +270,38 @@ class _WeightDriver:
         w = self.oracle.wins(A, B, np.full(take, witness, dtype=np.int64))
         return float(np.mean(w))
 
+    # -- the stages ------------------------------------------------------ #
+
+    def light_tree(self, side, far):
+        """
+        Estimates for the internal vertices under ``side``, each inverted
+        directly from its response against every leaf under ``far``.
+        """
+        wits = self.leafset[far]
+        out = {}
+        for v in self._internal_under(side):
+            warns = []
+            p = self.anchored_response(v, wits, warns)
+            out[v] = VertexEstimate(self._safe_height_from_prob(p, warns),
+                                    "fine", "light-tree", warns)
+        return out
+
+    def right_path(self, info):
+        """
+        Estimates for the heavy-path vertices v_1..v_f plus v_{f+1}, from
+        the pairs spanning each against one leaf of the root's light side.
+        """
+        light_r, _ = self.topo.ordered_children(self.topo.root)
+        witness = int(self.leafset[light_r][0])
+        out = {}
+        for v in info.path[1:info.f + 2]:
+            if not self.topo.is_leaf(v):
+                warns = []
+                p = self.cross_pair_response(v, witness)
+                out[v] = VertexEstimate(self._safe_height_from_prob(p, warns),
+                                        "fine", "right-path", warns)
+        return out
+
     # -- the pipeline ---------------------------------------------------- #
 
     def run(self):
@@ -285,37 +317,16 @@ class _WeightDriver:
         info = classify_heavy(topo, self.cfg.alpha)
         light_r, heavy_r = topo.ordered_children(topo.root)
 
+        # 1) light subtree of the root; with two heavy children at the
+        # root, every vertex inverts directly against the opposite side
+        est.update(self.light_tree(light_r, heavy_r))
         if info.heavy[light_r]:
-            # two heavy children at the root: every vertex inverts directly
-            # against the opposite side's witnesses
-            for side, far in ((light_r, heavy_r), (heavy_r, light_r)):
-                wits = self.leafset[far]
-                for v in self._internal_under(side):
-                    warns = []
-                    p = self.anchored_response(v, wits, warns)
-                    h = self._safe_height_from_prob(p, warns)
-                    est[v] = VertexEstimate(h, "fine", "light-tree", warns)
+            est.update(self.light_tree(heavy_r, light_r))
             return self._finish(est)
 
-        # 1) light subtree of the root
-        wits = self.leafset[heavy_r]
-        for v in self._internal_under(light_r):
-            warns = []
-            p = self.anchored_response(v, wits, warns)
-            h = self._safe_height_from_prob(p, warns)
-            est[v] = VertexEstimate(h, "fine", "light-tree", warns)
-
         # 2) the heavy path v_1..v_f, plus the first vertex below it
+        est.update(self.right_path(info))
         path, f = info.path, info.f
-        witness = int(self.leafset[light_r][0])
-        for idx in range(1, f + 2):
-            v = path[idx] if idx < len(path) else None
-            if v is None or topo.is_leaf(v) or v in est:
-                continue
-            warns = []
-            p = self.cross_pair_response(v, witness)
-            h = self._safe_height_from_prob(p, warns)
-            est[v] = VertexEstimate(h, "fine", "right-path", warns)
 
         # 3) left subtrees hanging off the heavy path above v_f
         for idx in range(1, f + 1):
@@ -391,37 +402,16 @@ class _WeightDriver:
 
 def compute_light_tree(oracle, topology, cfg=None):
     """Height estimates for all internal vertices on the root's light side."""
-    cfg = cfg or WeightConfig()
-    drv = _WeightDriver(oracle, topology, cfg)
-    light_r, heavy_r = topology.ordered_children(topology.root)
-    wits = drv.leafset[heavy_r]
-    out = {}
-    for v in drv._internal_under(light_r):
-        warns = []
-        p = drv.anchored_response(v, wits, warns)
-        out[v] = VertexEstimate(drv._safe_height_from_prob(p, warns),
-                                "fine", "light-tree", warns)
-    return out
+    drv = _WeightDriver(oracle, topology, cfg or WeightConfig())
+    return drv.light_tree(*topology.ordered_children(topology.root))
 
 
 def reconstruct_right_path(oracle, topology, cfg=None):
     """Height estimates for the heavy-path vertices v_1..v_f (+ v_{f+1})."""
     cfg = cfg or WeightConfig()
     drv = _WeightDriver(oracle, topology, cfg)
-    info = classify_heavy(topology, cfg.alpha)
-    light_r, _ = topology.ordered_children(topology.root)
-    witness = int(drv.leafset[light_r][0])
     out = {topology.root: VertexEstimate(1.0, "exact", "root-normalization")}
-    for idx in range(1, info.f + 2):
-        if idx >= len(info.path):
-            break
-        v = info.path[idx]
-        if topology.is_leaf(v):
-            continue
-        warns = []
-        p = drv.cross_pair_response(v, witness)
-        out[v] = VertexEstimate(drv._safe_height_from_prob(p, warns),
-                                "fine", "right-path", warns)
+    out.update(drv.right_path(classify_heavy(topology, cfg.alpha)))
     return out
 
 

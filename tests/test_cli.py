@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -102,6 +103,84 @@ def test_tree_in_round_trip(tmp_path):
     out = run_experiment(cfg)
     assert out["summary"]["success_rate"] == 1.0
     assert topology_equal(from_newick(nwk), from_newick(tree_out.read_text()))
+
+
+def test_weights_estimation_failure_is_a_failed_trial(tmp_path):
+    # the estimator assumes the homogeneous model; on noiseless answers an
+    # anchor height comes out 0 and invert_F rejects it
+    rc = main([
+        "--mode", "weights", "--n", "40", "--min-edge-weight", "0.02",
+        "--model", "noiseless", "--trials", "3", "--seed", "14",
+        "--jobs", "1", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    rows = [
+        json.loads(line)
+        for line in (tmp_path / "trials.jsonl").read_text().splitlines()
+    ]
+    assert len(rows) == 3
+    schema = _schema("trial_result.schema.json")
+    for row in rows:
+        jsonschema.validate(row, schema)
+    failed = [r for r in rows if r["failure"] is not None]
+    assert failed
+    for r in failed:
+        assert r["failure"] == "estimation: anchor heights must be positive"
+        assert r["success"] is False and r["max_weight_error"] is None
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert dict(zip(summary[0].split(","), summary[1].split(",")))[
+        "failures"] == str(len(failed))
+
+
+# Seed-for-seed output contract: sha256 over trials.jsonl, summary.csv, the
+# --tree-out Newick and (weights mode) its sidecar, for fixed configurations.
+GOLDEN = {
+    "topology-noiseless-48": (
+        dict(mode="topology", n=48, model="noiseless", trials=3, seed=5,
+             min_edge_weight=0.02),
+        "50b88e802fb7c5461fbef29892fedb40a7e0ecbcc3d655482e993689fb957345"),
+    "topology-homogeneous-64-c0.5": (
+        dict(mode="topology", n=64, model="homogeneous", trials=2, seed=7,
+             min_edge_weight=0.05, c_thr=0.5),
+        "fc1957115fad02deb9253d9785e1c9cd2f08906243a1ba2fbdb1d8fe439e43db"),
+    "topology-homogeneous-32-c24": (
+        dict(mode="topology", n=32, model="homogeneous", trials=3, seed=3,
+             min_edge_weight=0.05, c_thr=24.0),
+        "f61311a2837318ce79da9a2a600bf77124231aa36da5839d137c68ad223a8ce1"),
+    "topology-expectation-16": (
+        dict(mode="topology", n=16, model="homogeneous", expectation=True,
+             trials=4, seed=200, min_edge_weight=0.02),
+        "62d76c56cfa3eee62912375bee81568c8d9620e21b6c6e3e366bc70b8589a7ab"),
+    "topology-noiseless-8": (
+        dict(mode="topology", n=8, model="noiseless", trials=2, seed=11,
+             min_edge_weight=0.05),
+        "d9abb38fec2d968ff298f075e5dd317084730ce569622d2f1021afbac4d3783c"),
+    "topology-homogeneous-8": (
+        dict(mode="topology", n=8, model="homogeneous", trials=4, seed=11,
+             min_edge_weight=0.05),
+        "260aa1288b3b61d3c3aa1f64c2087b95e4490efce9d8556e0c6345556088b725"),
+    "weights-homogeneous-400": (
+        dict(mode="weights", n=400, model="homogeneous", trials=2, seed=21,
+             min_edge_weight=0.05),
+        "20b337d4607584799ed918bd7251b9b0c7c1d5e783f6dc7ff1d4c0e336ff5272"),
+    "weights-expectation-64": (
+        dict(mode="weights", n=64, model="homogeneous", expectation=True,
+             trials=2, seed=31, min_edge_weight=0.05),
+        "7b2ef50913a78935479d5029d61d87dda74d432487f4e208f80fb269289e6a92"),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_golden_digest(tmp_path, name, jobs):
+    kwargs, want = GOLDEN[name]
+    out = tmp_path / "run"
+    run_experiment(ExperimentConfig(out=str(out), jobs=jobs,
+                                    tree_out=str(out / "tree.nwk"), **kwargs))
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == want
 
 
 def test_config_validation_lists_fields():

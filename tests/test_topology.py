@@ -6,6 +6,7 @@ import pytest
 
 from tripletree import (
     ExpectationOracle,
+    NoiselessModel,
     OracleState,
     ReconstructionConfig,
     ReconstructionFailure,
@@ -422,6 +423,22 @@ def test_reconstruct_small_n_exhaustive_path():
             t = random_tree(n, w=0.05, seed=seed)
             o = OracleState(t, "noiseless", seed=seed)
             assert topology_equal(reconstruct_topology(o), t)
+
+
+def test_exact_source_predicate_is_shared():
+    # a model that draws nothing is an exact source whatever its kind: the
+    # config zeroes c_thr for it and the driver treats its ties as systematic
+    class Drawless(NoiselessModel):
+        kind = "custom"
+
+    t = random_tree(24, seed=3)
+    cases = [(OracleState(t, Drawless(), seed=0), True),
+             (ExpectationOracle(t, "homogeneous"), True),
+             (OracleState(t, "homogeneous", seed=0), False)]
+    for oracle, exact in cases:
+        assert (ReconstructionConfig.for_oracle(oracle).c_thr == 0.0) is exact
+        assert _Driver(oracle, None).exact is exact
+    assert topology_equal(reconstruct_topology(cases[0][0]), t)
 
 
 def test_reconstruct_query_budget():

@@ -18,6 +18,8 @@ from tripletree import (
     tree_from_topology,
     validate_ultrametric,
 )
+from tripletree.topology import graft_plan
+from tripletree.tree_core import map_plan
 
 from conftest import random_tree
 
@@ -264,6 +266,67 @@ def test_quotient_then_induced_commutes():
             lab for lab in t.leaf_labels if lab not in rep_map[rep]
         ])
         assert topology_equal(q, direct)
+
+
+# ---------------------------------------------------------------------- #
+# Plans                                                                   #
+# ---------------------------------------------------------------------- #
+
+
+def test_map_plan_folds_left_child_first():
+    seen = []
+
+    def leaf(x):
+        seen.append(x)
+        return x
+
+    def node(l, r):
+        seen.append((l, r))
+        return f"{l}{r}"
+
+    assert map_plan((("a", "b"), ("c", ("d", "e"))), leaf, node) == "abcde"
+    assert seen == ["a", "b", ("a", "b"), "c", "d", "e", ("d", "e"),
+                    ("c", "de"), ("ab", "cde")]
+    assert map_plan("a", leaf, node) == "a"
+
+
+def test_tree_from_topology_labels_leaves_with_str():
+    t = tree_from_topology(((0, 1), 2), height=2.0)
+    assert t.leaf_labels == ["0", "1", "2"]
+    assert t.leaf_distance("0", "1") == pytest.approx(2.0)
+    assert t.leaf_distance("0", "2") == pytest.approx(4.0)
+    with pytest.raises(ValueError):
+        tree_from_topology("a")
+
+
+def test_deep_caterpillar_plan_needs_no_recursion():
+    # 1500 leaves nested 1499 deep: past the interpreter's recursion limit
+    n = 1500
+    names = [f"L{i:04d}" for i in range(n)]
+    plan = names[0]
+    for lab in names[1:]:
+        plan = (lab, plan)
+    t = tree_from_topology(plan)
+    assert t.n_leaves == n
+    assert int(t.depths().max()) == n - 1
+    assert validate_ultrametric(t, tol=1e-9).ok
+    assert t.leaf_distance(names[0], names[1]) == pytest.approx(2.0 / (n - 1))
+
+    # collapse the clade of the 10 deepest leaves
+    v = t.parent[t.node_of(names[9])]
+    q, rep_map = quotient(t, v)
+    assert rep_map == {names[0]: sorted(names[:10])}
+    assert q.n_leaves == n - 9
+    for a, b in [(names[0], names[10]), (names[0], names[-1]),
+                 (names[10], names[11])]:
+        assert q.leaf_distance(a, b) == pytest.approx(t.leaf_distance(a, b))
+
+    grafted = tree_from_topology(graft_plan(plan, names[0], ("x", "y")))
+    assert grafted.n_leaves == n + 1
+    assert int(grafted.depths().max()) == n
+    xy = grafted.parent[grafted.node_of("x")]
+    assert grafted.parent[grafted.node_of("y")] == xy
+    assert grafted.parent[xy] == grafted.parent[grafted.node_of(names[1])]
 
 
 # ---------------------------------------------------------------------- #
