@@ -193,6 +193,47 @@ def _wins_sum_pairs(oracle, A, B, xs, forbid_part=None, part_of=None,
     return out
 
 
+def _triple_blocks(l, rows=_CHUNK):
+    """
+    Position triples a < b < c < l in lexicographic order, as (a, b, c)
+    arrays of about ``rows`` triples each (every pair (a, b) whole).
+    """
+    A, B = np.triu_indices(l, k=1)
+    count = l - 1 - B  # triples that extend each pair
+    end = np.cumsum(count)
+    lo = 0
+    while lo < len(A) and end[-1] > end[lo] - count[lo]:
+        start = end[lo] - count[lo]
+        hi = max(lo + 1, int(np.searchsorted(end, start + rows, side="right")))
+        cnt = count[lo:hi]
+        b = np.repeat(B[lo:hi], cnt)
+        c = b + 1 + np.arange(start, end[hi - 1]) - np.repeat(end[lo:hi] - cnt, cnt)
+        yield np.repeat(A[lo:hi], cnt), b, c
+        lo = hi
+
+
+def _triple_scores(oracle, S):
+    """
+    Score matrix over the positions of the sorted leaf ids ``S``: ``M[a, b]``
+    (a < b) sums oracle.wins(S[a], S[b], x) over the other members x, and
+    every other entry is -inf.  One pass over the triples a < b < c asks
+    each of their three experiments once, for the pairs (b, c), (a, c) and
+    (a, b).  Applied in that order per block of lexicographic triples, the
+    answers add to every score in ascending witness order, the order of a
+    row-by-row sum.
+    """
+    l = len(S)
+    flat = np.zeros(l * l)
+    for a, b, c in _triple_blocks(l):
+        I, J, K = S[a], S[b], S[c]
+        np.add.at(flat, b * l + c, oracle.wins(J, K, I))
+        np.add.at(flat, a * l + c, oracle.wins(I, K, J))
+        np.add.at(flat, a * l + b, oracle.wins(I, J, K))
+    M = flat.reshape(l, l)
+    M[np.tril_indices(l)] = -np.inf
+    return M
+
+
 def sibling_scores(oracle, forest, ambient, n=None, cfg=None):
     """
     Score matrix over a leaf-disjoint forest: s[i][j] counts, over ambient
@@ -241,7 +282,9 @@ class _ScoreProvider:
 
     def __init__(self, oracle, ids, matrix):
         self.oracle = oracle
-        self.pos = {int(v): i for i, v in enumerate(ids)}
+        ids = np.asarray(ids, dtype=np.int64)
+        self.pos = np.full(oracle.n_leaves, -1, dtype=np.int64)  # leaf id -> row
+        self.pos[ids] = np.arange(len(ids))
         self.M = matrix
 
     def _direct(self, A, B, C):
@@ -253,8 +296,8 @@ class _ScoreProvider:
     def closest_batch(self, a, b, C):
         """Codes per row: 0 keep (a,b); 1 -> (a,C); 2 -> (b,C)."""
         C = np.asarray(C, dtype=np.int64)
-        ia, ib = self.pos[int(a)], self.pos[int(b)]
-        ic = np.array([self.pos[int(c)] for c in C], dtype=np.int64)
+        ia, ib = self.pos[a], self.pos[b]
+        ic = self.pos[C]
         sab = self.M[ia, ib]
         sac = self.M[ia, ic]
         sbc = self.M[ib, ic]
@@ -309,8 +352,9 @@ def _find_sibling_pair(a, b, reps, provider, stage):
     """
     guard = 0
     c = None
+    reps = np.asarray(reps, dtype=np.int64)
     while True:
-        others = np.array([r for r in reps if r not in (a, b)], dtype=np.int64)
+        others = reps[(reps != a) & (reps != b)]
         if len(others) == 0:
             return a, b
         codes = provider.closest_batch(a, b, others)
@@ -361,19 +405,14 @@ def _assemble_by_scores(ids, plans, M, provider, stage, exact):
         sub = M[np.ix_(live, live)]
         iu = np.triu_indices(len(reps), k=1)
         vals = sub[iu]
-        best = float(np.max(vals))
-        tied = np.nonzero(vals == best)[0]
-        if len(tied) == 1:
-            a = reps[int(iu[0][tied[0]])]
-            b = reps[int(iu[1][tied[0]])]
-        elif exact:
-            pair0 = min(
-                (reps[int(iu[0][t])], reps[int(iu[1][t])]) for t in tied
-            )
-            a, b = _find_sibling_pair(pair0[0], pair0[1], reps, provider, stage)
-        else:
-            t = _tie_key(sub, iu[0][tied], iu[1][tied])
-            a, b = reps[int(iu[0][tied[t]])], reps[int(iu[1][tied[t]])]
+        tied = np.flatnonzero(vals == np.max(vals))
+        # reps ascend, so the first tied pair in triu order is the smallest
+        t = tied[0]
+        if len(tied) > 1 and not exact:
+            t = tied[_tie_key(sub, iu[0][tied], iu[1][tied])]
+        a, b = reps[iu[0][t]], reps[iu[1][t]]
+        if len(tied) > 1 and exact:
+            a, b = _find_sibling_pair(a, b, reps, provider, stage)
         lo, hi = min(a, b), max(a, b)
         if not exact:
             i, j = pos[lo], pos[hi]
@@ -573,91 +612,72 @@ class _Driver:
     def build_subtree(self, members):
         """
         Bottom-up sibling merging inside ``members`` until the largest
-        cluster enters the size band; returns (leaf ids, plan).  A merged
-        cluster is scored by its representative against the witnesses
-        outside both parts, or under noise by average linkage over the
-        leaf-pair scores (see ``_assemble_by_scores``).
+        cluster enters the size band; returns (leaf ids, plan).  Clusters
+        are indexed by the position of their smallest member, which is also
+        their representative, and ``M[p, t]`` (p < t) counts the
+        experiments (rep_p, rep_t, x) over the members x outside both parts
+        that answered (rep_p, rep_t).
+
+        The first matrix is one pass over the member triples (see
+        ``_triple_scores``).  When cluster q merges into p, p keeps its
+        representative, so the score of (p, t) only loses the witnesses q
+        brought into p.  Under the noiseless model the scores are counts
+        of indicators, exact in float64, and the update subtracts the
+        experiments (rep_p, rep_t, x) over q's members, all of them
+        repeats, instead of scoring rep_p against every member again.
+        Expectation-mode scores are sums of probabilities, which round by
+        summation order, so they are summed again over the witnesses in
+        ascending order.  Under noise the merged row is the size-weighted
+        mean of the two rows (average linkage, see
+        ``_assemble_by_scores``).
         """
         lo_band, _ = self.cfg.band(self.n)
-        members = sorted(int(v) for v in members)
-        S = np.array(members, dtype=np.int64)
-        part_of = np.full(self.oracle.n_leaves, -1, dtype=np.int64)
-        part_of[S] = np.arange(len(S))
-        reps = list(members)
-        plans = [v for v in members]
-        sizes = [1] * len(S)
-        alive = [True] * len(S)
+        S = np.array(sorted(int(v) for v in members), dtype=np.int64)
         l = len(S)
-        self._note_floor(len(S))
-
-        M = np.full((l, l), -np.inf, dtype=np.float64)
-        ii, jj = np.triu_indices(l, k=1)
-        vals = _wins_sum_pairs(
-            self.oracle,
-            np.array([reps[i] for i in ii], dtype=np.int64),
-            np.array([reps[j] for j in jj], dtype=np.int64),
-            S,
-            forbid_part=True,
-            part_of=part_of,
-            pa=ii.astype(np.int64),
-            pb=jj.astype(np.int64),
-        )
-        M[ii, jj] = vals
+        part_of = np.full(self.oracle.n_leaves, -1, dtype=np.int64)
+        part_of[S] = np.arange(l)  # leaf id -> cluster
+        plans = S.tolist()
+        sizes = [1] * l
+        alive = np.ones(l, dtype=bool)
+        self._note_floor(l)
+        M = _triple_scores(self.oracle, S)
 
         n_alive = l
-        while n_alive > 1 and max(
-            sz for sz, a in zip(sizes, alive) if a
-        ) < lo_band:
-            flat = int(np.argmax(M))
-            p, q = divmod(flat, l)
-            best = M[p, q]
-            if not np.isfinite(best):
+        while n_alive > 1 and max(sizes) < lo_band:
+            # the first maximum in row-major order is, among tied pairs, the
+            # one with the smallest representatives (they ascend with p)
+            p, q = divmod(int(np.argmax(M)), l)
+            if not np.isfinite(M[p, q]):
                 raise ReconstructionFailure("build-subtree", "no scorable pair left")
-            tied = np.argwhere(M == best)
-            if len(tied) > 1:
-                key = min(
-                    (min(reps[i], reps[j]), max(reps[i], reps[j]), i, j)
-                    for i, j in tied
-                )
-                p, q = key[2], key[3]
             if not self.exact:
                 mean = _mean_row(np.maximum(M, M.T), sizes, p, q)
             # merge q into p
-            plans[p] = (plans[min(p, q)], plans[max(p, q)])
-            reps[p] = min(reps[p], reps[q])
+            plans[p] = (plans[p], plans[q])
             sizes[p] += sizes[q]
             alive[q] = False
-            part_of[part_of == q] = p
+            absorbed = S[part_of[S] == q]
+            part_of[absorbed] = p
             M[q, :] = -np.inf
             M[:, q] = -np.inf
             n_alive -= 1
             if n_alive == 1 or sizes[p] >= lo_band:
                 break
-            others = [t for t in range(l) if alive[t] and t != p]
-            ot = np.array(others, dtype=np.int64)
-            if self.exact:
-                vals = _wins_sum_pairs(
-                    self.oracle,
-                    np.full(len(ot), reps[p], dtype=np.int64),
-                    np.array([reps[t] for t in others], dtype=np.int64),
-                    S,
-                    forbid_part=True,
-                    part_of=part_of,
-                    pa=np.full(len(ot), p, dtype=np.int64),
-                    pb=ot,
+            ot = np.flatnonzero(alive)
+            ot = ot[ot != p]
+            lo, hi = np.minimum(ot, p), np.maximum(ot, p)
+            rep_p = np.full(len(ot), S[p])
+            if not self.exact:
+                M[lo, hi] = mean[ot]
+            elif isinstance(self.oracle, ExpectationOracle):
+                M[lo, hi] = _wins_sum_pairs(
+                    self.oracle, rep_p, S[ot], S, forbid_part=True,
+                    part_of=part_of, pa=np.full(len(ot), p), pb=ot,
                 )
             else:
-                vals = mean[ot]
-            M[p, :] = -np.inf
-            M[:, p] = -np.inf
-            for t, v in zip(others, vals):
-                a, bb = (p, t) if p < t else (t, p)
-                M[a, bb] = v
+                M[lo, hi] -= _wins_sum_pairs(self.oracle, rep_p, S[ot], absorbed)
 
-        winner = max(
-            (sizes[t], -reps[t], t) for t in range(l) if alive[t]
-        )[2]
-        leaf_ids = [int(v) for v in S[part_of[S] == winner]]
+        winner = max(np.flatnonzero(alive), key=lambda t: (sizes[t], -t))
+        leaf_ids = S[part_of[S] == winner].tolist()
         self.stats.bases.append(len(leaf_ids))
         self.stats.events.append(("base", len(leaf_ids)))
         return leaf_ids, plans[winner]
@@ -674,26 +694,29 @@ class _Driver:
         """
         base = np.asarray(sorted(base), dtype=np.int64)
         pivot = np.asarray(sorted(pivot), dtype=np.int64)
-        cands = sorted(int(x) for x in candidates)
-        if not cands:
+        cands = np.array(sorted(int(x) for x in candidates), dtype=np.int64)
+        if not len(cands):
             return [], [], []
         A = np.repeat(base, len(pivot))
         B = np.tile(pivot, len(base))
-        thr = self.cfg.threshold(self.n)
-        P1, P2, P3 = [], [], []
         self._note_floor(len(A))
-        for x in cands:
-            X = np.full(len(A), x, dtype=np.int64)
-            xv = float(np.sum(self.oracle.wins(A, X, B)))
-            yv = float(np.sum(self.oracle.wins(A, B, X)))
-            zv = len(A) - xv - yv
-            if xv - max(yv, zv) > thr:
-                P1.append(x)
-            elif yv - max(xv, zv) > thr:
-                P3.append(x)
-            else:
-                P2.append(x)
-        return P1, P2, P3
+        # one row per (candidate, base leaf, pivot leaf), candidate-major,
+        # so each candidate's count is the sum of one contiguous row
+        xv = np.empty(len(cands))
+        yv = np.empty(len(cands))
+        per = max(1, _CHUNK // max(1, len(A)))
+        for lo in range(0, len(cands), per):
+            X = np.repeat(cands[lo:lo + per], len(A))
+            k = min(per, len(cands) - lo)
+            Ak, Bk = np.tile(A, k), np.tile(B, k)
+            xv[lo:lo + k] = self.oracle.wins(Ak, X, Bk).reshape(k, len(A)).sum(axis=1)
+            yv[lo:lo + k] = self.oracle.wins(Ak, Bk, X).reshape(k, len(A)).sum(axis=1)
+        zv = len(A) - xv - yv
+        thr = self.cfg.threshold(self.n)
+        below = xv - np.maximum(yv, zv) > thr
+        above = ~below & (yv - np.maximum(xv, zv) > thr)
+        same = ~below & ~above
+        return cands[below].tolist(), cands[same].tolist(), cands[above].tolist()
 
     # -- completions ------------------------------------------------------ #
 

@@ -623,28 +623,39 @@ def from_newick(text):
         except ValueError:
             error(f"bad branch length {s[start:pos]!r}")
 
-    def parse_clade():
-        # returns (list of (subtree, edge weight) pairs resolved later)
-        nonlocal pos
-        if peek() == "(":
+    # One left-to-right pass without recursion.  A node enters the builder
+    # when it is complete, so leaves come first from the left and every
+    # clade follows its two children (the postorder of the grammar).  Each
+    # open clade holds its finished children as (node, height, length).
+    b = _Builder()
+    stack = []
+    while True:
+        while peek() == "(":
             pos += 1
-            first = parse_subtree()
-            if peek() != ",":
-                error("expected ',' in clade")
-            pos += 1
-            second = parse_subtree()
+            stack.append([])
+        node, h = b.add_leaf(parse_label()), 0.0
+        while stack:
+            kids = stack[-1]
+            kids.append((node, h, parse_length()))
+            if len(kids) == 1:
+                break
             if peek() != ")":
                 error("expected ')'")
             pos += 1
-            return ("clade", first, second)
-        return ("leaf", parse_label())
+            stack.pop()
+            (k1, h1, w1), (k2, h2, w2) = kids
+            h = max(h1 + w1, h2 + w2)
+            node = b.add_internal(k1, k2, h)
+            # keep the given branch lengths verbatim so serialization round
+            # trips bit-exactly; heights absorb any last-place disagreement
+            b.weight[k1] = w1
+            b.weight[k2] = w2
+        if not stack:
+            break
+        if peek() != ",":
+            error("expected ',' in clade")
+        pos += 1
 
-    def parse_subtree():
-        node = parse_clade()
-        length = parse_length()
-        return (node, length)
-
-    top = parse_clade()
     if peek() == ":":
         error("root must not carry a branch length")
     if peek() != ";":
@@ -652,26 +663,8 @@ def from_newick(text):
     pos += 1
     if pos != len(s):
         error("trailing characters after ';'")
-    if top[0] == "leaf":
+    if len(b.labels) == 1:
         error("a tree needs at least two leaves")
-
-    b = _Builder()
-
-    def build(node):
-        if node[0] == "leaf":
-            return b.add_leaf(node[1]), 0.0
-        (c1, w1), (c2, w2) = node[1], node[2]
-        k1, h1 = build(c1)
-        k2, h2 = build(c2)
-        h = max(h1 + w1, h2 + w2)
-        k = b.add_internal(k1, k2, h)
-        # keep the given branch lengths verbatim so serialization round
-        # trips bit-exactly; heights absorb any last-place disagreement
-        b.weight[k1] = w1
-        b.weight[k2] = w2
-        return k, h
-
-    build(top)
     return b.finish()
 
 

@@ -7,7 +7,12 @@ import sys
 import jsonschema
 import pytest
 
-from tripletree import from_newick, topology_equal
+from tripletree import (
+    from_newick,
+    to_newick,
+    topology_equal,
+    tree_from_topology,
+)
 from tripletree.cli import (
     ExperimentConfig,
     calibrate,
@@ -103,6 +108,27 @@ def test_tree_in_round_trip(tmp_path):
     out = run_experiment(cfg)
     assert out["summary"]["success_rate"] == 1.0
     assert topology_equal(from_newick(nwk), from_newick(tree_out.read_text()))
+
+
+def test_tree_in_deep_caterpillar(tmp_path):
+    # a 1500-leaf caterpillar nests 1499 clades, past the interpreter's
+    # recursion limit; the run must read it and ask its oracle about it
+    plan = "L0"
+    for i in range(1, 1500):
+        plan = (f"L{i}", plan)
+    tree_in = tmp_path / "deep.nwk"
+    tree_in.write_text(to_newick(tree_from_topology(plan)) + "\n")
+    rc = main([
+        "--mode", "weights", "--model", "homogeneous", "--trials", "1",
+        "--seed", "0", "--jobs", "1", "--tree-in", str(tree_in),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    rows = (tmp_path / "out" / "trials.jsonl").read_text().splitlines()
+    assert len(rows) == 1
+    row = json.loads(rows[0])
+    jsonschema.validate(row, _schema("trial_result.schema.json"))
+    assert row["query_count"] > 1499
 
 
 def test_weights_estimation_failure_is_a_failed_trial(tmp_path):

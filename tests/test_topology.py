@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tripletree import (
     ExpectationOracle,
@@ -26,7 +29,7 @@ from tripletree import (
     topology_equal,
     tree_from_topology,
 )
-from tripletree.topology import _Driver
+from tripletree.topology import _Driver, _mean_row, _wins_sum_pairs
 
 from conftest import random_tree
 
@@ -149,6 +152,111 @@ def test_build_subtree_on_leaf_subset():
     sub = build_subtree(o, subset, n=48)
     induced = induced_topology(t, subset)
     assert frozenset(sub.leaf_labels) in _subtree_leaf_sets(induced)
+
+
+def _reference_build_subtree(drv, members):
+    """
+    ``_Driver.build_subtree`` scored from scratch: each merge re-scores the
+    merged cluster's representative against every member outside both
+    parts, and tied pairs go to the smallest representatives by a scan.
+    """
+    oracle = drv.oracle
+    lo_band, _ = drv.cfg.band(drv.n)
+    S = np.array(sorted(int(v) for v in members), dtype=np.int64)
+    l = len(S)
+    part_of = np.full(oracle.n_leaves, -1, dtype=np.int64)
+    part_of[S] = np.arange(l)
+    reps = S.tolist()
+    plans = S.tolist()
+    sizes = [1] * l
+    alive = [True] * l
+    M = np.full((l, l), -np.inf)
+    ii, jj = np.triu_indices(l, k=1)
+    M[ii, jj] = _wins_sum_pairs(oracle, S[ii], S[jj], S, forbid_part=True,
+                                part_of=part_of, pa=ii, pb=jj)
+    n_alive = l
+    while n_alive > 1 and max(z for z, a in zip(sizes, alive) if a) < lo_band:
+        p, q = divmod(int(np.argmax(M)), l)
+        tied = np.argwhere(M == M[p, q])
+        if len(tied) > 1:
+            key = min((min(reps[i], reps[j]), max(reps[i], reps[j]), i, j)
+                      for i, j in tied)
+            p, q = key[2], key[3]
+        if not drv.exact:
+            mean = _mean_row(np.maximum(M, M.T), sizes, p, q)
+        plans[p] = (plans[min(p, q)], plans[max(p, q)])
+        reps[p] = min(reps[p], reps[q])
+        sizes[p] += sizes[q]
+        alive[q] = False
+        part_of[part_of == q] = p
+        M[q, :] = M[:, q] = -np.inf
+        n_alive -= 1
+        if n_alive == 1 or sizes[p] >= lo_band:
+            break
+        others = np.array([t for t in range(l) if alive[t] and t != p])
+        if drv.exact:
+            vals = _wins_sum_pairs(
+                oracle, np.full(len(others), reps[p]),
+                np.array([reps[t] for t in others]), S, forbid_part=True,
+                part_of=part_of, pa=np.full(len(others), p), pb=others)
+        else:
+            vals = mean[others]
+        M[p, :] = M[:, p] = -np.inf
+        for t, v in zip(others, vals):
+            M[min(p, t), max(p, t)] = v
+    winner = max((sizes[t], -reps[t], t) for t in range(l) if alive[t])[2]
+    return [int(v) for v in S[part_of[S] == winner]], plans[winner]
+
+
+class _Flipped(NoiselessModel):
+    """
+    Draws nothing, so the driver takes its answers as exact, but it names
+    a pair other than the closest on about one triple in five: answers no
+    tree gives, which make the absorbed part's experiments count.
+    """
+
+    kind = "custom"
+
+    def slot_probs(self, d01, d02, d12):
+        p0, p1, p2 = super().slot_probs(d01, d02, d12)
+        flip = np.floor((d01 + 2 * d02 + 3 * d12) * 1e6) % 5 == 0
+        return (np.where(flip, p1, p0), np.where(flip, p2, p1),
+                np.where(flip, p0, p2))
+
+
+def _oracle(kind, tree, seed):
+    if kind == "expectation":
+        return ExpectationOracle(tree, "homogeneous")
+    if kind == "flipped":
+        return OracleState(tree, _Flipped(), seed=seed)
+    return OracleState(tree, kind, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["noiseless", "flipped", "homogeneous", "expectation"]),
+    n=st.integers(12, 80),
+    seed=st.integers(0, 2**16),
+    keep=st.floats(0.5, 1.0),
+    band=st.floats(0.0, 1.0),
+)
+@example(kind="expectation", n=40, seed=67, keep=0.5, band=1.0)  # near-tie
+@example(kind="flipped", n=63, seed=0, keep=1.0, band=1.0)  # many merges
+def test_build_subtree_incremental_scores_match_rescoring(kind, n, seed, keep,
+                                                          band):
+    # the incremental scores must make every decision and ask every
+    # question that scoring each merge from scratch does
+    t = random_tree(n, w=0.2 / n, seed=seed)
+    rng = np.random.default_rng(seed)
+    members = rng.choice(n, size=max(3, int(keep * n)), replace=False)
+    lo = 2 + int(band * (len(members) - 2))
+    runs = []
+    for build in (lambda d: d.build_subtree(members),
+                  lambda d: _reference_build_subtree(d, members)):
+        o = _oracle(kind, t, seed)
+        cfg = ReconstructionConfig.for_oracle(o, subtree_band=(lo, 2 * lo))
+        runs.append((build(_Driver(o, cfg)), o.query_count))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------- #
@@ -415,6 +523,35 @@ def test_reconstruct_noisy_ends_in_a_tree(n, c_thr):
         got = reconstruct_topology(o, ReconstructionConfig(c_thr=c_thr))
         assert got.leaf_labels == t.leaf_labels
         assert got.n_nodes == 2 * n - 1
+
+
+# sha256 of the Newick output, the query count and the stage events of
+# reconstructions at n=160 (w=0.01): every one peels with two subtree
+# builds, a partition and a pivot collapse
+RECONSTRUCT_160 = {
+    ("noiseless", 0):
+        "0375c6c144c7676a50ff0017231cdf5547bc56d7fdc63ee922dc0c157236247e",
+    ("noiseless", 1):
+        "68b774a14b2cd6f7f519f248975499caf79be1575d4ec657bd3d74b36e7e349a",
+    ("expectation", 8):
+        "1306c880a6601b452c8f60e990d616247f362c2b5303f746cba27684376a03d4",
+    ("expectation", 12):
+        "fceee3b89dc8a84bed0b6b100171ffd3e7d69341ee9123baca035099b838835d",
+    ("homogeneous", 1):
+        "94bb29daecec822f21d7ca131bd4203ff143f42ba3d129b60a9f696c0ec7108a",
+    ("homogeneous", 6):
+        "1be19c2d21eec2e7d360884d78ace845ad82ce5b022fc097d3d216d657889fd0",
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(RECONSTRUCT_160))
+def test_reconstruct_160_matches_digest(kind, seed):
+    t = random_tree(160, w=0.01, seed=seed)
+    o = _oracle(kind, t, seed)
+    got, stats = reconstruct_topology(o, return_stats=True)
+    assert len(stats.bases) >= 2 and stats.collapses
+    text = f"{to_newick(got)}\n{o.query_count}\n{stats.events}"
+    assert hashlib.sha256(text.encode()).hexdigest() == RECONSTRUCT_160[kind, seed]
 
 
 def test_reconstruct_small_n_exhaustive_path():

@@ -391,6 +391,44 @@ def test_newick_parse_error_carries_offset():
         from_newick("(a:1,b:1);junk")
 
 
+def _caterpillar(n):
+    """A caterpillar plan over labels L0000..: nested n - 1 deep."""
+    names = [f"L{i:04d}" for i in range(n)]
+    plan = names[0]
+    for lab in names[1:]:
+        plan = (lab, plan)
+    return names, plan
+
+
+def test_newick_deep_caterpillar_round_trips():
+    # 1499 nested clades: past the interpreter's recursion limit
+    names, plan = _caterpillar(1500)
+    text = to_newick(tree_from_topology(plan))
+    back = from_newick(text)
+    assert back.n_leaves == 1500
+    assert int(back.depths().max()) == 1499
+    assert to_newick(back) == text
+    assert back.leaf_distance(names[0], names[1]) == pytest.approx(2.0 / 1499)
+
+
+def test_newick_parse_errors_keep_messages_and_offsets():
+    cases = {
+        "(a:1,b": ("expected ':' before branch length", 6),
+        "(a:1;b:1);": ("expected ',' in clade", 4),
+        "(a:1,b:1,c:1);": ("expected ')'", 8),
+        "(a:1,:1);": ("expected a leaf label", 5),
+        "(a:1,b:1):2;": ("root must not carry a branch length", 9),
+        "(a:1,b:1)": ("expected trailing ';'", 9),
+        "a;": ("a tree needs at least two leaves", 2),
+        "((a:1,b:1):1,c:y);": ("bad branch length 'y'", 16),
+    }
+    for text, (message, offset) in cases.items():
+        with pytest.raises(NewickParseError) as err:
+            from_newick(text)
+        assert str(err.value) == f"{message} (at offset {offset})", text
+        assert err.value.offset == offset
+
+
 # ---------------------------------------------------------------------- #
 # Validator                                                               #
 # ---------------------------------------------------------------------- #
