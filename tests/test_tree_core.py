@@ -391,18 +391,12 @@ def test_newick_parse_error_carries_offset():
         from_newick("(a:1,b:1);junk")
 
 
-def _caterpillar(n):
-    """A caterpillar plan over labels L0000..: nested n - 1 deep."""
-    names = [f"L{i:04d}" for i in range(n)]
+def test_newick_deep_caterpillar_round_trips():
+    # 1499 nested clades: past the interpreter's recursion limit
+    names = [f"L{i:04d}" for i in range(1500)]
     plan = names[0]
     for lab in names[1:]:
         plan = (lab, plan)
-    return names, plan
-
-
-def test_newick_deep_caterpillar_round_trips():
-    # 1499 nested clades: past the interpreter's recursion limit
-    names, plan = _caterpillar(1500)
     text = to_newick(tree_from_topology(plan))
     back = from_newick(text)
     assert back.n_leaves == 1500
