@@ -553,17 +553,32 @@ def _closest_codes(D, i, J, K):
 
 
 def _canonical_shape(tree):
-    shapes = [None] * tree.n_nodes
-    for v in tree.topo_order()[::-1]:
-        v = int(v)
-        if tree.is_leaf(v):
-            shapes[v] = tree.labels[v]
-        else:
-            a, b = tree.children(v)
-            sa, sb = shapes[a], shapes[b]
-            shapes[v] = (sa, sb) if str(sa) <= str(sb) else (sb, sa)
-            shapes[a] = shapes[b] = None
-    return shapes[tree.root]
+    """
+    The topology as rows (lo, size, lo2), one per internal node, sorted: lo
+    is the smallest leaf rank under the node, size its leaf count and lo2
+    the smallest leaf rank under the child that lacks lo.  Nodes sharing lo
+    are nested, so (lo, size) names a node and orders each such chain
+    bottom-up; lo2 names the clade that joins the chain there, and the
+    rows rebuild the tree.  Ranks index the sorted leaf labels, so two
+    trees on one label set compare row for row; the rows come back as
+    bytes, the (lo, size) keys first and then lo2.
+    """
+    order = tree.topo_order()[::-1]
+    inner = order[tree.child1[order] != NO_NODE]
+    c1, c2 = tree.child1.tolist(), tree.child2.tolist()
+    lo = [0] * tree.n_nodes
+    size = [1] * tree.n_nodes
+    for rank, v in enumerate(tree.leaf_nodes.tolist()):
+        lo[v] = rank
+    for v in inner.tolist():
+        a, b = c1[v], c2[v]
+        lo[v] = lo[a] if lo[a] < lo[b] else lo[b]
+        size[v] = size[a] + size[b]
+    lo, size = np.asarray(lo, dtype=np.int64), np.asarray(size, dtype=np.int64)
+    lo2 = np.maximum(lo[tree.child1[inner]], lo[tree.child2[inner]])
+    key = lo[inner] * (tree.n_leaves + 1) + size[inner]
+    idx = np.argsort(key)
+    return key[idx].tobytes() + lo2[idx].tobytes()
 
 
 # ---------------------------------------------------------------------- #

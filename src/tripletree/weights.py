@@ -349,14 +349,20 @@ class _WeightDriver:
                 v for v in self._internal_under(path[f + 1]) if v != path[f + 1]
             ]
             if below:
-                a_heights = []
-                a_weights = info.anchor_sizes
-                far_sets = []
-                for i in info.anchors:
+                # an anchor clamped to height 0 makes h_a / (2 h_a + h)
+                # degenerate: leave it out and say so on every vertex
+                a_heights, a_weights, far_sets, dropped = [], [], [], []
+                for i, size in zip(info.anchors, info.anchor_sizes):
+                    if est[path[i]].value <= 0:
+                        dropped.append(f"anchor-dropped({i})")
+                        continue
                     a_heights.append(est[path[i]].value)
+                    a_weights.append(size)
                     far_sets.append(self.leafset[info.left_child[i]])
+                if not a_heights:
+                    raise EstimationFailure("anchor heights must be positive")
                 for v in below:
-                    warns = []
+                    warns = list(dropped)
                     p_hats = [
                         self.anchored_response(v, far, warns) for far in far_sets
                     ]

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from tripletree import (
     topology_equal,
     tree_from_topology,
 )
+import tripletree.cli as cli
 from tripletree.cli import (
     ExperimentConfig,
     calibrate,
@@ -132,11 +134,12 @@ def test_tree_in_deep_caterpillar(tmp_path):
 
 
 def test_weights_estimation_failure_is_a_failed_trial(tmp_path):
-    # the estimator assumes the homogeneous model; on noiseless answers an
-    # anchor height comes out 0 and invert_F rejects it
+    # the estimator assumes the homogeneous model; on noiseless answers
+    # every heavy-path height comes out 0, and on tree seed 39 the root is
+    # no anchor either, so no positive anchor is left
     rc = main([
         "--mode", "weights", "--n", "40", "--min-edge-weight", "0.02",
-        "--model", "noiseless", "--trials", "3", "--seed", "14",
+        "--model", "noiseless", "--trials", "3", "--seed", "37",
         "--jobs", "1", "--out", str(tmp_path),
     ])
     assert rc == 0
@@ -156,6 +159,28 @@ def test_weights_estimation_failure_is_a_failed_trial(tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert dict(zip(summary[0].split(","), summary[1].split(",")))[
         "failures"] == str(len(failed))
+
+
+def test_weights_zero_height_anchors_are_dropped(tmp_path):
+    # sampled right-path responses above 1/2 clamp three trials' anchors to
+    # height 0; those anchors leave the aggregate instead of ending the run
+    rc = main([
+        "--mode", "weights", "--n", "96", "--min-edge-weight", "0.01",
+        "--model", "homogeneous", "--trials", "4", "--seed", "13",
+        "--jobs", "1", "--out", str(tmp_path),
+        "--tree-out", str(tmp_path / "est.nwk"),
+    ])
+    assert rc == 0
+    rows = [
+        json.loads(line)
+        for line in (tmp_path / "trials.jsonl").read_text().splitlines()
+    ]
+    assert [r["failure"] for r in rows] == [None] * 4
+    assert all(r["success"] and r["max_weight_error"] < 1 for r in rows)
+    sidecar = json.loads((tmp_path / "est.nwk.sidecar.json").read_text())
+    dropped = [v for v in sidecar["vertices"]
+               if any(w.startswith("anchor-dropped(") for w in v["warnings"])]
+    assert dropped and all(v["method"] == "aggregated-anchors" for v in dropped)
 
 
 # Seed-for-seed output contract: sha256 over trials.jsonl, summary.csv, the
@@ -207,6 +232,75 @@ def test_outputs_match_golden_digest(tmp_path, name, jobs):
     for path in sorted(out.iterdir()):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == want
+
+
+def _digest(out):
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rerun_over_stale_outputs_matches_fresh_run(tmp_path, jobs):
+    kwargs, want = GOLDEN["topology-homogeneous-8"]
+    fresh, out = tmp_path / "fresh", tmp_path / "run"
+    run_experiment(ExperimentConfig(out=str(fresh), jobs=jobs,
+                                    tree_out=str(fresh / "tree.nwk"), **kwargs))
+    out.mkdir()
+    for name in ("trials.jsonl", "summary.csv", "tree.nwk"):
+        (out / name).write_bytes(b"stale\n" * 5000)
+    for _ in range(2):
+        run_experiment(ExperimentConfig(out=str(out), jobs=jobs,
+                                        tree_out=str(out / "tree.nwk"), **kwargs))
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in fresh.iterdir())
+        for path in fresh.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
+        assert _digest(out) == want
+
+
+def test_output_symlink_is_replaced_not_written_through(tmp_path):
+    target = tmp_path / "elsewhere.nwk"
+    target.write_text("keep me\n")
+    link = tmp_path / "tree.nwk"
+    link.symlink_to(target)
+    run_experiment(ExperimentConfig(
+        mode="topology", n=8, model="noiseless", trials=1, seed=0,
+        min_edge_weight=0.05, jobs=1, tree_out=str(link)))
+    assert target.read_text() == "keep me\n"
+    assert not link.is_symlink()
+    assert from_newick(link.read_text()).n_leaves == 8
+
+
+def test_cli_writes_files_only_through_write_text():
+    with open(cli.__file__) as fh:
+        module = ast.parse(fh.read())
+    writes = []
+
+    class Calls(ast.NodeVisitor):
+        func = None
+
+        def visit_FunctionDef(self, node):
+            outer, self.func = self.func, node.name
+            self.generic_visit(node)
+            self.func = outer
+
+        def visit_Call(self, node):
+            name = ast.unparse(node.func)
+            assert name not in ("json.dump", "os.open", "os.fdopen", "os.replace",
+                                "os.rename", "shutil.copyfile"), name
+            assert not name.endswith((".write_text", ".write_bytes")), name
+            if name.split(".")[-1] == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                if mode is not None and not (isinstance(mode, ast.Constant)
+                                             and mode.value in ("r", "rb")):
+                    writes.append(self.func)
+            self.generic_visit(node)
+
+    Calls().visit(module)
+    assert writes == ["_write_text"]
 
 
 def test_config_validation_lists_fields():

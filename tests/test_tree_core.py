@@ -361,6 +361,54 @@ def test_topology_equal_invariant_under_child_swaps():
         assert topology_equal(t, swapped)
 
 
+def _grafts(plan, lab):
+    """Every plan that adds leaf ``lab`` on one edge of ``plan``."""
+    out = [(plan, lab)]
+    if isinstance(plan, tuple):
+        left, right = plan
+        out += [(x, right) for x in _grafts(left, lab)]
+        out += [(left, x) for x in _grafts(right, lab)]
+    return out
+
+
+def _clades(plan):
+    return map_plan(plan, lambda x: (frozenset([x]), frozenset()),
+                    lambda l, r: (l[0] | r[0], l[1] | r[1] | {l[0] | r[0]}))[1]
+
+
+def test_topology_equal_matches_clade_sets_on_five_leaves():
+    plans = ["a"]
+    for lab in "bcde":
+        plans = [g for p in plans for g in _grafts(p, lab)]
+    assert len(plans) == 105
+    trees = [tree_from_topology(p) for p in plans]
+    clades = [_clades(p) for p in plans]
+    assert len(set(clades)) == 105
+    for i, ti in enumerate(trees):
+        for j, tj in enumerate(trees):
+            assert topology_equal(ti, tj) == (i == j)
+
+
+def _caterpillar(names, alternate=False):
+    plan = names[0]
+    for k, lab in enumerate(names[1:]):
+        plan = (plan, lab) if alternate and k % 2 else (lab, plan)
+    return tree_from_topology(plan)
+
+
+def test_topology_equal_deep_caterpillar_needs_no_recursion():
+    # 1499 nested clades: past the interpreter's recursion limit
+    names = [f"L{i:04d}" for i in range(1500)]
+    t = _caterpillar(names)
+    assert topology_equal(t, t)
+    assert topology_equal(t, _caterpillar(names, alternate=True))
+    assert topology_equal(t, from_newick(to_newick(t)))
+    assert topology_equal(t, _caterpillar([names[1], names[0]] + names[2:]))
+    assert not topology_equal(t, _caterpillar([names[0], names[2], names[1]]
+                                              + names[3:]))
+    assert not topology_equal(t, _caterpillar(names[:-2] + names[:-3:-1]))
+
+
 # ---------------------------------------------------------------------- #
 # Newick                                                                  #
 # ---------------------------------------------------------------------- #
