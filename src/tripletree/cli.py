@@ -247,6 +247,8 @@ def run_experiment(cfg):
     cfg.validate()
     if cfg.mode not in ("topology", "weights"):
         raise ValueError("run_experiment handles topology/weights modes")
+    if cfg.tree_in:
+        cfg = dataclasses.replace(cfg, n=_make_tree(cfg, cfg.seed).n_leaves)
     cfg_dict = dataclasses.asdict(cfg)
     jobs = cfg.jobs if cfg.jobs > 0 else min(8, os.cpu_count() or 1)
     t0 = time.perf_counter()

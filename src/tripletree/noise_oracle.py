@@ -340,9 +340,9 @@ class OracleState(_OracleBase):
 class ExpectationOracle(_OracleBase):
     """
     Drop-in oracle whose ``wins`` returns the exact probability of each
-    target pair instead of a sampled indicator.  Score sums computed
-    against it equal their expectations, which makes every estimator in
-    the reconstruction pipeline exact up to float round-off.
+    target pair instead of a sampled indicator.  Topology reconstruction
+    asks for each triple's most likely pair (the closest, under a
+    validated model); the weight estimators read the probabilities.
     """
 
     def wins(self, A, B, C):

@@ -15,10 +15,10 @@ The pipeline resolves small subtrees first and stitches them together:
    bucket.
 
 All count comparisons use the threshold c_thr * sqrt(n * ln n).  With an
-exact answer source (the noiseless model, or expectation mode) every
-informative margin is exact, so such runs use c_thr = 0; score ties, which
-are systematic there, fall back to the direct answers of the triples in
-question.
+exact answer source (the noiseless model, or expectation mode, which the
+driver asks for each triple's most likely pair) every informative margin
+is exact, so such runs use c_thr = 0; score ties, which are systematic
+there, fall back to the direct answers of the triples in question.
 
 Under permanent noise no single answer is right with probability above
 1/2, and comparisons between counts are neither transitive nor free of
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise_oracle import ExpectationOracle
+from .noise_oracle import ExpectationOracle, OracleState
 from .tree_core import map_plan, tree_from_topology
 
 _CHUNK = 1 << 21
@@ -91,8 +91,8 @@ class ReconstructionConfig:
     def for_oracle(cls, oracle, **overrides):
         """
         Config with c_thr zeroed for noise-free answer sources (the
-        noiseless model, or an expectation oracle whose score margins are
-        exact): with no noise, any positive margin is decisive.
+        noiseless model, or an expectation oracle): with no noise, any
+        positive margin is decisive.
         """
         cfg = cls(**overrides)
         if "c_thr" not in overrides and _exact_source(oracle):
@@ -218,9 +218,7 @@ def _triple_scores(oracle, S):
     (a < b) sums oracle.wins(S[a], S[b], x) over the other members x, and
     every other entry is -inf.  One pass over the triples a < b < c asks
     each of their three experiments once, for the pairs (b, c), (a, c) and
-    (a, b).  Applied in that order per block of lexicographic triples, the
-    answers add to every score in ascending witness order, the order of a
-    row-by-row sum.
+    (a, b).
     """
     l = len(S)
     flat = np.zeros(l * l)
@@ -379,11 +377,10 @@ def _assemble_by_scores(ids, plans, M, provider, stage, exact):
     expected score is strictly decreasing in the pair distance against an
     equidistant witness set, so the best-supported pair is a sibling pair.
 
-    With an exact answer source (``exact``: the noiseless model, or
-    expectation mode) any member's row stands for its cluster, and a
-    merged cluster keeps its representative's row.  Score ties are
-    systematic there and are settled by the displacement walk on the
-    direct answers.  Under noise a merged cluster scores with the
+    With an exact answer source (``exact``) any member's row stands for
+    its cluster, and a merged cluster keeps its representative's row.
+    Score ties are systematic there and are settled by the displacement
+    walk on the direct answers.  Under noise a merged cluster scores with the
     size-weighted mean of its two parts' rows (average linkage), so each
     decision draws on every leaf pair across two clusters; a tie is a
     chance coincidence of counts, and a single direct answer is right with
@@ -565,6 +562,9 @@ class _Driver:
     """
 
     def __init__(self, oracle, cfg=None, n=None):
+        if isinstance(oracle, ExpectationOracle):
+            # each triple's most likely pair: the closest, for a validated model
+            oracle = OracleState(oracle.tree, "noiseless", 0)
         self.oracle = oracle
         self.n = n or oracle.n_leaves
         self.cfg = cfg or ReconstructionConfig.for_oracle(oracle)
@@ -621,15 +621,12 @@ class _Driver:
         The first matrix is one pass over the member triples (see
         ``_triple_scores``).  When cluster q merges into p, p keeps its
         representative, so the score of (p, t) only loses the witnesses q
-        brought into p.  Under the noiseless model the scores are counts
-        of indicators, exact in float64, and the update subtracts the
+        brought into p.  With an exact source the scores are counts of
+        indicators, exact in float64, and the update subtracts the
         experiments (rep_p, rep_t, x) over q's members, all of them
         repeats, instead of scoring rep_p against every member again.
-        Expectation-mode scores are sums of probabilities, which round by
-        summation order, so they are summed again over the witnesses in
-        ascending order.  Under noise the merged row is the size-weighted
-        mean of the two rows (average linkage, see
-        ``_assemble_by_scores``).
+        Under noise the merged row is the size-weighted mean of the two
+        rows (average linkage, see ``_assemble_by_scores``).
         """
         lo_band, _ = self.cfg.band(self.n)
         S = np.array(sorted(int(v) for v in members), dtype=np.int64)
@@ -665,15 +662,10 @@ class _Driver:
             ot = np.flatnonzero(alive)
             ot = ot[ot != p]
             lo, hi = np.minimum(ot, p), np.maximum(ot, p)
-            rep_p = np.full(len(ot), S[p])
             if not self.exact:
                 M[lo, hi] = mean[ot]
-            elif isinstance(self.oracle, ExpectationOracle):
-                M[lo, hi] = _wins_sum_pairs(
-                    self.oracle, rep_p, S[ot], S, forbid_part=True,
-                    part_of=part_of, pa=np.full(len(ot), p), pb=ot,
-                )
             else:
+                rep_p = np.full(len(ot), S[p])
                 M[lo, hi] -= _wins_sum_pairs(self.oracle, rep_p, S[ot], absorbed)
 
         winner = max(np.flatnonzero(alive), key=lambda t: (sizes[t], -t))

@@ -518,7 +518,7 @@ def triplet_agreement(tree, other):
     Fraction of the C(n,3) leaf triples on which ``other`` names the same
     closest pair as ``tree``: a graded score where ``topology_equal`` is
     all or nothing.  ``other`` is a tree on the same leaf labels, or an
-    ``OracleState`` over ``tree``, whose answer to each triple is graded.
+    oracle over ``tree``, whose most likely answer to each triple is graded.
     """
     n = tree.n_leaves
     if n < 3:
@@ -527,8 +527,8 @@ def triplet_agreement(tree, other):
     if hasattr(other, "wins"):
         def codes(i, J, K):
             I = np.full(len(J), i, dtype=np.int64)
-            return np.where(other.wins(I, J, K) > 0, 0,
-                            np.where(other.wins(I, K, J) > 0, 1, 2))
+            wj, wk = other.wins(I, J, K), other.wins(I, K, J)
+            return np.argmax(np.stack([wj, wk, 1.0 - wj - wk]), axis=0)
     else:
         pos = {lab: p for p, lab in enumerate(other.leaf_labels)}
         perm = np.array([pos[lab] for lab in tree.leaf_labels], dtype=np.int64)

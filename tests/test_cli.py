@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import json
 import os
@@ -22,6 +23,8 @@ from tripletree.cli import (
     main,
     run_experiment,
 )
+
+from conftest import random_tree
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schema")
 
@@ -110,6 +113,20 @@ def test_tree_in_round_trip(tmp_path):
     out = run_experiment(cfg)
     assert out["summary"]["success_rate"] == 1.0
     assert topology_equal(from_newick(nwk), from_newick(tree_out.read_text()))
+
+
+def test_tree_in_reports_its_leaf_count(tmp_path, capsys):
+    tree_in = tmp_path / "in.nwk"
+    tree_in.write_text(to_newick(random_tree(40, seed=2)) + "\n")
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig(
+        mode="topology", model="noiseless", trials=1, seed=0, jobs=1,
+        tree_in=str(tree_in), out=str(out),
+    ))
+    summary = next(csv.DictReader(
+        (out / "summary.csv").read_text().splitlines()))
+    assert summary["n"] == "40"
+    assert "n=40 " in capsys.readouterr().err
 
 
 def test_tree_in_deep_caterpillar(tmp_path):
@@ -201,7 +218,7 @@ GOLDEN = {
     "topology-expectation-16": (
         dict(mode="topology", n=16, model="homogeneous", expectation=True,
              trials=4, seed=200, min_edge_weight=0.02),
-        "62d76c56cfa3eee62912375bee81568c8d9620e21b6c6e3e366bc70b8589a7ab"),
+        "42b5810d552080223d73489310d8b0bdf32f947061447e02af9e8563c0b21451"),
     "topology-noiseless-8": (
         dict(mode="topology", n=8, model="noiseless", trials=2, seed=11,
              min_edge_weight=0.05),

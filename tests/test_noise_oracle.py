@@ -14,6 +14,7 @@ from tripletree import (
     HomogeneousModel,
     OracleState,
     build_lower_bound_pair,
+    closest_pair,
     expectation_query,
     generate_random_ultrametric,
     make_model,
@@ -343,6 +344,20 @@ def test_custom_model_accepted_and_used():
     assert abs(sum(p) - 1.0) <= 1e-15
     o = OracleState(t, m, seed=3)
     assert o.query(a, b, c) == o.query(c, b, a)
+
+
+@pytest.mark.parametrize("model", [
+    "homogeneous", "noiseless", CustomModel(_linear_p_correct, epsilon=1.0 / 13.0),
+])
+def test_triple_distribution_argmax_is_closest_pair(model):
+    # the premise of expectation-mode topology: a validated model's most
+    # likely answer to every triple is its closest pair
+    for seed in range(3):
+        t = random_tree(12, w=0.05, seed=seed)
+        for a, b, c in itertools.combinations(t.leaf_labels, 3):
+            p = triple_distribution(t, model, a, b, c)
+            top = ((a, b), (b, c), (c, a))[int(np.argmax(p))]
+            assert tuple(sorted(top)) == closest_pair(t, a, b, c)
 
 
 def test_custom_model_rejects_insensitive():

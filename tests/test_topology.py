@@ -475,6 +475,20 @@ def test_reconstruct_noiseless_exact(n):
         assert topology_equal(got, t), (n, seed)
 
 
+@pytest.mark.parametrize("n,w", [(16, 0.02), (64, 0.02), (100, 0.01),
+                                 (160, 0.01)])
+def test_reconstruct_expectation_exact(n, w):
+    # expectation mode is the infinite-sample stand-in: the driver asks it
+    # for each triple's most likely pair, and the tree comes out exact
+    missed = []
+    for seed in range(10):
+        t = random_tree(n, w=w, seed=seed)
+        got = reconstruct_topology(ExpectationOracle(t, "homogeneous"))
+        if not topology_equal(got, t):
+            missed.append(seed)
+    assert missed == []
+
+
 def test_reconstruct_rerun_same_oracle_identical():
     t = random_tree(24, seed=6)
     o = OracleState(t, "homogeneous", seed=42)
@@ -536,7 +550,7 @@ RECONSTRUCT_160 = {
     ("expectation", 8):
         "1306c880a6601b452c8f60e990d616247f362c2b5303f746cba27684376a03d4",
     ("expectation", 12):
-        "fceee3b89dc8a84bed0b6b100171ffd3e7d69341ee9123baca035099b838835d",
+        "6656a07333a0f6988cfeb3b4075644e2331b3124169f47e330b712325152a03d",
     ("homogeneous", 1):
         "94bb29daecec822f21d7ca131bd4203ff143f42ba3d129b60a9f696c0ec7108a",
     ("homogeneous", 6):

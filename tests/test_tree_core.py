@@ -5,8 +5,10 @@ import pytest
 
 from tripletree import (
     CorruptTreeError,
+    ExpectationOracle,
     InfeasibleTreeError,
     NewickParseError,
+    OracleState,
     bucket_partition,
     closest_pair,
     from_newick,
@@ -16,6 +18,7 @@ from tripletree import (
     to_newick,
     topology_equal,
     tree_from_topology,
+    triplet_agreement,
     validate_ultrametric,
 )
 from tripletree.topology import graft_plan
@@ -407,6 +410,17 @@ def test_topology_equal_deep_caterpillar_needs_no_recursion():
     assert not topology_equal(t, _caterpillar([names[0], names[2], names[1]]
                                               + names[3:]))
     assert not topology_equal(t, _caterpillar(names[:-2] + names[:-3:-1]))
+
+
+def test_triplet_agreement_grades_an_oracle_by_its_most_likely_answer():
+    t = random_tree(24, w=0.05, seed=3)
+    assert triplet_agreement(t, t) == 1.0
+    assert triplet_agreement(t, OracleState(t, "noiseless", seed=0)) == 1.0
+    # every probability is positive; the most likely pair is the closest
+    assert triplet_agreement(t, ExpectationOracle(t, "homogeneous")) == 1.0
+    other = random_tree(24, w=0.05, seed=4)
+    assert triplet_agreement(t, ExpectationOracle(other, "homogeneous")) == (
+        triplet_agreement(t, other))
 
 
 # ---------------------------------------------------------------------- #
