@@ -137,6 +137,13 @@ def _make_tree(cfg, trial_seed):
     return generate_random_ultrametric(cfg.n, cfg.min_edge_weight, seed=trial_seed)
 
 
+def _with_tree_size(cfg):
+    """``cfg`` with ``n`` set to the leaf count of its --tree-in tree, if any."""
+    if cfg.tree_in:
+        return dataclasses.replace(cfg, n=_make_tree(cfg, cfg.seed).n_leaves)
+    return cfg
+
+
 def _make_oracle(cfg, tree, trial_seed):
     model = _resolve_model(cfg.model)
     if cfg.expectation:
@@ -247,8 +254,7 @@ def run_experiment(cfg):
     cfg.validate()
     if cfg.mode not in ("topology", "weights"):
         raise ValueError("run_experiment handles topology/weights modes")
-    if cfg.tree_in:
-        cfg = dataclasses.replace(cfg, n=_make_tree(cfg, cfg.seed).n_leaves)
+    cfg = _with_tree_size(cfg)
     cfg_dict = dataclasses.asdict(cfg)
     jobs = cfg.jobs if cfg.jobs > 0 else min(8, os.cpu_count() or 1)
     t0 = time.perf_counter()
@@ -305,6 +311,7 @@ def calibrate(cfg):
     exact-recovery rate.
     """
     cfg.validate()
+    cfg = _with_tree_size(cfg)
     c_values = cfg.sweep_c_thr or (24.0,)
     table = []
     recommended = None

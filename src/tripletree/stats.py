@@ -126,33 +126,31 @@ class LowerBoundPair:
     class_counts: dict
 
 
+def _levels(m):
+    """Edge count on the longest root-leaf path of a balanced m-leaf subtree."""
+    return 0 if m <= 1 else 1 + _levels((m + 1) // 2)
+
+
 def _balanced_subtree(builder, names, height):
     """Balanced ultrametric subtree over ``names`` with root at ``height``."""
-
-    def levels(m):
-        return 0 if m <= 1 else 1 + levels((m + 1) // 2)
 
     def build(lo, hi, h):
         if hi - lo == 1:
             return builder.add_leaf(names[lo])
         mid = (lo + hi + 1) // 2
-        lev = levels(hi - lo)
-        left = build(lo, mid, h * levels(mid - lo) / lev)
-        right = build(mid, hi, h * levels(hi - mid) / lev)
+        lev = _levels(hi - lo)
+        left = build(lo, mid, h * _levels(mid - lo) / lev)
+        right = build(mid, hi, h * _levels(hi - mid) / lev)
         return builder.add_internal(left, right, h)
 
     return build(0, len(names), height)
 
 
-def build_lower_bound_pair(n, rho, base_subtree_spec=None, seed=0,
-                           allow_zero_inner=False):
+def build_lower_bound_pair(n, rho, allow_zero_inner=False):
     """
     Construct the two nearly indistinguishable trees for leaf count ``n``
     and inner-edge scale ``rho`` (every edge weight ends up >= rho/sqrt(n)).
-
-    ``base_subtree_spec`` may override the shared subtree: a dict with keys
-    ``kind`` ("balanced") and ``height`` (default 2/3).  ``seed`` is kept
-    for spec parity; the default balanced base is deterministic.
+    The shared subtree is balanced, with its root at height 2/3.
     """
     if n < 6:
         raise ValueError("need n >= 6 so the shared subtree has >= 3 leaves")
@@ -166,25 +164,14 @@ def build_lower_bound_pair(n, rho, base_subtree_spec=None, seed=0,
             "rho = 0 collapses the inner edge; pass allow_zero_inner=True "
             "to build the degenerate pair anyway"
         )
-    spec = {"kind": "balanced", "height": 2.0 / 3.0}
-    if base_subtree_spec:
-        spec.update(base_subtree_spec)
-    if spec["kind"] != "balanced":
-        raise ValueError(f"unsupported base subtree kind {spec['kind']!r}")
-    h_base = float(spec["height"])
-    if not inner < h_base < 1.0 - inner:
-        raise InfeasibleTreeError("base height leaves no room for the inner edge")
+    h_base = 2.0 / 3.0
     if inner >= 1.0 / 3.0:
         raise InfeasibleTreeError("rho/sqrt(n) must stay below the cherry depth 1/3")
 
     m = n - 3
     width = max(4, len(str(m - 1)))
     base_names = [f"x{i:0{width}d}" for i in range(m)]
-
-    def levels(k):
-        return 0 if k <= 1 else 1 + levels((k + 1) // 2)
-
-    min_base_edge = h_base / max(1, levels(m))
+    min_base_edge = h_base / max(1, _levels(m))
     if rho > 0 and min_base_edge < inner:
         raise InfeasibleTreeError(
             f"balanced base of height {h_base} has edges of weight "

@@ -14,21 +14,24 @@ The pipeline resolves small subtrees first and stitches them together:
    pivot to a representative leaf when the recursion descends into its
    bucket.
 
-All count comparisons use the threshold c_thr * sqrt(n * ln n).  With an
-exact answer source (the noiseless model, or expectation mode, which the
-driver asks for each triple's most likely pair) every informative margin
-is exact, so such runs use c_thr = 0; score ties, which are systematic
-there, fall back to the direct answers of the triples in question.
+All count comparisons use the threshold c_thr * sqrt(n * ln n).  Every
+decision is made from aggregated counts, whatever the answer source:
+clusters are scored by average linkage on the triplet votes, the
+partition and the bucket order count all three answers of each
+experiment, and buckets are ordered by rank aggregation.  Under a tree's
+answers sibling clusters have equal score rows, so average linkage there
+is the paper's merging on representative rows.
 
-Under permanent noise no single answer is right with probability above
-1/2, and comparisons between counts are neither transitive nor free of
-chance ties, so every decision is made from aggregated counts instead:
-clusters are scored by average linkage, exact ties go to a deterministic
-key over the score matrix, the partition and the bucket order count all
-three answers of each experiment, and buckets are ordered by rank
-aggregation.  A noisy run ends in a tree; ReconstructionFailure is left
-for what no aggregation can settle (answers from an exact source that
-admit no tree, or two parts too large to coexist).
+An exact answer source (the noiseless model, or expectation mode, which
+the driver asks for each triple's most likely pair) selects two things
+only.  Its margins are exact, so it runs with c_thr = 0; and its score
+ties are systematic, so they are settled by a walk on the direct answers
+of the triples in question (``_find_sibling_pair``).  Under permanent
+noise no single answer is right with probability above 1/2, so ties go
+to a deterministic key over the score matrix (``_tie_key``) instead.  A
+noisy run ends in a tree; ReconstructionFailure is left for what no
+aggregation can settle (answers from an exact source that admit no tree,
+or two parts too large to coexist).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise_oracle import ExpectationOracle, OracleState
-from .tree_core import map_plan, tree_from_topology
+from .tree_core import _answer_codes, map_plan, tree_from_topology
 
 _CHUNK = 1 << 21
 
@@ -72,7 +75,6 @@ class ReconstructionConfig:
     """
 
     c_thr: float = 24.0
-    sample_floor_fraction: float = 1.0 / 16.0
     subtree_band: tuple | None = None  # explicit (lo, hi) leaf-count band
     large_fraction: float = 11.0 / 12.0
     small_fraction: float = 1.0 / 12.0
@@ -131,7 +133,6 @@ class RunStats:
     bases: list = field(default_factory=list)  # leaf counts of built subtrees
     collapses: list = field(default_factory=list)  # leaf counts of collapsed pivots
     events: list = field(default_factory=list)  # ordered ("base"|"collapse", size)
-    floor_violations: int = 0
     stages: list = field(default_factory=list)
 
     def check_accounting(self, n=None):
@@ -216,17 +217,19 @@ def _triple_scores(oracle, S):
     """
     Score matrix over the positions of the sorted leaf ids ``S``: ``M[a, b]``
     (a < b) sums oracle.wins(S[a], S[b], x) over the other members x, and
-    every other entry is -inf.  One pass over the triples a < b < c asks
-    each of their three experiments once, for the pairs (b, c), (a, c) and
-    (a, b).
+    every other entry is -inf.  One pass over the triples a < b < c reads
+    the answers for the pairs (a, b) and (a, c); an ``OracleState`` answers
+    each triple with exactly one pair, so (b, c) wins the rest.
     """
     l = len(S)
     flat = np.zeros(l * l)
     for a, b, c in _triple_blocks(l):
         I, J, K = S[a], S[b], S[c]
-        np.add.at(flat, b * l + c, oracle.wins(J, K, I))
-        np.add.at(flat, a * l + c, oracle.wins(I, K, J))
-        np.add.at(flat, a * l + b, oracle.wins(I, J, K))
+        wab = oracle.wins(I, J, K)
+        wac = oracle.wins(I, K, J)
+        np.add.at(flat, a * l + b, wab)
+        np.add.at(flat, a * l + c, wac)
+        np.add.at(flat, b * l + c, 1.0 - wab - wac)
     M = flat.reshape(l, l)
     M[np.tril_indices(l)] = -np.inf
     return M
@@ -270,83 +273,16 @@ def sibling_scores(oracle, forest, ambient, n=None, cfg=None):
 # ---------------------------------------------------------------------- #
 
 
-class _ScoreProvider:
-    """
-    Closest-pair provider backed by a pairwise score matrix, with a
-    fallback to the direct experiment answer when all candidate scores tie
-    exactly (systematic under the noiseless model, where within-subtree
-    scores carry no signal).
-    """
-
-    def __init__(self, oracle, ids, matrix):
-        self.oracle = oracle
-        ids = np.asarray(ids, dtype=np.int64)
-        self.pos = np.full(oracle.n_leaves, -1, dtype=np.int64)  # leaf id -> row
-        self.pos[ids] = np.arange(len(ids))
-        self.M = matrix
-
-    def _direct(self, A, B, C):
-        wab = self.oracle.wins(A, B, C)
-        wbc = self.oracle.wins(B, C, A)
-        wca = self.oracle.wins(C, A, B)
-        return np.argmax(np.stack([wab, wca, wbc]), axis=0)  # 0:(a,b) 1:(a,c) 2:(b,c)
-
-    def closest_batch(self, a, b, C):
-        """Codes per row: 0 keep (a,b); 1 -> (a,C); 2 -> (b,C)."""
-        C = np.asarray(C, dtype=np.int64)
-        ia, ib = self.pos[a], self.pos[b]
-        ic = self.pos[C]
-        sab = self.M[ia, ib]
-        sac = self.M[ia, ic]
-        sbc = self.M[ib, ic]
-        stacked = np.stack([np.full(len(C), sab), sac, sbc])
-        best = np.argmax(stacked, axis=0)
-        top = stacked[best, np.arange(len(C))]
-        tied = (np.sum(stacked == top, axis=0) > 1)
-        if np.any(tied):
-            idx = np.nonzero(tied)[0]
-            A = np.full(len(idx), a, dtype=np.int64)
-            B = np.full(len(idx), b, dtype=np.int64)
-            best[idx] = self._direct(A, B, C[idx])
-        return best
-
-
-class _CallableProvider:
-    """Adapter for a scalar closest-pair function over leaf labels."""
-
-    def __init__(self, fn, labels_of):
-        self.fn = fn
-        self.labels_of = labels_of
-
-    def closest_batch(self, a, b, C):
-        la, lb = self.labels_of(a), self.labels_of(b)
-        out = np.empty(len(C), dtype=np.int64)
-        for i, c in enumerate(C):
-            lc = self.labels_of(int(c))
-            win = set(self.fn(la, lb, lc))
-            if win == {la, lb}:
-                out[i] = 0
-            elif win == {la, lc}:
-                out[i] = 1
-            elif win == {lb, lc}:
-                out[i] = 2
-            else:
-                raise ReconstructionFailure(
-                    "triple-assembly",
-                    f"closest-pair function returned {win} for ({la},{lb},{lc})",
-                    witness=(la, lb, lc),
-                )
-        return out
-
-
-def _find_sibling_pair(a, b, reps, provider, stage):
+def _find_sibling_pair(a, b, reps, closest, stage):
     """
     Starting from the candidate pair (a, b), let closest-pair answers
     displace it until no representative does; raises with a witness when
-    the answers cycle instead of settling (they admit no tree).  Only for
-    answers taken as exact: a closest-pair function, or the direct answers
-    of an exact source.  A noisy answer is right with probability at most
-    1/2, and the walk would cycle on it.
+    the answers cycle instead of settling (they admit no tree).
+    ``closest(a, b, C)`` gives a code per c in ``C``: 0 keeps (a, b), 1
+    names (a, c) and 2 names (b, c).  Only for answers taken as exact: a
+    closest-pair function, or the direct answers of an exact source.  A
+    noisy answer is right with probability at most 1/2, and the walk would
+    cycle on it.
     """
     guard = 0
     c = None
@@ -355,7 +291,7 @@ def _find_sibling_pair(a, b, reps, provider, stage):
         others = reps[(reps != a) & (reps != b)]
         if len(others) == 0:
             return a, b
-        codes = provider.closest_batch(a, b, others)
+        codes = closest(a, b, others)
         moved = np.nonzero(codes != 0)[0]
         if len(moved) == 0:
             return a, b
@@ -371,24 +307,25 @@ def _find_sibling_pair(a, b, reps, provider, stage):
             )
 
 
-def _assemble_by_scores(ids, plans, M, provider, stage, exact):
+def _assemble_by_scores(ids, plans, M, closest, stage):
     """
     Agglomerate by merging the pair of clusters with the highest score: the
     expected score is strictly decreasing in the pair distance against an
     equidistant witness set, so the best-supported pair is a sibling pair.
+    A merged cluster scores with the size-weighted mean of its two parts'
+    rows (average linkage), so each decision draws on every leaf pair
+    across two clusters.
 
-    With an exact answer source (``exact``) any member's row stands for
-    its cluster, and a merged cluster keeps its representative's row.
-    Score ties are systematic there and are settled by the displacement
-    walk on the direct answers.  Under noise a merged cluster scores with the
-    size-weighted mean of its two parts' rows (average linkage), so each
-    decision draws on every leaf pair across two clusters; a tie is a
-    chance coincidence of counts, and a single direct answer is right with
-    probability at most 1/2, so ties go to ``_tie_key`` over the scores.
+    Tied top pairs are settled by ``closest`` when one is given (an exact
+    source, whose ties are systematic): the displacement walk from the
+    smallest tied pair over its answers.  With ``closest`` None (noise) a
+    tie is a chance coincidence of counts, and a single direct answer is
+    right with probability at most 1/2, so ties go to ``_tie_key`` over
+    the scores.
 
-    With an all-zero ``M`` and ``exact`` every pair ties, so each merge is
-    the displacement walk from the smallest pair over ``provider``'s
-    answers: a BUILD-style assembly from closest-pair answers alone.
+    With an all-zero ``M`` every pair ties, so each merge is the walk from
+    the smallest pair over ``closest``'s answers: a BUILD-style assembly
+    from closest-pair answers alone.
     """
     ids = [int(v) for v in ids]
     pos = {v: i for i, v in enumerate(ids)}
@@ -405,17 +342,16 @@ def _assemble_by_scores(ids, plans, M, provider, stage, exact):
         tied = np.flatnonzero(vals == np.max(vals))
         # reps ascend, so the first tied pair in triu order is the smallest
         t = tied[0]
-        if len(tied) > 1 and not exact:
+        if len(tied) > 1 and closest is None:
             t = tied[_tie_key(sub, iu[0][tied], iu[1][tied])]
         a, b = reps[iu[0][t]], reps[iu[1][t]]
-        if len(tied) > 1 and exact:
-            a, b = _find_sibling_pair(a, b, reps, provider, stage)
+        if len(tied) > 1 and closest is not None:
+            a, b = _find_sibling_pair(a, b, reps, closest, stage)
         lo, hi = min(a, b), max(a, b)
-        if not exact:
-            i, j = pos[lo], pos[hi]
-            M[i, :] = M[:, i] = _mean_row(M, size, i, j)
-            M[i, i] = -np.inf
-            size[i] += size[j]
+        i, j = pos[lo], pos[hi]
+        M[i, :] = M[:, i] = _mean_row(M, size, i, j)
+        M[i, i] = -np.inf
+        size[i] += size[j]
         plans[lo] = (plans[lo], plans.pop(hi))
         reps.remove(hi)
     return plans[reps[0]]
@@ -487,9 +423,24 @@ def assemble_from_triples(closest_pair_fn, leaves, verify=True):
     if len(leaves) < 2:
         raise ValueError("need at least two leaves")
     m = len(leaves)
-    provider = _CallableProvider(closest_pair_fn, lambda i: leaves[i])
-    plan = _assemble_by_scores(range(m), leaves, np.zeros((m, m)), provider,
-                               "triple-assembly", exact=True)
+
+    def closest(a, b, C):
+        codes = []
+        for c in C:
+            trip = (leaves[a], leaves[b], leaves[int(c)])
+            pairs = [{trip[0], trip[1]}, {trip[0], trip[2]}, {trip[1], trip[2]}]
+            win = set(closest_pair_fn(*trip))
+            if win not in pairs:
+                raise ReconstructionFailure(
+                    "triple-assembly",
+                    f"closest-pair function returned {win} for {trip}",
+                    witness=trip,
+                )
+            codes.append(pairs.index(win))
+        return np.array(codes, dtype=np.int64)
+
+    plan = _assemble_by_scores(range(m), leaves, np.zeros((m, m)), closest,
+                               "triple-assembly")
     tree = tree_from_topology(plan)
     if verify:
         idx = {lab: i for i, lab in enumerate(leaves)}
@@ -557,8 +508,8 @@ def _relabel(plan, names):
 class _Driver:
     """
     One reconstruction over ``oracle``.  ``n`` (default: the oracle's leaf
-    count) scales the thresholds, size band and sample floors; ``cfg``
-    defaults to ``ReconstructionConfig.for_oracle(oracle)``.
+    count) scales the thresholds, the size band and the large-part cap;
+    ``cfg`` defaults to ``ReconstructionConfig.for_oracle(oracle)``.
     """
 
     def __init__(self, oracle, cfg=None, n=None):
@@ -571,8 +522,10 @@ class _Driver:
         self.expansion = {}  # virtual id -> np.array of physical ids
         self.stats = RunStats(n=self.n, band=self.cfg.band(self.n))
         self._all = np.arange(oracle.n_leaves, dtype=np.int64)
-        # exact answer sources make score ties systematic (see the module note)
-        self.exact = _exact_source(oracle)
+        # an exact source's score ties are systematic and walk on its direct
+        # answers; noisy ties go to _tie_key (see the module note)
+        self.closest = (functools.partial(_answer_codes, oracle)
+                        if _exact_source(oracle) else None)
 
     def tree(self, plan):
         """Tree over leaf labels with the topology of a plan over leaf ids."""
@@ -603,30 +556,23 @@ class _Driver:
         self.stats.collapses.append(self.exp_size([rep]))
         self.stats.events.append(("collapse", self.exp_size([rep])))
 
-    def _note_floor(self, count):
-        if count < self.n * self.cfg.sample_floor_fraction:
-            self.stats.floor_violations += 1
-
     # -- build-subtree --------------------------------------------------- #
 
     def build_subtree(self, members):
         """
         Bottom-up sibling merging inside ``members`` until the largest
         cluster enters the size band; returns (leaf ids, plan).  Clusters
-        are indexed by the position of their smallest member, which is also
-        their representative, and ``M[p, t]`` (p < t) counts the
-        experiments (rep_p, rep_t, x) over the members x outside both parts
-        that answered (rep_p, rep_t).
+        are indexed by the position of their smallest member.  The first
+        matrix is one pass over the member triples (see ``_triple_scores``),
+        and a merged cluster scores with the size-weighted mean of its two
+        parts' rows (average linkage, see ``_assemble_by_scores``).  Ties
+        go to the smallest positions, under every source.
 
-        The first matrix is one pass over the member triples (see
-        ``_triple_scores``).  When cluster q merges into p, p keeps its
-        representative, so the score of (p, t) only loses the witnesses q
-        brought into p.  With an exact source the scores are counts of
-        indicators, exact in float64, and the update subtracts the
-        experiments (rep_p, rep_t, x) over q's members, all of them
-        repeats, instead of scoring rep_p against every member again.
-        Under noise the merged row is the size-weighted mean of the two
-        rows (average linkage, see ``_assemble_by_scores``).
+        Under a tree's answers each merge is a sibling merge, and sibling
+        clusters p and q have equal rows of integer counts, so the mean is
+        the row of either part bit for bit: the counts of the experiments
+        (rep_p, rep_t, x) over the members x outside both parts, as the
+        paper's representative rows give them.
         """
         lo_band, _ = self.cfg.band(self.n)
         S = np.array(sorted(int(v) for v in members), dtype=np.int64)
@@ -636,7 +582,6 @@ class _Driver:
         plans = S.tolist()
         sizes = [1] * l
         alive = np.ones(l, dtype=bool)
-        self._note_floor(l)
         M = _triple_scores(self.oracle, S)
 
         n_alive = l
@@ -646,14 +591,12 @@ class _Driver:
             p, q = divmod(int(np.argmax(M)), l)
             if not np.isfinite(M[p, q]):
                 raise ReconstructionFailure("build-subtree", "no scorable pair left")
-            if not self.exact:
-                mean = _mean_row(np.maximum(M, M.T), sizes, p, q)
+            mean = _mean_row(np.maximum(M, M.T), sizes, p, q)
             # merge q into p
             plans[p] = (plans[p], plans[q])
             sizes[p] += sizes[q]
             alive[q] = False
-            absorbed = S[part_of[S] == q]
-            part_of[absorbed] = p
+            part_of[part_of == q] = p
             M[q, :] = -np.inf
             M[:, q] = -np.inf
             n_alive -= 1
@@ -661,12 +604,7 @@ class _Driver:
                 break
             ot = np.flatnonzero(alive)
             ot = ot[ot != p]
-            lo, hi = np.minimum(ot, p), np.maximum(ot, p)
-            if not self.exact:
-                M[lo, hi] = mean[ot]
-            else:
-                rep_p = np.full(len(ot), S[p])
-                M[lo, hi] -= _wins_sum_pairs(self.oracle, rep_p, S[ot], absorbed)
+            M[np.minimum(ot, p), np.maximum(ot, p)] = mean[ot]
 
         winner = max(np.flatnonzero(alive), key=lambda t: (sizes[t], -t))
         leaf_ids = S[part_of[S] == winner].tolist()
@@ -691,7 +629,6 @@ class _Driver:
             return [], [], []
         A = np.repeat(base, len(pivot))
         B = np.tile(pivot, len(base))
-        self._note_floor(len(A))
         # one row per (candidate, base leaf, pivot leaf), candidate-major,
         # so each candidate's count is the sum of one contiguous row
         xv = np.empty(len(cands))
@@ -734,11 +671,9 @@ class _Driver:
         xs = self.outside(members)
         if len(xs) == 0:
             raise ReconstructionFailure(stage, "no leaves outside the target set")
-        self._note_floor(len(xs))
         M = self._score_matrix(members, xs)
-        provider = _ScoreProvider(self.oracle, members, M)
-        return _assemble_by_scores(members, list(members), M, provider, stage,
-                                   self.exact)
+        return _assemble_by_scores(members, list(members), M, self.closest,
+                                   stage)
 
     def completion_quotient(self, inside, candidates):
         """
@@ -752,7 +687,6 @@ class _Driver:
         anchors = np.asarray(inside, dtype=np.int64)
         rep = inside[0]
         cands = sorted(int(x) for x in candidates)
-        self._note_floor(len(anchors))
         m = len(cands)
         if m == 0:
             return rep, rep
@@ -794,11 +728,8 @@ class _Driver:
                 bplan = bucket[0]
             else:
                 M = self._score_matrix(bucket, anchors)
-                provider = _ScoreProvider(self.oracle, bucket, M)
-                bplan = _assemble_by_scores(
-                    bucket, list(bucket), M, provider, "within-bucket",
-                    self.exact,
-                )
+                bplan = _assemble_by_scores(bucket, list(bucket), M,
+                                            self.closest, "within-bucket")
             plan = (plan, bplan)
         return plan, rep
 
@@ -818,19 +749,13 @@ class _Driver:
             list(itertools.combinations(range(m), 3)), dtype=np.int64
         )
         ids = np.array(members, dtype=np.int64)
-        A, B, C = ids[trips[:, 0]], ids[trips[:, 1]], ids[trips[:, 2]]
-        stacked = np.stack(
-            [self.oracle.wins(A, B, C), self.oracle.wins(A, C, B),
-             self.oracle.wins(B, C, A)]
-        )
-        answers = np.argmax(stacked, axis=0)
+        direct = functools.partial(_answer_codes, self.oracle)
+        answers = direct(ids[trips[:, 0]], ids[trips[:, 1]], ids[trips[:, 2]])
 
-        # all-tie scores: every answer comes from the direct experiment
-        zeros = np.zeros((m, m))
-        provider = _ScoreProvider(self.oracle, members, zeros)
+        # all-tie scores: every merge walks on the direct answers
         try:
-            plan = _assemble_by_scores(members, members, zeros, provider,
-                                       "small-direct", exact=True)
+            plan = _assemble_by_scores(members, members, np.zeros((m, m)),
+                                       direct, "small-direct")
             if self._plan_agreement(plan, members, trips, answers) == len(trips):
                 return plan
         except ReconstructionFailure:
@@ -896,13 +821,9 @@ class _Driver:
                 raise ReconstructionFailure(
                     "partition", f"two large parts ({e1}, {e2}, {e3})"
                 )
-            if not P1 and not P2:
-                # pivot swallowed an initial interval of buckets
-                W = sorted(set(W) | set(P_set))
-                W_plan = self.completion_induced(W, stage="grow-lower")
-                R = P3
-                continue
-            if e3 > large_cap:
+            if (not P1 and not P2) or e3 > large_cap:
+                # the pivot swallowed an initial interval of buckets, or
+                # the part above it is large: grow the lower part
                 W = sorted(set(W) | set(P1) | set(P2) | set(P_set))
                 W_plan = self.completion_induced(W, stage="grow-lower")
                 R = P3

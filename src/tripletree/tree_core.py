@@ -526,9 +526,7 @@ def triplet_agreement(tree, other):
     D = tree.distance_matrix()
     if hasattr(other, "wins"):
         def codes(i, J, K):
-            I = np.full(len(J), i, dtype=np.int64)
-            wj, wk = other.wins(I, J, K), other.wins(I, K, J)
-            return np.argmax(np.stack([wj, wk, 1.0 - wj - wk]), axis=0)
+            return _answer_codes(other, i, J, K)
     else:
         pos = {lab: p for p, lab in enumerate(other.leaf_labels)}
         perm = np.array([pos[lab] for lab in tree.leaf_labels], dtype=np.int64)
@@ -550,6 +548,17 @@ def _closest_codes(D, i, J, K):
     """Closest pair of each triple (i, J, K): 0 (i, J), 1 (i, K), 2 (J, K)."""
     d01, d02, d12 = D[i, J], D[i, K], D[J, K]
     return np.where((d01 < d02) & (d01 < d12), 0, np.where(d02 < d12, 1, 2))
+
+
+def _answer_codes(oracle, A, B, C):
+    """
+    Most likely answer to each experiment (A, B, C) of ``oracle``: 0 (A, B),
+    1 (A, C), 2 (B, C).  Reads two pairs; an oracle answers each triple with
+    exactly one pair (or a distribution over the three), so the third pair
+    takes the rest.
+    """
+    wab, wac = oracle.wins(A, B, C), oracle.wins(A, C, B)
+    return np.argmax(np.stack([wab, wac, 1.0 - wab - wac]), axis=0)
 
 
 def _canonical_shape(tree):

@@ -350,6 +350,18 @@ def test_calibrate_noiseless_accepts_smallest_cell(tmp_path):
     assert rates == sorted(rates)
 
 
+def test_calibrate_tree_in_reports_its_leaf_count(tmp_path):
+    tree_in = tmp_path / "in.nwk"
+    tree_in.write_text(to_newick(random_tree(40, seed=2)) + "\n")
+    result = calibrate(ExperimentConfig(
+        mode="calibrate", model="noiseless", trials=1, seed=0, jobs=1,
+        sweep_weights=(0.02,), sweep_c_thr=(0.0,), tree_in=str(tree_in),
+        out=str(tmp_path),
+    ))
+    assert result["n"] == 40
+    assert json.loads((tmp_path / "calibration.json").read_text())["n"] == 40
+
+
 # ---------------------------------------------------------------------- #
 # lower-bound mode                                                        #
 # ---------------------------------------------------------------------- #
