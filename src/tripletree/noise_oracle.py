@@ -17,6 +17,11 @@ answer.  A repeated triple is one gather, and the number of distinct
 triples asked is the number of codes written.  The store takes
 ``ceil(C(n,3)/4)`` bytes (1.4 MB at n=323, 357 MB at n=2048), allocated
 zeroed so that only the pages actually written are resident.
+
+Two vectorized readers share the store: ``codes`` returns each canonical
+row's answer slot (0: (i,j), 1: (i,k), 2: (j,k)), one gather for all
+three pairs of a triple, and ``wins`` the indicator of one target pair.
+A row that does not name three distinct leaves raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -195,7 +200,7 @@ expectation_query = triple_distribution
 # ---------------------------------------------------------------------- #
 
 
-# Rows per block in ``OracleState.wins``; bounds the size of its temporaries.
+# Rows per block in ``OracleState.codes`` and ``wins``; bounds their temporaries.
 _BLOCK_ROWS = 1 << 16
 
 
@@ -221,7 +226,7 @@ class _OracleBase:
 
     @staticmethod
     def _rows(A, B, C):
-        """Leaf-index arguments of ``wins`` as int64 arrays of one shape."""
+        """Leaf-index arguments of the readers as int64 arrays of one shape."""
         return np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (A, B, C))
         )
@@ -252,11 +257,13 @@ class OracleState(_OracleBase):
     Seeded permanent-noise query source over one tree.
 
     ``query(a, b, c)`` returns the answer pair for three leaf labels;
-    ``wins(A, B, C)`` is the vectorized indicator that the answer to each
-    row's triple is the pair (A, B).  Both read and fill one answer store,
-    a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes holding a 2-bit code per
-    canonical triple (see the module docstring).  ``query_count`` is the
-    number of codes written, i.e. of distinct triples asked so far.
+    ``codes(I, J, K)`` is the vectorized answer slot of each canonical row
+    I < J < K, and ``wins(A, B, C)`` the vectorized indicator that the
+    answer to each row's triple is the pair (A, B).  All three read and
+    fill one answer store, a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes
+    holding a 2-bit code per canonical triple (see the module docstring).
+    ``query_count`` is the number of codes written, i.e. of distinct
+    triples asked so far.
 
     Not safe for concurrent mutation; run one reconstruction per instance.
     """
@@ -290,6 +297,11 @@ class OracleState(_OracleBase):
         Answer slots (0: (i,j), 1: (i,k), 2: (j,k)) for canonical rows,
         drawing and storing only the triples never asked before.
         """
+        if not ((i < j) & (j < k) & (i >= 0)).all():
+            # (a, a, c) or (-1, j, k) would rank as another triple and
+            # overwrite its answer
+            raise ValueError("oracle rows must name three distinct leaves "
+                             "(codes: in order i < j < k)")
         rank = self._c3[k] + self._c2[j] + i
         byte = rank >> 2
         shift = ((rank & 3) << 1).astype(np.uint8)
@@ -305,11 +317,26 @@ class OracleState(_OracleBase):
             code[new] = (self._store[byte[new]] >> shift[new]) & 3
         return code - 1
 
+    def codes(self, I, J, K):
+        """
+        Answer slot per row: 0 for (I, J), 1 for (I, K), 2 for (J, K).
+        Arguments are leaf indices with I < J < K in every row (arrays or
+        scalars); the answers are those ``wins`` and ``query`` give.
+        """
+        I, J, K = self._rows(I, J, K)
+        shape = I.shape
+        I, J, K = (x.reshape(-1) for x in (I, J, K))
+        out = np.empty(I.size, dtype=np.uint8)
+        for lo in range(0, I.size, _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            out[lo:hi] = self._draw_slots(I[lo:hi], J[lo:hi], K[lo:hi])
+        return out.reshape(shape)
+
     def wins(self, A, B, C):
         """
         Float indicator per row: 1.0 iff the experiment on (A, B, C)
-        answered with the pair (A, B).  Arguments are canonical leaf
-        indices (arrays or scalars).
+        answered with the pair (A, B).  Arguments are leaf indices of three
+        distinct leaves per row, in any order (arrays or scalars).
         """
         A, B, C = self._rows(A, B, C)
         shape = A.shape
@@ -340,10 +367,17 @@ class OracleState(_OracleBase):
 class ExpectationOracle(_OracleBase):
     """
     Drop-in oracle whose ``wins`` returns the exact probability of each
-    target pair instead of a sampled indicator.  Topology reconstruction
-    asks for each triple's most likely pair (the closest, under a
-    validated model); the weight estimators read the probabilities.
+    target pair instead of a sampled indicator, and whose ``codes`` is each
+    canonical row's most likely slot (the closest pair, under a validated
+    model).  Topology reconstruction and grading ask for the most likely
+    pair; the weight estimators read the probabilities.
     """
+
+    def codes(self, I, J, K):
+        I, J, K = self._rows(I, J, K)
+        return np.argmax(np.stack(self.model.slot_probs(
+            self._dist(I, J), self._dist(I, K), self._dist(J, K)
+        )), axis=0)
 
     def wins(self, A, B, C):
         A, B, C = self._rows(A, B, C)

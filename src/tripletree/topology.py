@@ -216,20 +216,17 @@ def _triple_blocks(l, rows=_CHUNK):
 def _triple_scores(oracle, S):
     """
     Score matrix over the positions of the sorted leaf ids ``S``: ``M[a, b]``
-    (a < b) sums oracle.wins(S[a], S[b], x) over the other members x, and
-    every other entry is -inf.  One pass over the triples a < b < c reads
-    the answers for the pairs (a, b) and (a, c); an ``OracleState`` answers
-    each triple with exactly one pair, so (b, c) wins the rest.
+    (a < b) counts the other members x whose experiment (S[a], S[b], x)
+    answered (S[a], S[b]), and every other entry is -inf.  One pass over
+    the triples a < b < c reads one answer code per triple and counts it
+    for the pair it names.
     """
     l = len(S)
     flat = np.zeros(l * l)
     for a, b, c in _triple_blocks(l):
-        I, J, K = S[a], S[b], S[c]
-        wab = oracle.wins(I, J, K)
-        wac = oracle.wins(I, K, J)
-        np.add.at(flat, a * l + b, wab)
-        np.add.at(flat, a * l + c, wac)
-        np.add.at(flat, b * l + c, 1.0 - wab - wac)
+        slot = oracle.codes(S[a], S[b], S[c])
+        pair = np.where(slot == 2, b, a) * l + np.where(slot == 0, b, c)
+        flat += np.bincount(pair, minlength=l * l)
     M = flat.reshape(l, l)
     M[np.tril_indices(l)] = -np.inf
     return M
@@ -638,8 +635,9 @@ class _Driver:
             X = np.repeat(cands[lo:lo + per], len(A))
             k = min(per, len(cands) - lo)
             Ak, Bk = np.tile(A, k), np.tile(B, k)
-            xv[lo:lo + k] = self.oracle.wins(Ak, X, Bk).reshape(k, len(A)).sum(axis=1)
-            yv[lo:lo + k] = self.oracle.wins(Ak, Bk, X).reshape(k, len(A)).sum(axis=1)
+            code = _answer_codes(self.oracle, Ak, X, Bk).reshape(k, len(A))
+            xv[lo:lo + k] = np.count_nonzero(code == 0, axis=1)
+            yv[lo:lo + k] = np.count_nonzero(code == 1, axis=1)
         zv = len(A) - xv - yv
         thr = self.cfg.threshold(self.n)
         below = xv - np.maximum(yv, zv) > thr
@@ -707,11 +705,9 @@ class _Driver:
             Ab = np.tile(anchors, cnt)
             Xb = np.repeat(ci[ii[lo:hi]], len(anchors))
             Yb = np.repeat(ci[jj[lo:hi]], len(anchors))
-            rows = np.repeat(np.arange(cnt), len(anchors))
-            wx = self.oracle.wins(Ab, Xb, Yb)
-            wy = self.oracle.wins(Ab, Yb, Xb)
-            Xv[lo:hi] = np.bincount(rows, weights=wx, minlength=cnt)
-            Yv[lo:hi] = np.bincount(rows, weights=wy, minlength=cnt)
+            code = _answer_codes(self.oracle, Ab, Xb, Yb).reshape(cnt, -1)
+            Xv[lo:hi] = np.count_nonzero(code == 0, axis=1)
+            Yv[lo:hi] = np.count_nonzero(code == 1, axis=1)
         lower = np.zeros((m, m))
         lower[ii, jj] = Xv
         lower[jj, ii] = Yv

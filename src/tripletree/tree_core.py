@@ -524,9 +524,8 @@ def triplet_agreement(tree, other):
     if n < 3:
         return 1.0
     D = tree.distance_matrix()
-    if hasattr(other, "wins"):
-        def codes(i, J, K):
-            return _answer_codes(other, i, J, K)
+    if hasattr(other, "codes"):
+        codes = other.codes
     else:
         pos = {lab: p for p, lab in enumerate(other.leaf_labels)}
         perm = np.array([pos[lab] for lab in tree.leaf_labels], dtype=np.int64)
@@ -553,12 +552,14 @@ def _closest_codes(D, i, J, K):
 def _answer_codes(oracle, A, B, C):
     """
     Most likely answer to each experiment (A, B, C) of ``oracle``: 0 (A, B),
-    1 (A, C), 2 (B, C).  Reads two pairs; an oracle answers each triple with
-    exactly one pair (or a distribution over the three), so the third pair
-    takes the rest.
+    1 (A, C), 2 (B, C).  One ``oracle.codes`` call on the canonical rows
+    i < j < k; the leaf its slot leaves out (k, j or i) is C, B or A.
     """
-    wab, wac = oracle.wins(A, B, C), oracle.wins(A, C, B)
-    return np.argmax(np.stack([wab, wac, 1.0 - wab - wac]), axis=0)
+    A, B, C = oracle._rows(A, B, C)
+    i, j, k = oracle._canonical(A, B, C)
+    slot = oracle.codes(i, j, k)
+    left_out = np.where(slot == 0, k, np.where(slot == 1, j, i))
+    return np.where(left_out == C, 0, np.where(left_out == B, 1, 2))
 
 
 def _canonical_shape(tree):

@@ -231,7 +231,7 @@ def _triple_pool(rng, n, size):
 
 
 _OPS = st.one_of(
-    st.tuples(st.just("wins"),
+    st.tuples(st.sampled_from(["wins", "codes"]),
               st.sampled_from([1, 7, 300, _BLOCK_ROWS - 1, _BLOCK_ROWS + 5,
                                2 * _BLOCK_ROWS + 3]),
               st.sampled_from([1, 5, 60, 4000])),
@@ -249,7 +249,8 @@ _OPS = st.one_of(
 )
 def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, ops):
     # one triple up to 341 leaves, batches longer than one block, repeats
-    # inside a block and across blocks and calls, any argument order
+    # inside a block and across blocks and calls, any argument order, and
+    # codes, wins and query mixed in any order on one store
     tree = _store_tree(n)
     model = make_model(model)
     labs = tree.leaf_labels
@@ -261,6 +262,13 @@ def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, op
         T = _triple_pool(rng, n, pool_size)
         T = T[rng.integers(0, len(T), size=rows)]
         asked.update(map(tuple, T.tolist()))
+        if kind == "codes":
+            i, j, k = T[:, 0], T[:, 1], T[:, 2]
+            np.testing.assert_array_equal(
+                o.codes(i, j, k), _reference_slots(tree, model, seed, i, j, k)
+            )
+            assert o.query_count == len(asked)
+            continue
         T = np.take_along_axis(T, _PERMS[rng.integers(0, 6, size=rows)], axis=1)
         A, B, C = T[:, 0], T[:, 1], T[:, 2]
         if kind == "wins":
@@ -277,6 +285,46 @@ def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, op
                 ((a, b), (a, c), (b, c))[slot]
             )
         assert o.query_count == len(asked)
+
+
+def test_rows_that_are_not_triples_raise_and_leave_the_store_alone():
+    # (1, 1, 3) ranks as the triple (0, 2, 3); asking it must not answer it
+    t = generate_random_ultrametric(8, 0.05, seed=0)
+    o = OracleState(t, "noiseless", seed=0)
+    for bad in [(1, 1, 3), (3, 1, 3), (2, 5, 5)]:
+        with pytest.raises(ValueError):
+            o.wins(*bad)
+        with pytest.raises(ValueError):
+            o.codes(*sorted(bad))
+    with pytest.raises(ValueError):
+        o.codes(1, 3, 2)  # codes takes canonical rows only
+    with pytest.raises(ValueError):
+        o.wins(-1, 2, 5)  # would rank as (0, 1, 5)
+    assert o.query_count == 0
+    # a batch whose second block holds (1, 1, 3): the first block's triple
+    # (0, 2, 3) is answered, and answered as a fresh oracle answers it
+    A = np.zeros(_BLOCK_ROWS + 5, dtype=np.int64)
+    B, C = A + 2, A + 3
+    A[-1] = B[-1] = 1
+    with pytest.raises(ValueError):
+        o.wins(A, B, C)
+    assert o.query_count == 1
+    assert o.query("L00", "L02", "L03") == (
+        OracleState(t, "noiseless", seed=0).query("L00", "L02", "L03"))
+
+
+@pytest.mark.parametrize("model", ["homogeneous", "noiseless"])
+def test_expectation_codes_are_the_most_likely_slot(model):
+    t = generate_random_ultrametric(30, 0.02, seed=2)
+    I, J, K = (np.array(x, dtype=np.int64)
+               for x in zip(*itertools.combinations(range(30), 3)))
+    eo = ExpectationOracle(t, model)
+    want = np.argmax(np.stack([eo.wins(I, J, K), eo.wins(I, K, J),
+                               eo.wins(J, K, I)]), axis=0)
+    np.testing.assert_array_equal(eo.codes(I, J, K), want)
+    # noise-free answers of a tree: the same codes as the noiseless store
+    np.testing.assert_array_equal(
+        eo.codes(I, J, K), OracleState(t, "noiseless", seed=0).codes(I, J, K))
 
 
 @pytest.mark.parametrize("model, seed, digest", [
