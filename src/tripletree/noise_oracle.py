@@ -18,10 +18,12 @@ triples asked is the number of codes written.  The store takes
 ``ceil(C(n,3)/4)`` bytes (1.4 MB at n=323, 357 MB at n=2048), allocated
 zeroed so that only the pages actually written are resident.
 
-Two vectorized readers share the store: ``codes`` returns each canonical
-row's answer slot (0: (i,j), 1: (i,k), 2: (j,k)), one gather for all
-three pairs of a triple, and ``wins`` the indicator of one target pair.
-A row that does not name three distinct leaves raises ``ValueError``.
+The vectorized readers share one block loop over the store (``_slots``):
+``codes`` returns each canonical row's answer slot (0: (i,j), 1: (i,k),
+2: (j,k)), one gather for all three pairs of a triple; ``answers`` the
+answer in argument order (0: (A,B), 1: (A,C), 2: (B,C)) from one ``codes``
+call; and ``wins`` the indicator of one target pair.  A row that does not
+name three distinct leaves raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -200,8 +202,13 @@ expectation_query = triple_distribution
 # ---------------------------------------------------------------------- #
 
 
-# Rows per block in ``OracleState.codes`` and ``wins``; bounds their temporaries.
+# Rows per block in ``OracleState._slots``; bounds its temporaries.
 _BLOCK_ROWS = 1 << 16
+
+
+def _left_out(slot, i, j, k):
+    """The leaf a canonical row's answer slot leaves out: k, j or i."""
+    return np.where(slot == 0, k, np.where(slot == 1, j, i))
 
 
 class _OracleBase:
@@ -246,10 +253,17 @@ class _OracleBase:
         j = A + B + C - i - k
         return i, j, k
 
-    def _target_slot(self, A, B, i, j):
-        m1 = np.minimum(A, B)
-        m2 = np.maximum(A, B)
-        return np.where(m2 == j, 0, np.where(m1 == i, 1, 2))
+    def answers(self, A, B, C):
+        """
+        Answer to each experiment (A, B, C), the most likely one in
+        expectation mode: 0 (A, B), 1 (A, C), 2 (B, C).  Arguments are leaf indices of three distinct leaves per
+        row, in any order (arrays or scalars).  One ``codes`` call on the
+        canonical rows i < j < k; the leaf its slot leaves out is C, B or A.
+        """
+        A, B, C = self._rows(A, B, C)
+        i, j, k = self._canonical(A, B, C)
+        left_out = _left_out(self.codes(i, j, k), i, j, k)
+        return np.where(left_out == C, 0, np.where(left_out == B, 1, 2))
 
 
 class OracleState(_OracleBase):
@@ -258,9 +272,10 @@ class OracleState(_OracleBase):
 
     ``query(a, b, c)`` returns the answer pair for three leaf labels;
     ``codes(I, J, K)`` is the vectorized answer slot of each canonical row
-    I < J < K, and ``wins(A, B, C)`` the vectorized indicator that the
-    answer to each row's triple is the pair (A, B).  All three read and
-    fill one answer store, a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes
+    I < J < K, ``answers(A, B, C)`` the answer of each row in argument
+    order, and ``wins(A, B, C)`` the vectorized indicator that the answer
+    to each row's triple is the pair (A, B).  All of them read and fill
+    one answer store, a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes
     holding a 2-bit code per canonical triple (see the module docstring).
     ``query_count`` is the number of codes written, i.e. of distinct
     triples asked so far.
@@ -317,6 +332,14 @@ class OracleState(_OracleBase):
             code[new] = (self._store[byte[new]] >> shift[new]) & 3
         return code - 1
 
+    def _slots(self, i, j, k):
+        """Answer slots of flat canonical rows, in blocks of ``_BLOCK_ROWS``."""
+        out = np.empty(i.size, dtype=np.uint8)
+        for lo in range(0, i.size, _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            out[lo:hi] = self._draw_slots(i[lo:hi], j[lo:hi], k[lo:hi])
+        return out
+
     def codes(self, I, J, K):
         """
         Answer slot per row: 0 for (I, J), 1 for (I, K), 2 for (J, K).
@@ -324,13 +347,7 @@ class OracleState(_OracleBase):
         scalars); the answers are those ``wins`` and ``query`` give.
         """
         I, J, K = self._rows(I, J, K)
-        shape = I.shape
-        I, J, K = (x.reshape(-1) for x in (I, J, K))
-        out = np.empty(I.size, dtype=np.uint8)
-        for lo in range(0, I.size, _BLOCK_ROWS):
-            hi = lo + _BLOCK_ROWS
-            out[lo:hi] = self._draw_slots(I[lo:hi], J[lo:hi], K[lo:hi])
-        return out.reshape(shape)
+        return self._slots(*(x.reshape(-1) for x in (I, J, K))).reshape(I.shape)
 
     def wins(self, A, B, C):
         """
@@ -340,15 +357,9 @@ class OracleState(_OracleBase):
         """
         A, B, C = self._rows(A, B, C)
         shape = A.shape
-        A, B, C = (x.reshape(-1) for x in (A, B, C))
-        out = np.empty(A.size, dtype=np.float64)
-        for lo in range(0, A.size, _BLOCK_ROWS):
-            hi = lo + _BLOCK_ROWS
-            a, b, c = A[lo:hi], B[lo:hi], C[lo:hi]
-            i, j, k = self._canonical(a, b, c)
-            slots = self._draw_slots(i, j, k)
-            out[lo:hi] = slots == self._target_slot(a, b, i, j)
-        return out.reshape(shape)
+        i, j, k = self._canonical(*(x.reshape(-1) for x in (A, B, C)))
+        hit = _left_out(self._slots(i, j, k), i, j, k) == C.reshape(-1)
+        return hit.astype(np.float64).reshape(shape)
 
     def query(self, a, b, c):
         """
@@ -385,8 +396,7 @@ class ExpectationOracle(_OracleBase):
         p0, p1, p2 = self.model.slot_probs(
             self._dist(i, j), self._dist(i, k), self._dist(j, k)
         )
-        t = self._target_slot(A, B, i, j)
-        return np.where(t == 0, p0, np.where(t == 1, p1, p2))
+        return np.where(C == k, p0, np.where(C == j, p1, p2))
 
     def query(self, a, b, c):
         """Expectation mode has no single answer; exposes the distribution."""

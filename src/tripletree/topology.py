@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise_oracle import ExpectationOracle, OracleState
-from .tree_core import _answer_codes, map_plan, tree_from_topology
+from .tree_core import map_plan, tree_from_topology
 
 _CHUNK = 1 << 21
 
@@ -163,12 +163,11 @@ class RunStats:
 # ---------------------------------------------------------------------- #
 
 
-def _wins_sum_pairs(oracle, A, B, xs, forbid_part=None, part_of=None,
-                    pa=None, pb=None):
+def _wins_sum_pairs(oracle, A, B, xs, part_of, pa, pb):
     """
     For each pair (A[p], B[p]): sum of oracle.wins(A[p], B[p], x) over all
-    x in ``xs`` that do not belong to the pair's own parts (membership via
-    ``part_of``; skipped when forbid_part is None).
+    x in ``xs`` outside the pair's own parts pa[p] and pb[p] (membership
+    via ``part_of``).
     """
     P = len(A)
     m = len(xs)
@@ -182,15 +181,34 @@ def _wins_sum_pairs(oracle, A, B, xs, forbid_part=None, part_of=None,
         Ab = np.repeat(A[lo:hi], m)
         Bb = np.repeat(B[lo:hi], m)
         Xb = np.tile(xs, hi - lo)
-        if forbid_part is not None:
-            mask = (part_of[Xb] != np.repeat(pa[lo:hi], m)) & (
-                part_of[Xb] != np.repeat(pb[lo:hi], m)
-            )
-        else:
-            mask = (Xb != Ab) & (Xb != Bb)
+        mask = (part_of[Xb] != np.repeat(pa[lo:hi], m)) & (
+            part_of[Xb] != np.repeat(pb[lo:hi], m)
+        )
         w = oracle.wins(Ab[mask], Bb[mask], Xb[mask])
         rows = np.repeat(np.arange(lo, hi), m)[mask]
         out += np.bincount(rows, weights=w, minlength=P)
+    return out
+
+
+def _pair_tallies(oracle, X, Y, W):
+    """
+    Three-way answer counts per pair (X[p], Y[p]) over the witnesses ``W``
+    (leaf ids outside every pair): row 0 counts the experiments
+    (X[p], Y[p], w) that answered (X[p], Y[p]), row 1 those that answered
+    (X[p], w) and row 2 those that answered (Y[p], w).  Asked pair-major in
+    blocks of about ``_CHUNK`` rows; returns a (3, P) int64 array.
+    """
+    P, m = len(X), len(W)
+    out = np.zeros((3, P), dtype=np.int64)
+    per = max(1, _CHUNK // max(1, m))
+    for lo in range(0, P, per):
+        hi = min(P, lo + per)
+        code = oracle.answers(
+            np.repeat(X[lo:hi], m), np.repeat(Y[lo:hi], m), np.tile(W, hi - lo)
+        ).reshape(hi - lo, m)
+        out[0, lo:hi] = np.count_nonzero(code == 0, axis=1)
+        out[1, lo:hi] = np.count_nonzero(code == 1, axis=1)
+    out[2] = m - out[0] - out[1]
     return out
 
 
@@ -253,11 +271,7 @@ def sibling_scores(oracle, forest, ambient, n=None, cfg=None):
     reps = np.array([p[0] for p in parts], dtype=np.int64)
     l = len(parts)
     ii, jj = np.triu_indices(l, k=1)
-    scores = _wins_sum_pairs(
-        oracle, reps[ii], reps[jj], amb,
-        forbid_part=True, part_of=part_of, pa=ii.astype(np.int64),
-        pb=jj.astype(np.int64),
-    )
+    scores = _wins_sum_pairs(oracle, reps[ii], reps[jj], amb, part_of, ii, jj)
     M = np.zeros((l, l), dtype=np.float64)
     M[ii, jj] = scores
     M[jj, ii] = scores
@@ -521,8 +535,7 @@ class _Driver:
         self._all = np.arange(oracle.n_leaves, dtype=np.int64)
         # an exact source's score ties are systematic and walk on its direct
         # answers; noisy ties go to _tie_key (see the module note)
-        self.closest = (functools.partial(_answer_codes, oracle)
-                        if _exact_source(oracle) else None)
+        self.closest = oracle.answers if _exact_source(oracle) else None
 
     def tree(self, plan):
         """Tree over leaf labels with the topology of a plan over leaf ids."""
@@ -614,31 +627,22 @@ class _Driver:
     def partition(self, base, pivot, candidates):
         """
         Split candidates into below / same bucket / above the pivot.  Each
-        experiment (a, x, b), a in the base and b in the pivot, counts for
-        one of the three: answer (a, x) says below, (a, b) above, and (x, b)
-        same bucket.  A candidate goes below or above only when that count
-        beats both others by more than the threshold.
+        experiment (x, a, b), a in the base and b in the pivot, counts for
+        one of the three: answer (x, a) says below, (a, b) above, and (x, b)
+        same bucket.  The counts are ``_pair_tallies`` of the pairs (x, a)
+        over the pivot witnesses, summed per candidate.  A candidate goes
+        below or above only when that count beats both others by more than
+        the threshold.
         """
         base = np.asarray(sorted(base), dtype=np.int64)
         pivot = np.asarray(sorted(pivot), dtype=np.int64)
         cands = np.array(sorted(int(x) for x in candidates), dtype=np.int64)
         if not len(cands):
             return [], [], []
-        A = np.repeat(base, len(pivot))
-        B = np.tile(pivot, len(base))
-        # one row per (candidate, base leaf, pivot leaf), candidate-major,
-        # so each candidate's count is the sum of one contiguous row
-        xv = np.empty(len(cands))
-        yv = np.empty(len(cands))
-        per = max(1, _CHUNK // max(1, len(A)))
-        for lo in range(0, len(cands), per):
-            X = np.repeat(cands[lo:lo + per], len(A))
-            k = min(per, len(cands) - lo)
-            Ak, Bk = np.tile(A, k), np.tile(B, k)
-            code = _answer_codes(self.oracle, Ak, X, Bk).reshape(k, len(A))
-            xv[lo:lo + k] = np.count_nonzero(code == 0, axis=1)
-            yv[lo:lo + k] = np.count_nonzero(code == 1, axis=1)
-        zv = len(A) - xv - yv
+        # pairs candidate-major, so each candidate's pairs are contiguous
+        tally = _pair_tallies(self.oracle, np.repeat(cands, len(base)),
+                              np.tile(base, len(cands)), pivot)
+        xv, zv, yv = tally.reshape(3, len(cands), len(base)).sum(axis=2)
         thr = self.cfg.threshold(self.n)
         below = xv - np.maximum(yv, zv) > thr
         above = ~below & (yv - np.maximum(xv, zv) > thr)
@@ -646,18 +650,6 @@ class _Driver:
         return cands[below].tolist(), cands[same].tolist(), cands[above].tolist()
 
     # -- completions ------------------------------------------------------ #
-
-    def _score_matrix(self, members, xs):
-        ids = np.asarray(members, dtype=np.int64)
-        m = len(ids)
-        M = np.zeros((m, m), dtype=np.float64)
-        if m < 2 or len(xs) == 0:
-            return M
-        ii, jj = np.triu_indices(m, k=1)
-        vals = _wins_sum_pairs(self.oracle, ids[ii], ids[jj], np.asarray(xs))
-        M[ii, jj] = vals
-        M[jj, ii] = vals
-        return M
 
     def completion_induced(self, members, stage="completion-induced"):
         """Resolve the induced topology on ``members`` from outside scores."""
@@ -669,7 +661,11 @@ class _Driver:
         xs = self.outside(members)
         if len(xs) == 0:
             raise ReconstructionFailure(stage, "no leaves outside the target set")
-        M = self._score_matrix(members, xs)
+        ids = np.asarray(members, dtype=np.int64)
+        ii, jj = np.triu_indices(len(ids), k=1)
+        M = np.zeros((len(ids), len(ids)))
+        M[ii, jj] = M[jj, ii] = _pair_tallies(self.oracle, ids[ii], ids[jj],
+                                              xs)[0]
         return _assemble_by_scores(members, list(members), M, self.closest,
                                    stage)
 
@@ -677,8 +673,9 @@ class _Driver:
         """
         Resolve the quotient structure above the subtree on ``inside``:
         order the candidates' buckets from the three-way counts of the
-        experiments (anchor, x, y) by rank aggregation (``_order_buckets``),
-        resolve each bucket's interior from scores against the anchors, and
+        experiments (x, y, anchor) by rank aggregation (``_order_buckets``),
+        resolve each bucket's interior from its same-bucket counts (the
+        answers (x, y) over the anchors, already asked for the order), and
         return (plan over candidates plus the inside representative, rep).
         """
         inside = sorted(int(v) for v in inside)
@@ -692,39 +689,27 @@ class _Driver:
             return (rep, cands[0]), rep
 
         # three-way counts per candidate pair (x, y) over anchors a:
-        # X[x, y] answers (a, x), i.e. x in a lower bucket than y; the
-        # remaining answers (x, y) say x and y share a bucket
+        # lower[x, y] answers (x, a), i.e. x in a lower bucket than y, and
+        # same[x, y] answers (x, y), i.e. x and y share a bucket
         ii, jj = np.triu_indices(m, k=1)
         ci = np.array(cands, dtype=np.int64)
-        Xv = np.zeros(len(ii))
-        Yv = np.zeros(len(ii))
-        rows_per = max(1, _CHUNK // max(1, len(anchors)))
-        for lo in range(0, len(ii), rows_per):
-            hi = min(len(ii), lo + rows_per)
-            cnt = hi - lo
-            Ab = np.tile(anchors, cnt)
-            Xb = np.repeat(ci[ii[lo:hi]], len(anchors))
-            Yb = np.repeat(ci[jj[lo:hi]], len(anchors))
-            code = _answer_codes(self.oracle, Ab, Xb, Yb).reshape(cnt, -1)
-            Xv[lo:hi] = np.count_nonzero(code == 0, axis=1)
-            Yv[lo:hi] = np.count_nonzero(code == 1, axis=1)
+        same_v, x_low, y_low = _pair_tallies(self.oracle, ci[ii], ci[jj],
+                                             anchors)
         lower = np.zeros((m, m))
-        lower[ii, jj] = Xv
-        lower[jj, ii] = Yv
+        lower[ii, jj] = x_low
+        lower[jj, ii] = y_low
         same = np.zeros((m, m))
-        same[ii, jj] = same[jj, ii] = len(anchors) - Xv - Yv
-        buckets = [
-            sorted(cands[v] for v in block)
-            for block in _order_buckets(lower, same, self.cfg.threshold(self.n))
-        ]
+        same[ii, jj] = same[jj, ii] = same_v
 
         plan = rep
-        for bucket in buckets:
+        for block in _order_buckets(lower, same, self.cfg.threshold(self.n)):
+            pos = sorted(block)
+            bucket = [cands[v] for v in pos]
             if len(bucket) == 1:
                 bplan = bucket[0]
             else:
-                M = self._score_matrix(bucket, anchors)
-                bplan = _assemble_by_scores(bucket, list(bucket), M,
+                bplan = _assemble_by_scores(bucket, list(bucket),
+                                            same[np.ix_(pos, pos)],
                                             self.closest, "within-bucket")
             plan = (plan, bplan)
         return plan, rep
@@ -745,7 +730,7 @@ class _Driver:
             list(itertools.combinations(range(m), 3)), dtype=np.int64
         )
         ids = np.array(members, dtype=np.int64)
-        direct = functools.partial(_answer_codes, self.oracle)
+        direct = self.oracle.answers
         answers = direct(ids[trips[:, 0]], ids[trips[:, 1]], ids[trips[:, 2]])
 
         # all-tie scores: every merge walks on the direct answers

@@ -549,19 +549,6 @@ def _closest_codes(D, i, J, K):
     return np.where((d01 < d02) & (d01 < d12), 0, np.where(d02 < d12, 1, 2))
 
 
-def _answer_codes(oracle, A, B, C):
-    """
-    Most likely answer to each experiment (A, B, C) of ``oracle``: 0 (A, B),
-    1 (A, C), 2 (B, C).  One ``oracle.codes`` call on the canonical rows
-    i < j < k; the leaf its slot leaves out (k, j or i) is C, B or A.
-    """
-    A, B, C = oracle._rows(A, B, C)
-    i, j, k = oracle._canonical(A, B, C)
-    slot = oracle.codes(i, j, k)
-    left_out = np.where(slot == 0, k, np.where(slot == 1, j, i))
-    return np.where(left_out == C, 0, np.where(left_out == B, 1, 2))
-
-
 def _canonical_shape(tree):
     """
     The topology as rows (lo, size, lo2), one per internal node, sorted: lo

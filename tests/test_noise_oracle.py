@@ -327,6 +327,33 @@ def test_expectation_codes_are_the_most_likely_slot(model):
         eo.codes(I, J, K), OracleState(t, "noiseless", seed=0).codes(I, J, K))
 
 
+@pytest.mark.parametrize("source", ["noiseless", "homogeneous", "expectation"])
+def test_answers_match_a_store_free_reference_in_every_order(source):
+    t = random_tree(24, w=0.05, seed=5)
+    model = make_model("homogeneous" if source == "expectation" else source)
+    D = t.distance_matrix()
+    if source == "expectation":
+        o = ExpectationOracle(t, model)
+
+        def reference(A, B, C):
+            return np.argmax(np.stack(
+                model.slot_probs(D[A, B], D[A, C], D[B, C])), axis=0)
+    else:
+        o = OracleState(t, model, seed=7)
+
+        def reference(A, B, C):
+            wab = _reference_wins(t, model, 7, A, B, C)
+            wac = _reference_wins(t, model, 7, A, C, B)
+            return np.where(wab == 1.0, 0, np.where(wac == 1.0, 1, 2))
+
+    T = np.array(list(itertools.combinations(range(24), 3)), dtype=np.int64)
+    T = T[np.random.default_rng(0).permutation(len(T))]
+    for perm in itertools.permutations(range(3)):
+        A, B, C = (T[:, p] for p in perm)
+        np.testing.assert_array_equal(o.answers(A, B, C), reference(A, B, C))
+        assert o.query_count == (0 if source == "expectation" else len(T))
+
+
 @pytest.mark.parametrize("model, seed, digest", [
     ("homogeneous", 17,
      "9d3be38fce1f1af4090a55f96bba3d5b241f871c5efdd190721031321693d7e2"),

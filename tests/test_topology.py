@@ -35,6 +35,7 @@ from tripletree.topology import (
     _Driver,
     _find_sibling_pair,
     _mean_row,
+    _pair_tallies,
     _wins_sum_pairs,
 )
 
@@ -181,8 +182,7 @@ def _reference_build_subtree(drv, members):
     alive = [True] * l
     M = np.full((l, l), -np.inf)
     ii, jj = np.triu_indices(l, k=1)
-    M[ii, jj] = _wins_sum_pairs(oracle, S[ii], S[jj], S, forbid_part=True,
-                                part_of=part_of, pa=ii, pb=jj)
+    M[ii, jj] = _wins_sum_pairs(oracle, S[ii], S[jj], S, part_of, ii, jj)
     n_alive = l
     while n_alive > 1 and max(z for z, a in zip(sizes, alive) if a) < lo_band:
         p, q = divmod(int(np.argmax(M)), l)
@@ -206,8 +206,8 @@ def _reference_build_subtree(drv, members):
         if drv.closest is not None:
             vals = _wins_sum_pairs(
                 oracle, np.full(len(others), reps[p]),
-                np.array([reps[t] for t in others]), S, forbid_part=True,
-                part_of=part_of, pa=np.full(len(others), p), pb=others)
+                np.array([reps[t] for t in others]), S, part_of,
+                np.full(len(others), p), others)
         else:
             vals = mean[others]
         M[p, :] = M[:, p] = -np.inf
@@ -248,6 +248,40 @@ def test_build_subtree_incremental_scores_match_rescoring(kind, n, seed, keep,
         cfg = ReconstructionConfig.for_oracle(o, subtree_band=(lo, 2 * lo))
         runs.append((build(_Driver(o, cfg)), o.query_count))
     assert runs[0] == runs[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["noiseless", "homogeneous"]),
+    n=st.integers(4, 40),
+    seed=st.integers(0, 2**16),
+    n_pairs=st.integers(1, 30),
+    n_wit=st.integers(0, 12),
+    chunk=st.sampled_from([1, 7, 40, 1 << 21]),
+)
+def test_pair_tallies_count_per_row_query_answers(kind, n, seed, n_pairs,
+                                                  n_wit, chunk):
+    # witnesses disjoint from the pairs; pairs may repeat and share leaves;
+    # small chunks split the pairs over many blocks
+    t = random_tree(n, w=0.2 / n, seed=seed)
+    rng = np.random.default_rng(seed)
+    leaves = rng.permutation(n)
+    W = np.sort(leaves[: min(n_wit, n - 2)])
+    pool = leaves[len(W):]
+    XY = np.array([rng.choice(pool, size=2, replace=False)
+                   for _ in range(n_pairs)], dtype=np.int64)
+    o, ref = OracleState(t, kind, seed=seed), OracleState(t, kind, seed=seed)
+    with mock.patch.object(topology_mod, "_CHUNK", chunk):
+        got = _pair_tallies(o, XY[:, 0], XY[:, 1], W)
+    lab = t.leaf_labels
+    want = np.zeros((3, n_pairs), dtype=np.int64)
+    for p, (x, y) in enumerate(XY):
+        for w in W:
+            pair = set(ref.query(lab[x], lab[y], lab[w]))
+            want[[{lab[x], lab[y]}, {lab[x], lab[w]},
+                  {lab[y], lab[w]}].index(pair), p] += 1
+    np.testing.assert_array_equal(got, want)
+    assert o.query_count == ref.query_count
 
 
 # ---------------------------------------------------------------------- #
@@ -314,7 +348,6 @@ def test_partition_same_bucket_expectation_exact_tie():
     pivot = ["b1"]
     got = partition(eo, base, pivot, ["b2"], n=8)
     assert got == ([], ["b2"], [])
-    drv = _Driver(eo, ReconstructionConfig(c_thr=0.0))
     A = np.array([eo.index_of["a1"], eo.index_of["a2"]])
     B = np.array([eo.index_of["b1"], eo.index_of["b1"]])
     X = np.array([eo.index_of["b2"], eo.index_of["b2"]])

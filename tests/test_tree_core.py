@@ -22,7 +22,7 @@ from tripletree import (
     validate_ultrametric,
 )
 from tripletree.topology import graft_plan
-from tripletree.tree_core import _answer_codes, map_plan
+from tripletree.tree_core import map_plan
 
 from conftest import random_tree
 
@@ -421,32 +421,6 @@ def test_triplet_agreement_grades_an_oracle_by_its_most_likely_answer():
     other = random_tree(24, w=0.05, seed=4)
     assert triplet_agreement(t, ExpectationOracle(other, "homogeneous")) == (
         triplet_agreement(t, other))
-
-
-def _two_wins_codes(oracle, A, B, C):
-    """Reference reader: argmax of the (A, B) and (A, C) answers and the rest."""
-    wab, wac = oracle.wins(A, B, C), oracle.wins(A, C, B)
-    return np.argmax(np.stack([wab, wac, 1.0 - wab - wac]), axis=0)
-
-
-@pytest.mark.parametrize("source", ["noiseless", "homogeneous", "expectation"])
-def test_answer_codes_match_the_two_wins_reader_in_every_argument_order(source):
-    t = random_tree(24, w=0.05, seed=5)
-
-    def make():
-        if source == "expectation":
-            return ExpectationOracle(t, "homogeneous")
-        return OracleState(t, source, seed=7)
-
-    o, ref = make(), make()
-    T = np.array(list(itertools.combinations(range(24), 3)), dtype=np.int64)
-    T = T[np.random.default_rng(0).permutation(len(T))]
-    for perm in itertools.permutations(range(3)):
-        A, B, C = (T[:, p] for p in perm)
-        np.testing.assert_array_equal(
-            _answer_codes(o, A, B, C), _two_wins_codes(ref, A, B, C)
-        )
-        assert o.query_count == ref.query_count
 
 
 # ---------------------------------------------------------------------- #
