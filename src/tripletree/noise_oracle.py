@@ -18,12 +18,19 @@ triples asked is the number of codes written.  The store takes
 ``ceil(C(n,3)/4)`` bytes (1.4 MB at n=323, 357 MB at n=2048), allocated
 zeroed so that only the pages actually written are resident.
 
-The vectorized readers share one block loop over the store (``_slots``):
-``codes`` returns each canonical row's answer slot (0: (i,j), 1: (i,k),
-2: (j,k)), one gather for all three pairs of a triple; ``answers`` the
-answer in argument order (0: (A,B), 1: (A,C), 2: (B,C)) from one ``codes``
-call; and ``wins`` the indicator of one target pair.  A row that does not
-name three distinct leaves raises ``ValueError``.
+The vectorized readers share one flat reader of canonical rows
+(``_slots``; in ``OracleState`` one block loop over the store): ``codes``
+returns each canonical row's answer slot (0: (i,j), 1: (i,k), 2: (j,k)),
+one gather for all three pairs of a triple; ``answers`` the answer in
+argument order (0: (A,B), 1: (A,C), 2: (B,C)) from one ``_slots`` call on
+its canonical rows; and ``wins`` the indicator of one target pair.  A row
+that does not name three distinct leaves raises ``ValueError``, in both
+oracles.
+
+A block of rows that are all new and rise strictly in rank, as a pass
+over the triples of sorted leaves in rank order asks them, is drawn as
+given: no deduplication and no second read of the store.  Any other block
+draws only its never-asked triples, once each.
 """
 
 from __future__ import annotations
@@ -211,6 +218,15 @@ def _left_out(slot, i, j, k):
     return np.where(slot == 0, k, np.where(slot == 1, j, i))
 
 
+def _check_rows(i, j, k):
+    """Raise ``ValueError`` unless every canonical row has 0 <= i < j < k."""
+    if not ((i < j) & (j < k) & (i >= 0)).all():
+        # in the store, (a, a, c) or (-1, j, k) would rank as another
+        # triple and overwrite its answer
+        raise ValueError("oracle rows must name three distinct leaves "
+                         "(codes: in order i < j < k)")
+
+
 class _OracleBase:
     """Shared leaf indexing / distance plumbing for both oracle flavours."""
 
@@ -245,7 +261,7 @@ class _OracleBase:
         return self._D
 
     def _dist(self, I, J):
-        return self.distances[I, J]
+        return self.distances.ravel().take(I * self.n_leaves + J)
 
     def _canonical(self, A, B, C):
         i = np.minimum(np.minimum(A, B), C)
@@ -253,17 +269,31 @@ class _OracleBase:
         j = A + B + C - i - k
         return i, j, k
 
+    def codes(self, I, J, K):
+        """
+        Answer slot per row, the most likely one in expectation mode: 0 for
+        (I, J), 1 for (I, K), 2 for (J, K).  Arguments are leaf indices
+        with I < J < K in every row (arrays or scalars); the answers are
+        those ``wins`` and ``query`` give.
+        """
+        I, J, K = self._rows(I, J, K)
+        return self._slots(*(x.reshape(-1) for x in (I, J, K))).reshape(I.shape)
+
     def answers(self, A, B, C):
         """
         Answer to each experiment (A, B, C), the most likely one in
-        expectation mode: 0 (A, B), 1 (A, C), 2 (B, C).  Arguments are leaf indices of three distinct leaves per
-        row, in any order (arrays or scalars).  One ``codes`` call on the
-        canonical rows i < j < k; the leaf its slot leaves out is C, B or A.
+        expectation mode: 0 (A, B), 1 (A, C), 2 (B, C).  Arguments are leaf
+        indices of three distinct leaves per row, in any order (arrays or
+        scalars).  One ``_slots`` call on the canonical rows i < j < k; the
+        leaf its slot leaves out is C, B or A.
         """
         A, B, C = self._rows(A, B, C)
+        shape = A.shape
+        A, B, C = (x.reshape(-1) for x in (A, B, C))
         i, j, k = self._canonical(A, B, C)
-        left_out = _left_out(self.codes(i, j, k), i, j, k)
-        return np.where(left_out == C, 0, np.where(left_out == B, 1, 2))
+        left_out = _left_out(self._slots(i, j, k), i, j, k)
+        code = np.where(left_out == C, 0, np.where(left_out == B, 1, 2))
+        return code.reshape(shape)
 
 
 class OracleState(_OracleBase):
@@ -310,17 +340,23 @@ class OracleState(_OracleBase):
     def _draw_slots(self, i, j, k):
         """
         Answer slots (0: (i,j), 1: (i,k), 2: (j,k)) for canonical rows,
-        drawing and storing only the triples never asked before.
+        drawing and storing only the triples never asked before.  When
+        every row is new and the ranks rise strictly, the rows are distinct
+        and are drawn as given; otherwise the new rows are deduplicated
+        first and the store is read again after the write.
         """
-        if not ((i < j) & (j < k) & (i >= 0)).all():
-            # (a, a, c) or (-1, j, k) would rank as another triple and
-            # overwrite its answer
-            raise ValueError("oracle rows must name three distinct leaves "
-                             "(codes: in order i < j < k)")
+        _check_rows(i, j, k)
         rank = self._c3[k] + self._c2[j] + i
         byte = rank >> 2
         shift = ((rank & 3) << 1).astype(np.uint8)
         code = (self._store[byte] >> shift) & 3
+        if not code.any() and (rank[1:] > rank[:-1]).all():
+            slot = self._decide(i, j, k)
+            # rows of one byte share it: OR each code in, never assign
+            np.bitwise_or.at(self._store, byte,
+                             (slot + 1).astype(np.uint8) << shift)
+            self._count += len(rank)
+            return slot
         new = np.flatnonzero(code == 0)
         if len(new):
             fresh, first = np.unique(rank[new], return_index=True)
@@ -339,15 +375,6 @@ class OracleState(_OracleBase):
             hi = lo + _BLOCK_ROWS
             out[lo:hi] = self._draw_slots(i[lo:hi], j[lo:hi], k[lo:hi])
         return out
-
-    def codes(self, I, J, K):
-        """
-        Answer slot per row: 0 for (I, J), 1 for (I, K), 2 for (J, K).
-        Arguments are leaf indices with I < J < K in every row (arrays or
-        scalars); the answers are those ``wins`` and ``query`` give.
-        """
-        I, J, K = self._rows(I, J, K)
-        return self._slots(*(x.reshape(-1) for x in (I, J, K))).reshape(I.shape)
 
     def wins(self, A, B, C):
         """
@@ -384,15 +411,17 @@ class ExpectationOracle(_OracleBase):
     pair; the weight estimators read the probabilities.
     """
 
-    def codes(self, I, J, K):
-        I, J, K = self._rows(I, J, K)
+    def _slots(self, i, j, k):
+        """Most likely answer slot of flat canonical rows."""
+        _check_rows(i, j, k)
         return np.argmax(np.stack(self.model.slot_probs(
-            self._dist(I, J), self._dist(I, K), self._dist(J, K)
+            self._dist(i, j), self._dist(i, k), self._dist(j, k)
         )), axis=0)
 
     def wins(self, A, B, C):
         A, B, C = self._rows(A, B, C)
         i, j, k = self._canonical(A, B, C)
+        _check_rows(i, j, k)
         p0, p1, p2 = self.model.slot_probs(
             self._dist(i, j), self._dist(i, k), self._dist(j, k)
         )

@@ -214,21 +214,21 @@ def _pair_tallies(oracle, X, Y, W):
 
 def _triple_blocks(l, rows=_CHUNK):
     """
-    Position triples a < b < c < l in lexicographic order, as (a, b, c)
-    arrays of about ``rows`` triples each (every pair (a, b) whole).
+    Position triples a < b < c < l in rank order (by c, then b, then a),
+    as (a, b, c) arrays of about ``rows`` triples each (every pair (b, c)
+    whole).  Over sorted leaf ids the oracle's triple ranks
+    ``C(k,3) + C(j,2) + i`` rise strictly across the pass, so each block
+    fills the answer store without deduplication.
     """
-    A, B = np.triu_indices(l, k=1)
-    count = l - 1 - B  # triples that extend each pair
-    end = np.cumsum(count)
-    lo = 0
-    while lo < len(A) and end[-1] > end[lo] - count[lo]:
-        start = end[lo] - count[lo]
+    C, B = np.tril_indices(l, k=-1)  # pairs b < c; (b, c) extends to b triples
+    end = np.cumsum(B)
+    lo = start = 0
+    while lo < len(B) and start < end[-1]:
         hi = max(lo + 1, int(np.searchsorted(end, start + rows, side="right")))
-        cnt = count[lo:hi]
-        b = np.repeat(B[lo:hi], cnt)
-        c = b + 1 + np.arange(start, end[hi - 1]) - np.repeat(end[lo:hi] - cnt, cnt)
-        yield np.repeat(A[lo:hi], cnt), b, c
-        lo = hi
+        cnt = B[lo:hi]
+        a = np.arange(start, end[hi - 1]) - np.repeat(end[lo:hi] - cnt, cnt)
+        yield a, np.repeat(cnt, cnt), np.repeat(C[lo:hi], cnt)
+        lo, start = hi, end[hi - 1]
 
 
 def _triple_scores(oracle, S):
@@ -236,8 +236,11 @@ def _triple_scores(oracle, S):
     Score matrix over the positions of the sorted leaf ids ``S``: ``M[a, b]``
     (a < b) counts the other members x whose experiment (S[a], S[b], x)
     answered (S[a], S[b]), and every other entry is -inf.  One pass over
-    the triples a < b < c reads one answer code per triple and counts it
-    for the pair it names.
+    the triples a < b < c in rank order reads one answer code per triple
+    and counts it for the pair it names.  The counts are integers, so the
+    matrix over a subset of ``S`` is this one restricted to the subset,
+    minus the counts over the dropped members, bit for bit (see
+    ``_Driver._scores``).
     """
     l = len(S)
     flat = np.zeros(l * l)
@@ -536,6 +539,7 @@ class _Driver:
         # an exact source's score ties are systematic and walk on its direct
         # answers; noisy ties go to _tie_key (see the module note)
         self.closest = oracle.answers if _exact_source(oracle) else None
+        self._scored = None  # (sorted ids, matrix) of the last _triple_scores
 
     def tree(self, plan):
         """Tree over leaf labels with the topology of a plan over leaf ids."""
@@ -568,15 +572,42 @@ class _Driver:
 
     # -- build-subtree --------------------------------------------------- #
 
+    def _scores(self, S):
+        """
+        ``_triple_scores(self.oracle, S)`` for sorted leaf ids ``S``.  When
+        ``S`` lies inside the ids ``S0`` of the last full pass and the
+        C(|S|,2) * |drop| rows over the dropped ids ``drop`` (``S0`` less
+        ``S``) are fewer than C(|S|,3), the matrix is the kept one
+        restricted to ``S`` minus the counts over ``drop``: integer counts,
+        so bit-equal to a fresh pass, and every row it reads is already
+        answered, so ``query_count`` does not move.
+        """
+        l = len(S)
+        if self._scored is not None:
+            S0, M0 = self._scored
+            drop = np.setdiff1d(S0, S, assume_unique=True)
+            if (len(drop) == len(S0) - l
+                    and math.comb(l, 2) * len(drop) < math.comb(l, 3)):
+                pos = np.searchsorted(S0, S)
+                M = M0[np.ix_(pos, pos)]
+                ii, jj = np.triu_indices(l, k=1)
+                M[ii, jj] -= _pair_tallies(self.oracle, S[ii], S[jj], drop)[0]
+                return M
+        M = _triple_scores(self.oracle, S)
+        self._scored = (S, M.copy())
+        return M
+
     def build_subtree(self, members):
         """
         Bottom-up sibling merging inside ``members`` until the largest
         cluster enters the size band; returns (leaf ids, plan).  Clusters
         are indexed by the position of their smallest member.  The first
-        matrix is one pass over the member triples (see ``_triple_scores``),
-        and a merged cluster scores with the size-weighted mean of its two
-        parts' rows (average linkage, see ``_assemble_by_scores``).  Ties
-        go to the smallest positions, under every source.
+        matrix is one pass over the member triples (see ``_triple_scores``);
+        the pivot's, over members inside the first pass's, is derived from
+        that pass's matrix when that reads fewer rows (see ``_scores``).  A
+        merged cluster scores with the size-weighted mean of its two parts'
+        rows (average linkage, see ``_assemble_by_scores``).  Ties go to
+        the smallest positions, under every source.
 
         Under a tree's answers each merge is a sibling merge, and sibling
         clusters p and q have equal rows of integer counts, so the mean is
@@ -592,7 +623,7 @@ class _Driver:
         plans = S.tolist()
         sizes = [1] * l
         alive = np.ones(l, dtype=bool)
-        M = _triple_scores(self.oracle, S)
+        M = self._scores(S)
 
         n_alive = l
         while n_alive > 1 and max(sizes) < lo_band:

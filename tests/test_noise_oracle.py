@@ -230,12 +230,30 @@ def _triple_pool(rng, n, size):
     return np.sort(np.argsort(rng.random((size, n)), axis=1)[:, :3], axis=1)
 
 
+def _unrank(rank, n):
+    """Canonical rows (i, j, k) of triple ranks ``C(k,3) + C(j,2) + i``."""
+    m = np.arange(n, dtype=np.int64)
+    c2 = m * (m - 1) // 2
+    c3 = c2 * (m - 2) // 3
+    k = np.searchsorted(c3, rank, side="right") - 1
+    rest = rank - c3[k]
+    j = np.searchsorted(c2, rest, side="right") - 1
+    return rest - c2[j], j, k
+
+
 _OPS = st.one_of(
     st.tuples(st.sampled_from(["wins", "codes"]),
               st.sampled_from([1, 7, 300, _BLOCK_ROWS - 1, _BLOCK_ROWS + 5,
                                2 * _BLOCK_ROWS + 3]),
               st.sampled_from([1, 5, 60, 4000])),
     st.tuples(st.just("query"), st.just(1), st.just(1)),
+    # a run of consecutive ranks, as the scoring pass asks them; the pool
+    # size is how many ranks are asked beforehand: none, the rank before
+    # the run, or that one and four of the run's first block
+    st.tuples(st.sampled_from(["wins-ranks", "codes-ranks"]),
+              st.sampled_from([1, 7, 300, _BLOCK_ROWS + 5,
+                               2 * _BLOCK_ROWS + 3]),
+              st.sampled_from([0, 1, 5])),
 )
 
 
@@ -249,8 +267,9 @@ _OPS = st.one_of(
 )
 def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, ops):
     # one triple up to 341 leaves, batches longer than one block, repeats
-    # inside a block and across blocks and calls, any argument order, and
-    # codes, wins and query mixed in any order on one store
+    # inside a block and across blocks and calls, any argument order, runs
+    # of consecutive ranks partly asked before, and codes, wins and query
+    # mixed in any order on one store
     tree = _store_tree(n)
     model = make_model(model)
     labs = tree.leaf_labels
@@ -258,7 +277,46 @@ def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, op
     assert len(o._store) == math.ceil(math.comb(n, 3) / 4)
     rng = np.random.default_rng(data_seed)
     asked = set()
+    n3 = math.comb(n, 3)
     for kind, rows, pool_size in ops:
+        if kind.endswith("-ranks"):
+            # start off a byte boundary, so the run's first byte is shared
+            # with the rank before it.  Answering that rank first makes an
+            # all-new first block write into a byte already in use; ranks
+            # of the first block answered first send it down the general
+            # path, and a later all-new block then shares its first byte
+            # with the rows that path wrote
+            rows = min(rows, n3)
+            start = int(rng.integers(0, n3 - rows + 1))
+            if start % 4 == 0 and start + rows < n3:
+                start += 1
+            pre = np.concatenate([
+                [start - 1],
+                start + rng.integers(0, min(rows, _BLOCK_ROWS), size=4),
+            ])[:pool_size]
+            i, j, k = _unrank(np.unique(pre[pre >= 0]), n)
+            o.codes(i, j, k)
+            asked.update(zip(i.tolist(), j.tolist(), k.tolist()))
+            i, j, k = _unrank(np.arange(start, start + rows), n)
+            T = np.stack([i, j, k], axis=1)
+            asked.update(map(tuple, T.tolist()))
+            kind = kind[:-len("-ranks")]
+            if kind == "wins":
+                T = np.take_along_axis(
+                    T, _PERMS[rng.integers(0, 6, size=rows)], axis=1)
+                A, B, C = T[:, 0], T[:, 1], T[:, 2]
+                np.testing.assert_array_equal(
+                    o.wins(A, B, C),
+                    _reference_wins(tree, model, seed, A, B, C))
+            else:
+                np.testing.assert_array_equal(
+                    o.codes(i, j, k), _reference_slots(tree, model, seed, i, j, k))
+            assert o.query_count == len(asked)
+            # read back: every code of the run is in the store
+            np.testing.assert_array_equal(
+                o.codes(i, j, k), _reference_slots(tree, model, seed, i, j, k))
+            assert o.query_count == len(asked)
+            continue
         T = _triple_pool(rng, n, pool_size)
         T = T[rng.integers(0, len(T), size=rows)]
         asked.update(map(tuple, T.tolist()))
@@ -311,6 +369,17 @@ def test_rows_that_are_not_triples_raise_and_leave_the_store_alone():
     assert o.query_count == 1
     assert o.query("L00", "L02", "L03") == (
         OracleState(t, "noiseless", seed=0).query("L00", "L02", "L03"))
+    # expectation mode has no store, but takes rows as the store does
+    eo = ExpectationOracle(t, "homogeneous")
+    for bad in [(1, 1, 3), (3, 1, 3), (2, 5, 5), (-1, 2, 5)]:
+        with pytest.raises(ValueError):
+            eo.wins(*bad)
+        with pytest.raises(ValueError):
+            eo.codes(*sorted(bad))
+        with pytest.raises(ValueError):
+            eo.answers(*bad)
+    with pytest.raises(ValueError):
+        eo.codes(1, 3, 2)
 
 
 @pytest.mark.parametrize("model", ["homogeneous", "noiseless"])

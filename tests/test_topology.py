@@ -36,6 +36,8 @@ from tripletree.topology import (
     _find_sibling_pair,
     _mean_row,
     _pair_tallies,
+    _triple_blocks,
+    _triple_scores,
     _wins_sum_pairs,
 )
 
@@ -248,6 +250,59 @@ def test_build_subtree_incremental_scores_match_rescoring(kind, n, seed, keep,
         cfg = ReconstructionConfig.for_oracle(o, subtree_band=(lo, 2 * lo))
         runs.append((build(_Driver(o, cfg)), o.query_count))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3, 4, 7, 40])
+@pytest.mark.parametrize("rows", [1, 2, 5, 37, 1 << 21])
+def test_triple_blocks_ask_each_triple_once_in_rank_order(l, rows):
+    blocks = list(_triple_blocks(l, rows))
+    trips = [t for a, b, c in blocks
+             for t in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert sorted(trips) == list(itertools.combinations(range(l), 3))
+    ranks = [math.comb(c, 3) + math.comb(b, 2) + a for a, b, c in trips]
+    assert all(x < y for x, y in zip(ranks, ranks[1:]))
+    # each pair (b, c) lies in one block, and a block outgrows ``rows``
+    # only to keep its first pair whole
+    pairs = [set(zip(b.tolist(), c.tolist())) for _, b, c in blocks]
+    assert sum(map(len, pairs)) == len(set().union(*pairs))
+    assert all(len(a) <= max(rows, l - 2) for a, _, _ in blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["noiseless", "homogeneous"]),
+    n=st.integers(12, 80),
+    seed=st.integers(0, 2**16),
+    keep=st.floats(0.3, 1.0),
+    sub=st.floats(0.0, 1.0),
+)
+def test_scores_on_a_subset_match_a_fresh_pass(kind, n, seed, keep, sub):
+    # the driver's matrix over a subset of the last pass's leaves, derived
+    # or read afresh as its row count decides, equals a pass from scratch
+    # bit for bit and asks nothing new
+    t = random_tree(n, w=0.2 / n, seed=seed)
+    rng = np.random.default_rng(seed)
+    S0 = np.sort(rng.choice(n, size=max(3, int(keep * n)), replace=False))
+    l = max(3, int(len(S0) * (0.6 + 0.4 * sub)))
+    S = np.sort(rng.choice(S0, size=l, replace=False))
+    o = OracleState(t, kind, seed=seed)
+    drv = _Driver(o)
+    drv._scores(S0)
+    kept = drv._scored
+    asked = o.query_count
+    got = drv._scores(S)
+    assert o.query_count == asked
+    derived = math.comb(l, 2) * (len(S0) - l) < math.comb(l, 3)
+    assert (drv._scored is kept) == derived
+    ref = OracleState(t, kind, seed=seed)
+    np.testing.assert_array_equal(got, _triple_scores(ref, S))
+    # and equals the pair-by-pair sums over every other member
+    part_of = np.full(n, -1, dtype=np.int64)
+    part_of[S] = np.arange(l)
+    ii, jj = np.triu_indices(l, k=1)
+    want = np.full((l, l), -np.inf)
+    want[ii, jj] = _wins_sum_pairs(ref, S[ii], S[jj], S, part_of, ii, jj)
+    np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)
