@@ -20,6 +20,15 @@ height estimate from query probabilities:
 Heights are finally clamped to be monotone along root-leaf paths and edge
 weights read off as height differences.  Leaves sit at height 0 and the
 root at 1 exactly.
+
+Each stage reads its answers in blocks: the rows of all its vertices (and,
+below the heavy path, of all anchors) go to ``wins`` in a few calls, cut
+into chunks of whole vertices of at most ``_CHUNK_ROWS`` rows.  Every
+response is then a row-wise ``mean`` over one vertex's (or one anchor's)
+contiguous slice of a chunk: the pairwise sum ``np.mean`` takes over that
+vertex's own rows, so the estimates are bit-equal to asking each vertex
+and anchor on its own.  A segmented ``np.add.reduceat`` sums left to right
+instead and changes the low bits of expectation-mode estimates.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ class EstimationFailure(Exception):
 @dataclass
 class WeightConfig:
     alpha: float = 1.0 / 6.0
-    pair_cap: int | None = None  # None: 4n cross pairs per path vertex
+    pair_cap: int | None = None  # None: max(4n, 64) cross pairs per path vertex
     bisect_tol: float = 1e-12
     bisect_max_iter: int = 200
     p_clamp_eps: float = 1e-6
@@ -177,16 +186,25 @@ def invert_F(q_hat, anchor_heights, weights, tol=1e-12, max_iter=200):
     b = np.asarray(anchor_heights, dtype=np.float64)
     if len(b) == 0 or np.any(b <= 0):
         raise EstimationFailure("anchor heights must be positive")
+    # response_curve with its constants computed once: the same operations
+    # on the same values, so F(a) equals response_curve(a, ...) bit for bit
+    w = np.asarray(weights, dtype=np.float64)
+    b2 = 2.0 * b
+    sw = np.sum(w)
+
+    def F(a):
+        return float(np.dot(w, b / (b2 + a)) / sw)
+
     lo, hi = 0.0, 4.0 * float(np.min(b))
-    f_lo = response_curve(lo, anchor_heights, weights)  # = 1/2
-    f_hi = response_curve(hi, anchor_heights, weights)
+    f_lo = F(lo)  # = 1/2
+    f_hi = F(hi)
     if q_hat >= f_lo:
         return lo, abs(f_lo - q_hat)
     if q_hat <= f_hi:
         return hi, abs(f_hi - q_hat)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        f_mid = response_curve(mid, anchor_heights, weights)
+        f_mid = F(mid)
         if abs(f_mid - q_hat) <= tol:
             return mid, abs(f_mid - q_hat)
         if f_mid > q_hat:
@@ -194,7 +212,7 @@ def invert_F(q_hat, anchor_heights, weights, tol=1e-12, max_iter=200):
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    return mid, abs(response_curve(mid, anchor_heights, weights) - q_hat)
+    return mid, abs(F(mid) - q_hat)
 
 
 def final_correction(h_v, anchor_heights):
@@ -207,12 +225,36 @@ def final_correction(h_v, anchor_heights):
 # ---------------------------------------------------------------------- #
 
 
+# Rows per ``wins`` call of the driver, in whole vertices; bounds the
+# oracle's temporaries.  A vertex with more rows goes alone in its chunk.
+_CHUNK_ROWS = 1 << 14
+
+
+def _chunks(lengths):
+    """
+    Half-open index ranges ``(lo, hi)`` cutting ``lengths`` into runs whose
+    sum is at most ``_CHUNK_ROWS``; a longer item is a run of its own.
+    """
+    lo, rows = 0, 0
+    for hi, size in enumerate(lengths):
+        if hi > lo and rows + size > _CHUNK_ROWS:
+            yield lo, hi
+            lo, rows = hi, 0
+        rows += size
+    if lo < len(lengths):
+        yield lo, len(lengths)
+
+
 class _WeightDriver:
     def __init__(self, oracle, topology, cfg):
         self.oracle = oracle
         self.topo = topology
         self.cfg = cfg
         self.n = topology.n_leaves
+        if cfg.pair_cap is not None and cfg.pair_cap < 1:
+            raise ValueError(f"pair_cap must be at least 1, got {cfg.pair_cap}")
+        self.pair_cap = (max(4 * self.n, 64) if cfg.pair_cap is None
+                         else cfg.pair_cap)
         if set(topology.leaf_labels) != set(oracle.labels):
             raise ValueError("topology and oracle leaf sets differ")
         # oracle leaf indices under each topology node
@@ -236,19 +278,42 @@ class _WeightDriver:
         c1, c2 = self.topo.children(v)
         return int(self.leafset[c1][0]), int(self.leafset[c2][0])
 
-    def _mean_response(self, a, b, witnesses):
-        w = self.oracle.wins(
-            np.full(len(witnesses), a, dtype=np.int64),
-            np.full(len(witnesses), b, dtype=np.int64),
-            np.asarray(witnesses, dtype=np.int64),
-        )
-        return float(np.mean(w))
+    def _responses(self, vertices, witnesses, spans=None):
+        """
+        Mean answers of each vertex's representative pair (a, b) against
+        ``witnesses``, as a (vertices, spans) array: entry (r, s) is the
+        mean of wins(a, b, c) over c in ``witnesses[lo:hi]`` for the s-th
+        ``(lo, hi)`` of ``spans`` (default: one span over all of them).
+
+        The rows (a, b, c) of whole vertices go to ``wins`` in chunks of at
+        most ``_CHUNK_ROWS``.  Each mean is a row-wise ``mean`` over one
+        span of a chunk's (vertices, witnesses) matrix: the same pairwise
+        sum as ``np.mean`` of that vertex's own ``wins`` call, so bit-equal
+        to it.  ``np.add.reduceat`` sums in another order and is not.
+        """
+        C = np.asarray(witnesses, dtype=np.int64)
+        L = len(C)
+        spans = spans or [(0, L)]
+        pairs = np.array([self._rep_pair(v) for v in vertices],
+                         dtype=np.int64).reshape(-1, 2)
+        out = np.empty((len(pairs), len(spans)))
+        for lo, hi in _chunks([L] * len(pairs)):
+            m = hi - lo
+            W = self.oracle.wins(np.repeat(pairs[lo:hi, 0], L),
+                                 np.repeat(pairs[lo:hi, 1], L),
+                                 np.tile(C, m)).reshape(m, L)
+            for s, (a, e) in enumerate(spans):
+                out[lo:hi, s] = W[:, a:e].mean(axis=1)
+        return out
+
+    def _few_witnesses(self, k):
+        """The warning for an anchored response over ``k`` witnesses."""
+        k_min = self.cfg.anchor_k_min
+        return [f"anchor-witnesses-below-{k_min}"] if k < k_min else []
 
     def anchored_response(self, v, far_leaves, warnings):
-        if len(far_leaves) < self.cfg.anchor_k_min:
-            warnings.append(f"anchor-witnesses-below-{self.cfg.anchor_k_min}")
-        a, b = self._rep_pair(v)
-        return self._mean_response(a, b, far_leaves)
+        warnings.extend(self._few_witnesses(len(far_leaves)))
+        return float(self._responses([v], far_leaves)[0, 0])
 
     def _safe_height_from_prob(self, p, warnings):
         eps = self.cfg.p_clamp_eps
@@ -257,18 +322,35 @@ class _WeightDriver:
             p = min(max(p, eps), 0.5)
         return height_from_prob(p)
 
-    def cross_pair_response(self, v, witness):
-        """Mean answer over pairs spanning v's children vs one witness."""
+    def _cross_count(self, v):
+        """How many pairs spanning v's children are asked: at most pair_cap."""
+        c1, c2 = self.topo.children(v)
+        return min(len(self.leafset[c1]) * len(self.leafset[c2]), self.pair_cap)
+
+    def _cross_pairs(self, v):
+        """The first ``_cross_count(v)`` pairs spanning v's children."""
         c1, c2 = self.topo.children(v)
         L, R = self.leafset[c1], self.leafset[c2]
-        cap = self.cfg.pair_cap or max(4 * self.n, 64)
-        total = len(L) * len(R)
-        take = min(total, cap)
-        t = np.arange(take, dtype=np.int64)
-        A = L[t // len(R)]
-        B = R[t % len(R)]
-        w = self.oracle.wins(A, B, np.full(take, witness, dtype=np.int64))
-        return float(np.mean(w))
+        t = np.arange(self._cross_count(v), dtype=np.int64)
+        return L[t // len(R)], R[t % len(R)]
+
+    def _cross_responses(self, vertices, witness):
+        """
+        Mean answer of each vertex's cross pairs against one witness leaf,
+        read in chunks of whole vertices like ``_responses``; each mean is
+        ``np.mean`` over the vertex's slice of its chunk.
+        """
+        counts = [self._cross_count(v) for v in vertices]
+        out = []
+        for lo, hi in _chunks(counts):
+            rows = [self._cross_pairs(v) for v in vertices[lo:hi]]
+            A = np.concatenate([a for a, _ in rows])
+            B = np.concatenate([b for _, b in rows])
+            W = self.oracle.wins(A, B, np.full(len(A), witness, dtype=np.int64))
+            ends = np.cumsum(counts[lo:hi]).tolist()
+            out += [float(np.mean(W[e - k:e]))
+                    for k, e in zip(counts[lo:hi], ends)]
+        return out
 
     # -- the stages ------------------------------------------------------ #
 
@@ -278,10 +360,10 @@ class _WeightDriver:
         directly from its response against every leaf under ``far``.
         """
         wits = self.leafset[far]
+        verts = self._internal_under(side)
         out = {}
-        for v in self._internal_under(side):
-            warns = []
-            p = self.anchored_response(v, wits, warns)
+        for v, p in zip(verts, self._responses(verts, wits)[:, 0].tolist()):
+            warns = self._few_witnesses(len(wits))
             out[v] = VertexEstimate(self._safe_height_from_prob(p, warns),
                                     "fine", "light-tree", warns)
         return out
@@ -289,17 +371,17 @@ class _WeightDriver:
     def right_path(self, info):
         """
         Estimates for the heavy-path vertices v_1..v_f plus v_{f+1}, from
-        the pairs spanning each against one leaf of the root's light side.
+        the pairs spanning each (at most ``pair_cap`` of them) against one
+        leaf of the root's light side.
         """
         light_r, _ = self.topo.ordered_children(self.topo.root)
         witness = int(self.leafset[light_r][0])
+        verts = [v for v in info.path[1:info.f + 2] if not self.topo.is_leaf(v)]
         out = {}
-        for v in info.path[1:info.f + 2]:
-            if not self.topo.is_leaf(v):
-                warns = []
-                p = self.cross_pair_response(v, witness)
-                out[v] = VertexEstimate(self._safe_height_from_prob(p, warns),
-                                        "fine", "right-path", warns)
+        for v, p in zip(verts, self._cross_responses(verts, witness)):
+            warns = []
+            out[v] = VertexEstimate(self._safe_height_from_prob(p, warns),
+                                    "fine", "right-path", warns)
         return out
 
     # -- the pipeline ---------------------------------------------------- #
@@ -328,14 +410,14 @@ class _WeightDriver:
         est.update(self.right_path(info))
         path, f = info.path, info.f
 
-        # 3) left subtrees hanging off the heavy path above v_f
+        # 3) left subtrees hanging off the heavy path above v_f, one block
+        # per path index
         for idx in range(1, f + 1):
-            anchor = path[idx]
             far = self.leafset[path[idx + 1]]
-            h_anchor = est[anchor].value
-            for v in self._internal_under(info.left_child[idx]):
-                warns = []
-                p = self.anchored_response(v, far, warns)
+            h_anchor = est[path[idx]].value
+            verts = self._internal_under(info.left_child[idx])
+            for v, p in zip(verts, self._responses(verts, far)[:, 0].tolist()):
+                warns = self._few_witnesses(len(far))
                 if p < 0.25:
                     warns.append(f"anchored-response-below-quarter({p:.4g})")
                     p = 0.25
@@ -343,7 +425,8 @@ class _WeightDriver:
                 h = reconstruct_left_heavy(p, max(h_anchor, 1e-12))
                 est[v] = VertexEstimate(h, "fine", "anchored-left", warns)
 
-        # 4) vertices strictly below v_{f+1}: aggregate anchored estimates
+        # 4) vertices strictly below v_{f+1}: aggregate anchored estimates,
+        # all read in one block whose witnesses are the anchors' far sets
         if f + 1 < len(path):
             below = [
                 v for v in self._internal_under(path[f + 1]) if v != path[f + 1]
@@ -361,12 +444,14 @@ class _WeightDriver:
                     far_sets.append(self.leafset[info.left_child[i]])
                 if not a_heights:
                     raise EstimationFailure("anchor heights must be positive")
-                for v in below:
-                    warns = list(dropped)
-                    p_hats = [
-                        self.anchored_response(v, far, warns) for far in far_sets
-                    ]
-                    q_hat = aggregate_anchor_probs(p_hats, a_weights)
+                ends = np.cumsum([len(far) for far in far_sets]).tolist()
+                spans = list(zip([0] + ends[:-1], ends))
+                short = [w for far in far_sets
+                         for w in self._few_witnesses(len(far))]
+                p_hats = self._responses(below, np.concatenate(far_sets), spans)
+                for v, p_v in zip(below, p_hats.tolist()):
+                    warns = dropped + short
+                    q_hat = aggregate_anchor_probs(p_v, a_weights)
                     h, resid = invert_F(
                         q_hat, a_heights, a_weights,
                         tol=self.cfg.bisect_tol,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletree import (
     EstimationFailure,
@@ -13,6 +15,7 @@ from tripletree import (
     compute_light_tree,
     final_correction,
     from_newick,
+    generate_random_ultrametric,
     height_from_prob,
     invert_F,
     reconstruct_left_heavy,
@@ -21,7 +24,8 @@ from tripletree import (
     tree_from_topology,
 )
 from tripletree.noise_oracle import _splitmix64
-from tripletree.weights import WeightConfig, response_curve
+from tripletree import weights
+from tripletree.weights import WeightConfig, _WeightDriver, response_curve
 
 from conftest import random_tree
 
@@ -301,7 +305,8 @@ def test_cross_pair_enumeration_covers_alpha_n():
     for idx in range(1, info.f + 1):
         v = info.path[idx]
         c1, c2 = t.children(v)
-        pairs = min(int(nl[c1]) * int(nl[c2]), cfg.pair_cap or 4 * n)
+        cap = max(4 * n, 64) if cfg.pair_cap is None else cfg.pair_cap
+        pairs = min(int(nl[c1]) * int(nl[c2]), cap)
         assert pairs >= math.floor(1.0 / 6.0 * int(nl[v]))
 
 
@@ -399,3 +404,148 @@ def test_estimated_tree_round_trip():
 
     assert topology_equal(est, t)
     assert est.height[est.root] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_pair_cap_below_one_raises(cap):
+    t = random_tree(16, seed=0)
+    eo = ExpectationOracle(t, "homogeneous")
+    with pytest.raises(ValueError, match="pair_cap"):
+        reconstruct_weights(eo, t, WeightConfig(pair_cap=cap))
+
+
+def test_pair_cap_one_asks_one_pair_per_path_vertex():
+    t = random_tree(48, w=0.02, seed=5)
+    eo = ExpectationOracle(t, "homogeneous")
+    rows = _count_wins(eo)
+    out = reconstruct_right_path(eo, t, WeightConfig(pair_cap=1))
+    assert sum(rows) == len(out) - 1  # every estimate but the root's
+    for v, est in out.items():
+        assert est.value == pytest.approx(float(t.height[v]), abs=1e-12)
+
+
+# ---------------------------------------------------------------------- #
+# Block reads                                                             #
+# ---------------------------------------------------------------------- #
+
+
+class _PerRequest(_WeightDriver):
+    """The weight driver with one ``wins`` call per vertex and anchor."""
+
+    def _responses(self, vertices, witnesses, spans=None):
+        spans = spans or [(0, len(witnesses))]
+        out = np.empty((len(vertices), len(spans)))
+        for r, v in enumerate(vertices):
+            a, b = self._rep_pair(v)
+            for s, (lo, hi) in enumerate(spans):
+                far = np.asarray(witnesses[lo:hi], dtype=np.int64)
+                L = len(far)
+                out[r, s] = float(np.mean(
+                    self.oracle.wins(np.full(L, a), np.full(L, b), far)))
+        return out
+
+    def _cross_responses(self, vertices, witness):
+        out = []
+        for v in vertices:
+            A, B = self._cross_pairs(v)
+            w = self.oracle.wins(A, B, np.full(len(A), witness))
+            out.append(float(np.mean(w)))
+        return out
+
+
+def _count_wins(oracle):
+    """Wrap ``oracle.wins``; the returned list gets each call's row count."""
+    rows = []
+    wins = oracle.wins
+
+    def counted(A, B, C):
+        rows.append(np.broadcast(A, B, C).size)
+        return wins(A, B, C)
+
+    oracle.wins = counted
+    return rows
+
+
+def _make_oracle(tree, source, seed):
+    if source == "expectation":
+        return ExpectationOracle(tree, "homogeneous")
+    return OracleState(tree, source, seed=seed)
+
+
+def _caterpillar(n):
+    plan = "L0"
+    for i in range(1, n):
+        plan = (f"L{i}", plan)
+    return tree_from_topology(plan)
+
+
+def _blocked_and_reference(tree, source, seed):
+    """
+    Every estimate field of the block-reading driver and of the
+    per-request reference, each on a fresh oracle, with their ``query_count``
+    and ``wins`` calls.
+    """
+    out = []
+    for cls in (_WeightDriver, _PerRequest):
+        o = _make_oracle(tree, source, seed)
+        calls = _count_wins(o)
+        he = cls(o, tree, WeightConfig()).run()
+        fields = [
+            (v, repr(e.value), e.error_class, e.method, e.warnings,
+             repr(e.residual), repr(he.edge_weights.get(v)))
+            for v, e in sorted(he.by_node.items())
+        ]
+        out.append((fields, o.query_count, len(calls)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(5, 120),
+    shape=st.sampled_from(["random", "caterpillar"]),
+    tree_seed=st.integers(0, 10_000),
+    source=st.sampled_from(["expectation", "homogeneous", "noiseless"]),
+    chunk=st.integers(1, 40),
+)
+def test_block_reads_match_per_request_reference(n, shape, tree_seed,
+                                                 source, chunk):
+    # a chunk of a few rows splits every stage's block between vertices
+    tree = random_tree(n, w=0.01, seed=tree_seed) if shape == "random" \
+        else _caterpillar(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_CHUNK_ROWS", chunk)
+        try:
+            (got, got_q, _), (want, want_q, _) = _blocked_and_reference(
+                tree, source, tree_seed)
+        except EstimationFailure:
+            return
+    assert got == want
+    assert got_q == want_q
+
+
+def test_block_reads_chunk_in_whole_vertices():
+    assert list(weights._chunks([])) == []
+    assert list(weights._chunks([3] * 5)) == [(0, 5)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_CHUNK_ROWS", 6)
+        # 7 rows exceed the chunk but go alone; the rest pack up to 6
+        assert list(weights._chunks([2, 4, 7, 1, 5, 6])) == \
+            [(0, 2), (2, 3), (3, 5), (5, 6)]
+
+
+def test_wins_calls_on_a_400_leaf_caterpillar():
+    (got, _, calls), (want, _, ref_calls) = _blocked_and_reference(
+        _caterpillar(400), "expectation", 0)
+    assert got == want
+    assert calls < 50
+    assert ref_calls > 20_000
+
+
+def test_wins_calls_on_the_sampled_323_tree():
+    tree = generate_random_ultrametric(323, 0.004, seed=1)
+    (got, got_q, calls), (want, want_q, ref_calls) = _blocked_and_reference(
+        tree, "homogeneous", 1)
+    assert got == want
+    assert got_q == want_q
+    assert calls <= 20
+    assert ref_calls > 300
