@@ -420,9 +420,13 @@ def _build_parser():
     p.add_argument("--rho", type=float, default=ed("RHO", 0.01, float))
     p.add_argument("--allow-zero-inner", action="store_true")
     p.add_argument("--target", type=float, default=ed("TARGET", 0.9, float))
-    p.add_argument("--sweep-weights", default=ed("SWEEP_WEIGHTS", "", str),
+    # argparse applies ``type`` to a string default too, so the environment
+    # values are parsed as the flags are
+    p.add_argument("--sweep-weights", type=_parse_floats,
+                   default=ed("SWEEP_WEIGHTS", "", str),
                    help="comma-separated min-edge-weight values")
-    p.add_argument("--sweep-c-thr", default=ed("SWEEP_C_THR", "", str),
+    p.add_argument("--sweep-c-thr", type=_parse_floats,
+                   default=ed("SWEEP_C_THR", "", str),
                    help="comma-separated threshold constants")
     p.add_argument("--out", default=ed("OUT", None, str))
     p.add_argument("--jobs", type=int, default=ed("JOBS", 0, int),
@@ -438,27 +442,7 @@ def _parse_floats(text):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    cfg = ExperimentConfig(
-        mode=args.mode,
-        n=args.n,
-        min_edge_weight=args.min_edge_weight,
-        model=args.model,
-        expectation=args.expectation,
-        trials=args.trials,
-        seed=args.seed,
-        c_thr=args.c_thr,
-        n0=args.n0,
-        tol=args.tol,
-        rho=args.rho,
-        allow_zero_inner=args.allow_zero_inner,
-        target=args.target,
-        sweep_weights=_parse_floats(args.sweep_weights),
-        sweep_c_thr=_parse_floats(args.sweep_c_thr),
-        out=args.out,
-        jobs=args.jobs,
-        tree_in=args.tree_in,
-        tree_out=args.tree_out,
-    )
+    cfg = ExperimentConfig(**vars(args))
     try:
         if cfg.mode in ("topology", "weights"):
             run_experiment(cfg)

@@ -18,14 +18,16 @@ triples asked is the number of codes written.  The store takes
 ``ceil(C(n,3)/4)`` bytes (1.4 MB at n=323, 357 MB at n=2048), allocated
 zeroed so that only the pages actually written are resident.
 
-The vectorized readers share one flat reader of canonical rows
-(``_slots``; in ``OracleState`` one block loop over the store): ``codes``
+The vectorized readers share one flat reader of canonical rows,
+``_slots``: one loop over blocks of ``_BLOCK_ROWS`` rows for both oracles,
+each block answered by the class's ``_draw_slots`` (the answer store in
+``OracleState``, the most likely slot in ``ExpectationOracle``).  ``codes``
 returns each canonical row's answer slot (0: (i,j), 1: (i,k), 2: (j,k)),
 one gather for all three pairs of a triple; ``answers`` the answer in
 argument order (0: (A,B), 1: (A,C), 2: (B,C)) from one ``_slots`` call on
-its canonical rows; and ``wins`` the indicator of one target pair.  A row
-that does not name three distinct leaves raises ``ValueError``, in both
-oracles.
+its canonical rows; and ``wins`` the indicator of one target pair (in
+expectation mode its probability).  A row that does not name three
+distinct leaves raises ``ValueError``, in both oracles.
 
 A block of rows that are all new and rise strictly in rank, as a pass
 over the triples of sorted leaves in rank order asks them, is drawn as
@@ -209,7 +211,7 @@ expectation_query = triple_distribution
 # ---------------------------------------------------------------------- #
 
 
-# Rows per block in ``OracleState._slots``; bounds its temporaries.
+# Rows per block in ``_OracleBase._slots``; bounds its temporaries.
 _BLOCK_ROWS = 1 << 16
 
 
@@ -263,11 +265,25 @@ class _OracleBase:
     def _dist(self, I, J):
         return self.distances.ravel().take(I * self.n_leaves + J)
 
+    def _probs(self, i, j, k):
+        """The model's probabilities of the slots of canonical rows."""
+        return self.model.slot_probs(
+            self._dist(i, j), self._dist(i, k), self._dist(j, k)
+        )
+
     def _canonical(self, A, B, C):
         i = np.minimum(np.minimum(A, B), C)
         k = np.maximum(np.maximum(A, B), C)
         j = A + B + C - i - k
         return i, j, k
+
+    def _slots(self, i, j, k):
+        """Answer slots of flat canonical rows, in blocks of ``_BLOCK_ROWS``."""
+        out = np.empty(i.size, dtype=np.uint8)
+        for lo in range(0, i.size, _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            out[lo:hi] = self._draw_slots(i[lo:hi], j[lo:hi], k[lo:hi])
+        return out
 
     def codes(self, I, J, K):
         """
@@ -328,9 +344,7 @@ class OracleState(_OracleBase):
 
     def _decide(self, i, j, k):
         """Fresh draw of the answer slot for canonical triples (i, j, k)."""
-        p0, p1, _ = self.model.slot_probs(
-            self._dist(i, j), self._dist(i, k), self._dist(j, k)
-        )
+        p0, p1, _ = self._probs(i, j, k)
         if not self.model.sampled:
             return np.where(p0 == 1.0, 0, np.where(p1 == 1.0, 1, 2))
         ids = (i * self._n2 + j * self.n_leaves + k).astype(np.uint64)
@@ -368,25 +382,13 @@ class OracleState(_OracleBase):
             code[new] = (self._store[byte[new]] >> shift[new]) & 3
         return code - 1
 
-    def _slots(self, i, j, k):
-        """Answer slots of flat canonical rows, in blocks of ``_BLOCK_ROWS``."""
-        out = np.empty(i.size, dtype=np.uint8)
-        for lo in range(0, i.size, _BLOCK_ROWS):
-            hi = lo + _BLOCK_ROWS
-            out[lo:hi] = self._draw_slots(i[lo:hi], j[lo:hi], k[lo:hi])
-        return out
-
     def wins(self, A, B, C):
         """
         Float indicator per row: 1.0 iff the experiment on (A, B, C)
         answered with the pair (A, B).  Arguments are leaf indices of three
         distinct leaves per row, in any order (arrays or scalars).
         """
-        A, B, C = self._rows(A, B, C)
-        shape = A.shape
-        i, j, k = self._canonical(*(x.reshape(-1) for x in (A, B, C)))
-        hit = _left_out(self._slots(i, j, k), i, j, k) == C.reshape(-1)
-        return hit.astype(np.float64).reshape(shape)
+        return (self.answers(A, B, C) == 0).astype(np.float64)
 
     def query(self, a, b, c):
         """
@@ -407,24 +409,22 @@ class ExpectationOracle(_OracleBase):
     Drop-in oracle whose ``wins`` returns the exact probability of each
     target pair instead of a sampled indicator, and whose ``codes`` is each
     canonical row's most likely slot (the closest pair, under a validated
-    model).  Topology reconstruction and grading ask for the most likely
-    pair; the weight estimators read the probabilities.
+    model).  Topology reconstruction and grading read the most likely pair
+    through ``codes`` and ``answers``, computed afresh on every call: an
+    expectation oracle keeps no answer store and its ``query_count`` stays
+    0.  The weight estimators read the probabilities.
     """
 
-    def _slots(self, i, j, k):
-        """Most likely answer slot of flat canonical rows."""
+    def _draw_slots(self, i, j, k):
+        """Most likely answer slot of canonical rows; nothing is stored."""
         _check_rows(i, j, k)
-        return np.argmax(np.stack(self.model.slot_probs(
-            self._dist(i, j), self._dist(i, k), self._dist(j, k)
-        )), axis=0)
+        return np.argmax(np.stack(self._probs(i, j, k)), axis=0)
 
     def wins(self, A, B, C):
         A, B, C = self._rows(A, B, C)
         i, j, k = self._canonical(A, B, C)
         _check_rows(i, j, k)
-        p0, p1, p2 = self.model.slot_probs(
-            self._dist(i, j), self._dist(i, k), self._dist(j, k)
-        )
+        p0, p1, p2 = self._probs(i, j, k)
         return np.where(C == k, p0, np.where(C == j, p1, p2))
 
     def query(self, a, b, c):

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise_oracle import ExpectationOracle, OracleState
-from .tree_core import map_plan, tree_from_topology
+from .noise_oracle import ExpectationOracle
+from .tree_core import _closest_codes, map_plan, tree_from_topology
 
 _CHUNK = 1 << 21
 
@@ -457,13 +457,13 @@ def assemble_from_triples(closest_pair_fn, leaves, verify=True):
                                "triple-assembly")
     tree = tree_from_topology(plan)
     if verify:
-        idx = {lab: i for i, lab in enumerate(leaves)}
-        depth = _pair_lca_depths(plan, idx)
-
-        for a, b, c in itertools.combinations(leaves, 3):
-            want = _plan_closest(depth, idx[a], idx[b], idx[c])
+        trips = _position_triples(m)
+        want = _plan_codes(plan, {lab: i for i, lab in enumerate(leaves)},
+                           trips)
+        for (i, j, k), code in zip(trips.tolist(), want.tolist()):
+            a, b, c = leaves[i], leaves[j], leaves[k]
             got = tuple(sorted(closest_pair_fn(a, b, c)))
-            want_pair = tuple(sorted((leaves[want[0]], leaves[want[1]])))
+            want_pair = ((a, b), (a, c), (b, c))[code]
             if got != want_pair:
                 raise ReconstructionFailure(
                     "triple-assembly",
@@ -492,10 +492,20 @@ def _pair_lca_depths(plan, idx):
     return depth
 
 
-def _plan_closest(depth, i, j, k):
-    pairs = ((i, j), (j, k), (i, k))
-    ds = [depth[p] for p in pairs]
-    return pairs[int(np.argmax(ds))]
+def _position_triples(m):
+    """Every position triple i < j < k < m, in combinations order, as rows."""
+    return np.array(list(itertools.combinations(range(m), 3)),
+                    dtype=np.int64).reshape(-1, 3)
+
+
+def _plan_codes(plan, idx, trips):
+    """
+    Closest-pair code of each position triple (i, j, k), i < j < k, in the
+    rows of ``trips`` under a nested plan whose leaf ``x`` sits at position
+    ``idx[x]``: 0 (i, j), 1 (i, k), 2 (j, k).  The closest pair is the one
+    whose LCA merges first.
+    """
+    return _closest_codes(-_pair_lca_depths(plan, idx), *trips.T)
 
 
 # ---------------------------------------------------------------------- #
@@ -523,13 +533,14 @@ class _Driver:
     """
     One reconstruction over ``oracle``.  ``n`` (default: the oracle's leaf
     count) scales the thresholds, the size band and the large-part cap;
-    ``cfg`` defaults to ``ReconstructionConfig.for_oracle(oracle)``.
+    ``cfg`` defaults to ``ReconstructionConfig.for_oracle(oracle)``.  Every
+    answer is read from ``oracle`` itself: an expectation oracle answers
+    each triple with its most likely pair (the closest, under a validated
+    model), computed on each read, so an expectation run keeps no answer
+    store.
     """
 
     def __init__(self, oracle, cfg=None, n=None):
-        if isinstance(oracle, ExpectationOracle):
-            # each triple's most likely pair: the closest, for a validated model
-            oracle = OracleState(oracle.tree, "noiseless", 0)
         self.oracle = oracle
         self.n = n or oracle.n_leaves
         self.cfg = cfg or ReconstructionConfig.for_oracle(oracle)
@@ -757,9 +768,7 @@ class _Driver:
         """
         members = sorted(int(v) for v in members)
         m = len(members)
-        trips = np.array(
-            list(itertools.combinations(range(m), 3)), dtype=np.int64
-        )
+        trips = _position_triples(m)
         ids = np.array(members, dtype=np.int64)
         direct = self.oracle.answers
         answers = direct(ids[trips[:, 0]], ids[trips[:, 1]], ids[trips[:, 2]])
@@ -768,7 +777,8 @@ class _Driver:
         try:
             plan = _assemble_by_scores(members, members, np.zeros((m, m)),
                                        direct, "small-direct")
-            if self._plan_agreement(plan, members, trips, answers) == len(trips):
+            idx = {v: i for i, v in enumerate(members)}
+            if (_plan_codes(plan, idx, trips) == answers).all():
                 return plan
         except ReconstructionFailure:
             pass
@@ -776,15 +786,6 @@ class _Driver:
         scores = np.sum(codes == answers.astype(np.int8), axis=1)
         best = int(np.argmax(scores))  # enumeration order is deterministic
         return _relabel(plans[best], members)
-
-    def _plan_agreement(self, plan, members, trips, answers):
-        idx = {v: i for i, v in enumerate(members)}
-        depth = _pair_lca_depths(plan, idx)
-        i, j, k = trips[:, 0], trips[:, 1], trips[:, 2]
-        want = np.argmax(
-            np.stack([depth[i, j], depth[i, k], depth[j, k]]), axis=0
-        )
-        return int(np.sum(want == answers))
 
     # -- the recursion ------------------------------------------------------ #
 
@@ -943,13 +944,14 @@ def reconstruct_topology(oracle, cfg=None, return_stats=False):
 def _topology_tables(m):
     """
     All leaf-labeled rooted binary topologies over positions 0..m-1, plus
-    the C(m,3) x 1 closest-pair code table per topology (0:(i,j), 1:(i,k),
-    2:(j,k) for each position triple i<j<k).  Cached per size; feasible up
-    to the small-n cutoff (m = 8 gives 135135 topologies).
+    one row per topology of the closest-pair codes of the position triples
+    i<j<k in combinations order (0:(i,j), 1:(i,k), 2:(j,k); the row
+    ``_plan_codes`` gives the topology).  Cached per size; feasible up to
+    the small-n cutoff (m = 8 gives 135135 topologies).
     """
     plans = list(_all_plans(list(range(m))))
-    pair_pos = {p: t for t, p in enumerate(itertools.combinations(range(m), 2))}
-    depths = np.zeros((len(plans), len(pair_pos)), dtype=np.int16)
+    P = len(plans)
+    depth = bytearray(m * m * P)  # [a, b, plan]: depth of lca(a, b)
 
     def fill(row, node, d=0):
         if not isinstance(node, tuple):
@@ -958,22 +960,21 @@ def _topology_tables(m):
         right = fill(row, node[1], d + 1)
         for a in left:
             for b in right:
-                key = (a, b) if a < b else (b, a)
-                depths[row, pair_pos[key]] = d
+                depth[(a * m + b) * P + row] = depth[(b * m + a) * P + row] = d
         return left + right
 
     for row, plan in enumerate(plans):
         fill(row, plan)
 
-    trips = list(itertools.combinations(range(m), 3))
-    codes = np.zeros((len(plans), len(trips)), dtype=np.int8)
-    for t, (i, j, k) in enumerate(trips):
-        cols = np.stack([
-            depths[:, pair_pos[(i, j)]],
-            depths[:, pair_pos[(i, k)]],
-            depths[:, pair_pos[(j, k)]],
-        ])
-        codes[:, t] = np.argmax(cols, axis=0)
+    # the closest pair has the deepest LCA; blocks of plans bound the
+    # temporaries of _closest_codes
+    neg_depth = -np.frombuffer(depth, dtype=np.int8).reshape(m, m, P)
+    trips = _position_triples(m)
+    codes = np.empty((P, len(trips)), dtype=np.int8)
+    block = 1 << 14
+    for lo in range(0, P, block):
+        codes[lo:lo + block] = _closest_codes(neg_depth[:, :, lo:lo + block],
+                                              *trips.T).T
     return plans, codes
 
 

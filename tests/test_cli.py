@@ -416,6 +416,25 @@ def test_env_override(tmp_path):
     assert len(rows) == 2
 
 
+def test_env_sweep_weights_reach_calibrate(tmp_path):
+    # argparse parses the environment's string default as it parses the flag
+    env = dict(os.environ)
+    env["TRIPLETREE_MODE"] = "calibrate"
+    env["TRIPLETREE_SWEEP_WEIGHTS"] = "0.05,0.1"
+    env["TRIPLETREE_N"] = "8"
+    env["TRIPLETREE_MODEL"] = "noiseless"
+    env["TRIPLETREE_TRIALS"] = "1"
+    env["TRIPLETREE_OUT"] = str(tmp_path)
+    env["TRIPLETREE_JOBS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tripletree.cli"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads((tmp_path / "calibration.json").read_text())["table"]
+    assert [row["min_edge_weight"] for row in table] == [0.05, 0.1]
+
+
 def test_custom_model_file(tmp_path):
     model_file = tmp_path / "steep.py"
     model_file.write_text(

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tripletree import (
     triple_distribution,
     tree_from_topology,
 )
+import tripletree.noise_oracle as noise_oracle
 from tripletree.noise_oracle import _BLOCK_ROWS, _splitmix64, keyed_uniform
 
 from conftest import random_tree
@@ -394,6 +396,12 @@ def test_expectation_codes_are_the_most_likely_slot(model):
     # noise-free answers of a tree: the same codes as the noiseless store
     np.testing.assert_array_equal(
         eo.codes(I, J, K), OracleState(t, "noiseless", seed=0).codes(I, J, K))
+    # read in blocks of any size, the answers are those of one block
+    codes, answers = eo.codes(I, J, K), eo.answers(K, I, J)
+    for rows in (1, 7, 64):
+        with mock.patch.object(noise_oracle, "_BLOCK_ROWS", rows):
+            np.testing.assert_array_equal(eo.codes(I, J, K), codes)
+            np.testing.assert_array_equal(eo.answers(K, I, J), answers)
 
 
 @pytest.mark.parametrize("source", ["noiseless", "homogeneous", "expectation"])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletree import (
+    CustomModel,
     ExpectationOracle,
     NoiselessModel,
     OracleState,
@@ -36,6 +37,9 @@ from tripletree.topology import (
     _find_sibling_pair,
     _mean_row,
     _pair_tallies,
+    _plan_codes,
+    _position_triples,
+    _topology_tables,
     _triple_blocks,
     _triple_scores,
     _wins_sum_pairs,
@@ -593,6 +597,39 @@ def test_assemble_flipped_triple_detected_or_reinterpreted(shape):
     assert raised + consistent == 8
 
 
+def _random_plan(leaves, rng):
+    """A random nested plan over ``leaves``: merge two random parts at a time."""
+    parts = list(leaves)
+    while len(parts) > 1:
+        a, b = sorted(rng.choice(len(parts), size=2, replace=False))
+        parts.append((parts.pop(b), parts.pop(a)))
+    return parts[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(3, 12), seed=st.integers(0, 2**16))
+def test_plan_codes_name_each_triples_closest_pair(m, seed):
+    rng = np.random.default_rng(seed)
+    leaves = sorted(rng.choice(100, size=m, replace=False).tolist())
+    plan = _random_plan(leaves, rng)
+    tree = tree_from_topology(plan)
+    trips = _position_triples(m)
+    codes = _plan_codes(plan, {x: p for p, x in enumerate(leaves)}, trips)
+    for (i, j, k), code in zip(trips.tolist(), codes.tolist()):
+        a, b, c = leaves[i], leaves[j], leaves[k]
+        pair = {int(x) for x in closest_pair(tree, str(a), str(b), str(c))}
+        assert pair == [{a, b}, {a, c}, {b, c}][code]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_topology_tables_rows_are_plan_codes(m):
+    plans, codes = _topology_tables(m)
+    trips = _position_triples(m)
+    identity = {x: x for x in range(m)}
+    for plan, row in zip(plans, codes):
+        np.testing.assert_array_equal(row, _plan_codes(plan, identity, trips))
+
+
 # ---------------------------------------------------------------------- #
 # reconstruct_topology                                                    #
 # ---------------------------------------------------------------------- #
@@ -627,6 +664,41 @@ def test_reconstruct_expectation_exact(n, w):
         if not topology_equal(got, t):
             missed.append(seed)
     assert missed == []
+
+
+_STEEP = CustomModel(lambda d1, d2: 1.0 / 3.0 + (d2 - d1) / (6.0 * d2),
+                     epsilon=1.0 / 13.0)
+
+
+def _run_record(oracle, cfg):
+    try:
+        got, stats = reconstruct_topology(oracle, cfg, return_stats=True)
+    except ReconstructionFailure as exc:
+        return exc.stage, exc.detail, exc.witness
+    return to_newick(got), stats.events, stats.stages
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from(["homogeneous", _STEEP]),
+    n=st.integers(5, 80),
+    seed=st.integers(0, 2**16),
+    small_band=st.booleans(),
+)
+def test_expectation_runs_as_the_noiseless_store_does(model, n, seed,
+                                                      small_band):
+    # the driver reads an expectation oracle's most likely answers directly;
+    # they are the noiseless answers of the same tree, so the run is the one
+    # a noiseless answer store gives, and the expectation oracle counts none
+    t = random_tree(n, w=0.2 / n, seed=seed)
+    band = (dict(subtree_band=(3, 6), large_fraction=0.5, n0=3)
+            if small_band else {})
+    eo = ExpectationOracle(t, model)
+    ref = OracleState(t, "noiseless", 0)
+    got = _run_record(eo, ReconstructionConfig.for_oracle(eo, **band))
+    want = _run_record(ref, ReconstructionConfig.for_oracle(ref, **band))
+    assert got == want
+    assert eo.query_count == 0
 
 
 def test_reconstruct_rerun_same_oracle_identical():
