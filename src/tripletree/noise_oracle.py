@@ -251,10 +251,17 @@ class _OracleBase:
 
     @staticmethod
     def _rows(A, B, C):
-        """Leaf-index arguments of the readers as int64 arrays of one shape."""
-        return np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (A, B, C))
-        )
+        """
+        Leaf-index arguments of the readers as int64 arrays of one shape
+        (at least 1-d); only an argument of another shape is broadcast.
+        """
+        rows = [np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (A, B, C)]
+        shapes = {x.shape for x in rows}
+        if len(shapes) == 1:
+            return rows
+        shape = np.broadcast_shapes(*shapes)
+        return [x if x.shape == shape else np.broadcast_to(x, shape)
+                for x in rows]
 
     @property
     def distances(self):

@@ -24,14 +24,19 @@ is the paper's merging on representative rows.
 
 An exact answer source (the noiseless model, or expectation mode, which
 the driver asks for each triple's most likely pair) selects two things
-only.  Its margins are exact, so it runs with c_thr = 0; and its score
-ties are systematic, so they are settled by a walk on the direct answers
-of the triples in question (``_find_sibling_pair``).  Under permanent
-noise no single answer is right with probability above 1/2, so ties go
-to a deterministic key over the score matrix (``_tie_key``) instead.  A
-noisy run ends in a tree; ReconstructionFailure is left for what no
-aggregation can settle (answers from an exact source that admit no tree,
-or two parts too large to coexist).
+only.  Its margins are exact, so it runs with c_thr = 0; and its counts
+over any leaf set S fix the induced topology of every subset of S: the
+pair (i, j) scores |S| - |S & clade(lca(i, j))|.  So the completions
+assemble their members on the driver's triple counts (the kept
+all-triples pass restricted to them, or a pass over the members) and
+read no outside witnesses; any tie rule then gives the same plan (see
+``_assemble_by_scores``).  Under noise the completions score against
+leaves outside the members, and an assembly's tied scores go to a
+deterministic key over the score matrix (``_tie_key``): no single noisy
+answer is right with probability above 1/2.  A run ends in a tree;
+ReconstructionFailure is left for what no aggregation can settle (two
+parts too large to coexist, or a completion with no leaf outside its
+members).
 """
 
 from __future__ import annotations
@@ -293,8 +298,9 @@ def _find_sibling_pair(a, b, reps, closest, stage):
     displace it until no representative does; raises with a witness when
     the answers cycle instead of settling (they admit no tree).
     ``closest(a, b, C)`` gives a code per c in ``C``: 0 keeps (a, b), 1
-    names (a, c) and 2 names (b, c).  Only for answers taken as exact: a
-    closest-pair function, or the direct answers of an exact source.  A
+    names (a, c) and 2 names (b, c).  Only for answers taken as exact and
+    read one triple at a time: ``assemble_from_triples``' closest-pair
+    function, and ``small_exhaustive``'s try of the direct answers.  A
     noisy answer is right with probability at most 1/2, and the walk would
     cycle on it.
     """
@@ -330,16 +336,25 @@ def _assemble_by_scores(ids, plans, M, closest, stage):
     rows (average linkage), so each decision draws on every leaf pair
     across two clusters.
 
-    Tied top pairs are settled by ``closest`` when one is given (an exact
-    source, whose ties are systematic): the displacement walk from the
-    smallest tied pair over its answers.  With ``closest`` None (noise) a
-    tie is a chance coincidence of counts, and a single direct answer is
-    right with probability at most 1/2, so ties go to ``_tie_key`` over
-    the scores.
+    With ``closest`` None, tied top pairs go to ``_tie_key`` over the
+    scores.  Under noise a tie is a chance coincidence of counts, and a
+    single direct answer is right with probability at most 1/2.  Under a
+    tree's counts (an exact source's, over any set S that holds ``ids``)
+    the pair (i, j) scores |S| - |S & clade(lca(i, j))|.  A top pair is
+    then a sibling pair of the topology induced on ``ids``: were a member
+    k nearer to i than j is, (i, k) would score higher, since j lies in
+    clade(lca(i, j)) but not in clade(lca(i, k)).  Sibling clusters have
+    equal rows of integer counts, so their mean is that row bit for bit
+    and the merged cluster scores as one leaf.  So every merge is a
+    sibling merge whichever tied pair goes first, and since each merged
+    plan puts its smaller representative's part first, any tie rule gives
+    the same plan.
 
-    With an all-zero ``M`` every pair ties, so each merge is the walk from
-    the smallest pair over ``closest``'s answers: a BUILD-style assembly
-    from closest-pair answers alone.
+    ``closest(a, b, C)``, when given, settles tied top pairs by the
+    displacement walk from the smallest tied pair over its answers
+    (``_find_sibling_pair``).  With an all-zero ``M`` every pair ties, so
+    each merge is that walk: a BUILD-style assembly from closest-pair
+    answers alone.
     """
     ids = [int(v) for v in ids]
     pos = {v: i for i, v in enumerate(ids)}
@@ -537,7 +552,8 @@ class _Driver:
     answer is read from ``oracle`` itself: an expectation oracle answers
     each triple with its most likely pair (the closest, under a validated
     model), computed on each read, so an expectation run keeps no answer
-    store.
+    store.  ``exact`` marks an exact source, whose completions assemble on
+    the triple counts (``_exact_scores``) instead of outside witnesses.
     """
 
     def __init__(self, oracle, cfg=None, n=None):
@@ -547,9 +563,7 @@ class _Driver:
         self.expansion = {}  # virtual id -> np.array of physical ids
         self.stats = RunStats(n=self.n, band=self.cfg.band(self.n))
         self._all = np.arange(oracle.n_leaves, dtype=np.int64)
-        # an exact source's score ties are systematic and walk on its direct
-        # answers; noisy ties go to _tie_key (see the module note)
-        self.closest = oracle.answers if _exact_source(oracle) else None
+        self.exact = _exact_source(oracle)
         self._scored = None  # (sorted ids, matrix) of the last _triple_scores
 
     def tree(self, plan):
@@ -607,6 +621,24 @@ class _Driver:
         M = _triple_scores(self.oracle, S)
         self._scored = (S, M.copy())
         return M
+
+    def _exact_scores(self, ids):
+        """
+        Symmetric score matrix over the sorted leaf ids ``ids`` from an
+        exact source's triple counts.  When the ids of the kept pass cover
+        ``ids`` it is that pass's matrix restricted to them, and no oracle
+        row is read; otherwise it is a fresh ``_triple_scores`` pass over
+        ``ids``, which does not replace the kept one, so ``_scores`` decides
+        as before.  Either fixes the topology induced on ``ids`` (see
+        ``_assemble_by_scores``).
+        """
+        if self._scored is not None and np.isin(ids, self._scored[0]).all():
+            S0, M0 = self._scored
+            pos = np.searchsorted(S0, ids)
+            M = M0[np.ix_(pos, pos)]
+        else:
+            M = _triple_scores(self.oracle, ids)
+        return np.maximum(M, M.T)
 
     def build_subtree(self, members):
         """
@@ -694,7 +726,11 @@ class _Driver:
     # -- completions ------------------------------------------------------ #
 
     def completion_induced(self, members, stage="completion-induced"):
-        """Resolve the induced topology on ``members`` from outside scores."""
+        """
+        Resolve the induced topology on ``members``: from the triple counts
+        for an exact source, and under noise from the pair counts over the
+        leaves outside ``members``.  Either way some leaf must lie outside.
+        """
         members = sorted(int(v) for v in members)
         if len(members) == 1:
             return members[0]
@@ -704,21 +740,25 @@ class _Driver:
         if len(xs) == 0:
             raise ReconstructionFailure(stage, "no leaves outside the target set")
         ids = np.asarray(members, dtype=np.int64)
-        ii, jj = np.triu_indices(len(ids), k=1)
-        M = np.zeros((len(ids), len(ids)))
-        M[ii, jj] = M[jj, ii] = _pair_tallies(self.oracle, ids[ii], ids[jj],
-                                              xs)[0]
-        return _assemble_by_scores(members, list(members), M, self.closest,
-                                   stage)
+        if self.exact:
+            M = self._exact_scores(ids)
+        else:
+            ii, jj = np.triu_indices(len(ids), k=1)
+            M = np.zeros((len(ids), len(ids)))
+            M[ii, jj] = M[jj, ii] = _pair_tallies(self.oracle, ids[ii],
+                                                  ids[jj], xs)[0]
+        return _assemble_by_scores(members, list(members), M, None, stage)
 
     def completion_quotient(self, inside, candidates):
         """
         Resolve the quotient structure above the subtree on ``inside``:
         order the candidates' buckets from the three-way counts of the
         experiments (x, y, anchor) by rank aggregation (``_order_buckets``),
-        resolve each bucket's interior from its same-bucket counts (the
-        answers (x, y) over the anchors, already asked for the order), and
-        return (plan over candidates plus the inside representative, rep).
+        resolve each bucket's interior, and return (plan over candidates
+        plus the inside representative, rep).  An exact source's bucket
+        interiors assemble on the triple counts (``_exact_scores``); under
+        noise, on the same-bucket counts (the answers (x, y) over the
+        anchors, already asked for the order).
         """
         inside = sorted(int(v) for v in inside)
         anchors = np.asarray(inside, dtype=np.int64)
@@ -750,9 +790,10 @@ class _Driver:
             if len(bucket) == 1:
                 bplan = bucket[0]
             else:
-                bplan = _assemble_by_scores(bucket, list(bucket),
-                                            same[np.ix_(pos, pos)],
-                                            self.closest, "within-bucket")
+                M = (self._exact_scores(np.array(bucket, dtype=np.int64))
+                     if self.exact else same[np.ix_(pos, pos)])
+                bplan = _assemble_by_scores(bucket, list(bucket), M, None,
+                                            "within-bucket")
             plan = (plan, bplan)
         return plan, rep
 
@@ -924,11 +965,10 @@ def reconstruct_topology(oracle, cfg=None, return_stats=False):
     Reconstruct the full leaf-labeled topology behind ``oracle``.
 
     Returns a Tree (heights set proportionally to level depth; only the
-    topology is meaningful).  A run on noisy answers ends in a tree: its
-    decisions aggregate counts and never test the answers for consistency.
-    Raises ReconstructionFailure, naming the stage and a witness, when the
-    answers of an exact source (noiseless model, expectation mode) admit no
-    tree, or when two parts of a partition are too large to coexist.
+    topology is meaningful).  Its decisions aggregate counts and never
+    test the answers for consistency.  Raises ReconstructionFailure,
+    naming the stage, when two parts of a partition are too large to
+    coexist, or when a completion is left with no leaf outside its members.
     Raises ValueError for fewer than two leaves.
     """
     if oracle.n_leaves < 2:

@@ -431,6 +431,36 @@ def test_answers_match_a_store_free_reference_in_every_order(source):
         assert o.query_count == (0 if source == "expectation" else len(T))
 
 
+_READER_ARGS = [
+    (0, 1, 5),
+    (np.array(0), np.array(1), np.array(5)),
+    (np.array(0), 1, np.int64(5)),
+    (np.arange(0, 6), np.arange(6, 12), np.arange(12, 18)),
+    (0, 1, np.arange(2, 9)),
+    (np.array([[0], [1]]), 2, np.array([[3, 4, 5, 6]])),
+    ([0, 1], np.array(2), [[3], [4], [7]]),
+]
+
+
+@pytest.mark.parametrize("source", ["noiseless", "homogeneous", "expectation"])
+@pytest.mark.parametrize("args", _READER_ARGS)
+def test_readers_broadcast_their_arguments(source, args):
+    # scalars, 0-d, 1-d and mixed shapes give what the readers give on the
+    # arguments broadcast in full beforehand: at least 1-d, in their shape
+    t = random_tree(24, w=0.05, seed=5)
+    o = (ExpectationOracle(t, "homogeneous") if source == "expectation"
+         else OracleState(t, source, seed=7))
+    full = [np.ascontiguousarray(x) for x in np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in args))]
+    I, J, K = args
+    FI, FJ, FK = full
+    for got, want in ((o.codes(I, J, K), o.codes(FI, FJ, FK)),
+                      (o.answers(K, I, J), o.answers(FK, FI, FJ)),
+                      (o.wins(J, K, I), o.wins(FJ, FK, FI))):
+        assert got.shape == want.shape == FI.shape
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("model, seed, digest", [
     ("homogeneous", 17,
      "9d3be38fce1f1af4090a55f96bba3d5b241f871c5efdd190721031321693d7e2"),

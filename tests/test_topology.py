@@ -32,6 +32,7 @@ from tripletree import (
     tree_from_topology,
 )
 import tripletree.topology as topology_mod
+from tripletree.noise_oracle import _OracleBase
 from tripletree.topology import (
     _Driver,
     _find_sibling_pair,
@@ -197,7 +198,7 @@ def _reference_build_subtree(drv, members):
             key = min((min(reps[i], reps[j]), max(reps[i], reps[j]), i, j)
                       for i, j in tied)
             p, q = key[2], key[3]
-        if drv.closest is None:
+        if not drv.exact:
             mean = _mean_row(np.maximum(M, M.T), sizes, p, q)
         plans[p] = (plans[min(p, q)], plans[max(p, q)])
         reps[p] = min(reps[p], reps[q])
@@ -209,7 +210,7 @@ def _reference_build_subtree(drv, members):
         if n_alive == 1 or sizes[p] >= lo_band:
             break
         others = np.array([t for t in range(l) if alive[t] and t != p])
-        if drv.closest is not None:
+        if drv.exact:
             vals = _wins_sum_pairs(
                 oracle, np.full(len(others), reps[p]),
                 np.array([reps[t] for t in others]), S, part_of,
@@ -521,9 +522,9 @@ def _score_first_assemble(ids, plans, M, closest, stage):
     keep=st.floats(0.1, 0.9),
 )
 def test_completions_match_score_first_walk(n, seed, keep):
-    # on a tree's answers, average linkage with ties walked on the direct
-    # answers must assemble what representative rows and a walk that
-    # compares scores before it asks an answer assembled
+    # on a tree's answers, average linkage on the triple counts must
+    # assemble what representative rows and a walk that compares scores
+    # before it asks an answer assembled
     t = random_tree(n, w=0.2 / n, seed=seed)
     rng = np.random.default_rng(seed)
     ids = sorted(rng.choice(n, size=max(2, int(keep * n)), replace=False).tolist())
@@ -535,6 +536,76 @@ def test_completions_match_score_first_walk(n, seed, keep):
             plans.append((drv.completion_induced(ids),
                           drv.completion_quotient(ids, rest)))
     assert plans[0] == plans[1]
+
+
+def _walked_completions(drv, run):
+    """
+    ``run(drv)`` on the path exact sources took before the completions read
+    the triple counts: pair counts over the leaves outside the members
+    (over the anchors, within a bucket), with tied top pairs walked on the
+    oracle's direct answers.
+    """
+    assemble = topology_mod._assemble_by_scores
+
+    def walked(ids, plans, M, closest, stage):
+        return assemble(ids, plans, M, drv.oracle.answers, stage)
+
+    drv.exact = False
+    with mock.patch.object(topology_mod, "_assemble_by_scores", walked):
+        return run(drv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["noiseless", "expectation"]),
+    n=st.integers(6, 80),
+    seed=st.integers(0, 2**16),
+    keep=st.floats(0.1, 0.9),
+    small_band=st.booleans(),
+)
+def test_exact_completions_match_the_walked_reference(kind, n, seed, keep,
+                                                      small_band):
+    # an exact source's counts fix the induced topology of any members, so
+    # the kept pass restricted to them and a pass over them alone must both
+    # assemble what outside counts and the walk on direct answers did; the
+    # restriction reads no row, and the fallback pass keeps no matrix
+    t = random_tree(n, w=0.2 / n, seed=seed)
+    band = (dict(subtree_band=(3, 6), large_fraction=0.5, n0=3)
+            if small_band else {})
+    rng = np.random.default_rng(seed)
+    members = sorted(rng.choice(n, size=max(3, int(keep * n)),
+                                replace=False).tolist())
+    rest = sorted(set(range(n)) - set(members))
+
+    def run(drv):
+        return (drv.completion_induced(members),
+                drv.completion_quotient(members, rest))
+
+    def driver():
+        o = _oracle(kind, t, seed)
+        return _Driver(o, ReconstructionConfig.for_oracle(o, **band))
+
+    want = _walked_completions(driver(), run)
+
+    covered = driver()
+    covered.build_subtree(range(n))
+    kept = covered._scored
+    rows = []
+    slots = _OracleBase._slots
+
+    def counted(self, i, j, k):
+        rows.append(i.size)
+        return slots(self, i, j, k)
+
+    with mock.patch.object(_OracleBase, "_slots", counted):
+        induced = covered.completion_induced(members)
+    assert rows == []
+    assert (induced, covered.completion_quotient(members, rest)) == want
+    assert covered._scored is kept
+
+    fresh = driver()
+    assert run(fresh) == want
+    assert fresh._scored is None
 
 
 # ---------------------------------------------------------------------- #
@@ -800,7 +871,7 @@ def test_exact_source_predicate_is_shared():
              (OracleState(t, "homogeneous", seed=0), False)]
     for oracle, exact in cases:
         assert (ReconstructionConfig.for_oracle(oracle).c_thr == 0.0) is exact
-        assert (_Driver(oracle, None).closest is not None) is exact
+        assert _Driver(oracle, None).exact is exact
     assert topology_equal(reconstruct_topology(cases[0][0]), t)
 
 
