@@ -29,10 +29,16 @@ its canonical rows; and ``wins`` the indicator of one target pair (in
 expectation mode its probability).  A row that does not name three
 distinct leaves raises ``ValueError``, in both oracles.
 
-A block of rows that are all new and rise strictly in rank, as a pass
-over the triples of sorted leaves in rank order asks them, is drawn as
-given: no deduplication and no second read of the store.  Any other block
-draws only its never-asked triples, once each.
+``pass_slots(S)`` answers every triple of the sorted leaf ids ``S`` in
+rank order, one layer at a time: the triples whose top position is c are
+the first C(c,2) pairs (b, a) of ``np.tril_indices(l, -1)``, so each layer
+reads its distances from two per-pass vectors and one row of the distances
+among ``S``, with no per-row index gathers.  ``OracleState`` checks with
+one masked read per store byte that a layer is all new, decides it with
+the rule ``_decide`` uses, and ORs one value into each byte.  A layer
+that holds an answered triple, or whose ranks are not consecutive (``S``
+does not run 0, 1, 2, ... up to it), goes through ``_draw_slots``, which
+draws only never-asked triples, once each.
 """
 
 from __future__ import annotations
@@ -220,6 +226,12 @@ def _left_out(slot, i, j, k):
     return np.where(slot == 0, k, np.where(slot == 1, j, i))
 
 
+def _pack(codes):
+    """Store bytes of 2-bit codes laid out four to a byte, lowest first."""
+    v = codes.view("<u4")
+    return (v | v >> 6 | v >> 12 | v >> 18).astype(np.uint8)
+
+
 def _check_rows(i, j, k):
     """Raise ``ValueError`` unless every canonical row has 0 <= i < j < k."""
     if not ((i < j) & (j < k) & (i >= 0)).all():
@@ -292,6 +304,37 @@ class _OracleBase:
             out[lo:hi] = self._draw_slots(i[lo:hi], j[lo:hi], k[lo:hi])
         return out
 
+    def pass_slots(self, S):
+        """
+        Answer slots of every triple of the sorted leaf ids ``S`` in rank
+        order, one layer at a time.  Yields ``(c, b0, b1, slot)``: ``slot``
+        answers the position triples (a, b, c) with b0 <= b < b1 and a < b,
+        in ``np.tril_indices(len(S), -1)`` order (tril positions C(b0,2) on).
+        A layer c of more than ``_BLOCK_ROWS`` rows comes in runs of whole
+        b-rows.  Raises ``ValueError`` unless ``S`` is sorted, distinct and
+        in range, which makes every row a canonical triple.
+        """
+        S = np.asarray(S, dtype=np.int64)
+        if S.ndim != 1 or not ((S[1:] > S[:-1]).all() and (S[:1] >= 0).all()
+                               and (S[-1:] < self.n_leaves).all()):
+            raise ValueError("pass_slots takes sorted distinct leaf ids")
+        l = len(S)
+        tb, ta = np.tril_indices(l, -1)
+        DS = self.distances[np.ix_(S, S)]
+        d01 = DS[tb, ta]  # d(a, b); a layer's rows are a prefix
+        layer = self._layer_reader(S, tb, ta)
+        c2 = np.arange(l + 1) * np.arange(-1, l) // 2  # C(b, 2)
+        for c in range(2, l):
+            row = DS[c, :c]  # d(a, c) and d(b, c)
+            b0 = 1
+            while b0 < c:
+                cut = int(np.searchsorted(c2, c2[b0] + _BLOCK_ROWS, side="right"))
+                b1 = min(c, max(b0 + 1, cut - 1))
+                lo, hi = int(c2[b0]), int(c2[b1])
+                yield c, b0, b1, layer(c, lo, hi, d01[lo:hi],
+                                       row.take(ta[lo:hi]), row.take(tb[lo:hi]))
+                b0 = b1
+
     def codes(self, I, J, K):
         """
         Answer slot per row, the most likely one in expectation mode: 0 for
@@ -326,8 +369,9 @@ class OracleState(_OracleBase):
     ``query(a, b, c)`` returns the answer pair for three leaf labels;
     ``codes(I, J, K)`` is the vectorized answer slot of each canonical row
     I < J < K, ``answers(A, B, C)`` the answer of each row in argument
-    order, and ``wins(A, B, C)`` the vectorized indicator that the answer
-    to each row's triple is the pair (A, B).  All of them read and fill
+    order, ``wins(A, B, C)`` the vectorized indicator that the answer to
+    each row's triple is the pair (A, B), and ``pass_slots(S)`` the
+    answers to every triple of sorted leaf ids.  All of them read and fill
     one answer store, a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes
     holding a 2-bit code per canonical triple (see the module docstring).
     ``query_count`` is the number of codes written, i.e. of distinct
@@ -349,45 +393,81 @@ class OracleState(_OracleBase):
 
     # -- answers ------------------------------------------------------- #
 
-    def _decide(self, i, j, k):
-        """Fresh draw of the answer slot for canonical triples (i, j, k)."""
-        p0, p1, _ = self._probs(i, j, k)
+    def _decide(self, probs, ids):
+        """
+        Fresh answer slot of canonical triples from the model's slot
+        probabilities ``probs``; ``ids()`` gives their keyed ids
+        ``i*n*n + j*n + k`` as uint64, asked only when the model draws.
+        """
+        p0, p1, _ = probs
         if not self.model.sampled:
             return np.where(p0 == 1.0, 0, np.where(p1 == 1.0, 1, 2))
-        ids = (i * self._n2 + j * self.n_leaves + k).astype(np.uint64)
-        u = keyed_uniform(self.seed, ids)
+        u = keyed_uniform(self.seed, ids())
         return (u >= p0).astype(np.int64) + (u >= p0 + p1)
 
     def _draw_slots(self, i, j, k):
         """
         Answer slots (0: (i,j), 1: (i,k), 2: (j,k)) for canonical rows,
-        drawing and storing only the triples never asked before.  When
-        every row is new and the ranks rise strictly, the rows are distinct
-        and are drawn as given; otherwise the new rows are deduplicated
-        first and the store is read again after the write.
+        drawing and storing only the triples never asked before: the new
+        rows are deduplicated first and the store is read again after the
+        write.
         """
         _check_rows(i, j, k)
         rank = self._c3[k] + self._c2[j] + i
         byte = rank >> 2
         shift = ((rank & 3) << 1).astype(np.uint8)
         code = (self._store[byte] >> shift) & 3
-        if not code.any() and (rank[1:] > rank[:-1]).all():
-            slot = self._decide(i, j, k)
-            # rows of one byte share it: OR each code in, never assign
-            np.bitwise_or.at(self._store, byte,
-                             (slot + 1).astype(np.uint8) << shift)
-            self._count += len(rank)
-            return slot
         new = np.flatnonzero(code == 0)
         if len(new):
             fresh, first = np.unique(rank[new], return_index=True)
             rows = new[first]
-            slot = self._decide(i[rows], j[rows], k[rows])
+            i, j, k = i[rows], j[rows], k[rows]
+            slot = self._decide(self._probs(i, j, k), lambda: (
+                i * self._n2 + j * self.n_leaves + k).astype(np.uint64))
             bits = (slot + 1).astype(np.uint8) << shift[rows]
             np.bitwise_or.at(self._store, fresh >> 2, bits)
             self._count += len(fresh)
             code[new] = (self._store[byte[new]] >> shift[new]) & 3
         return code - 1
+
+    def _layer_reader(self, S, tb, ta):
+        """
+        The answers of one run of a ``pass_slots`` layer: ``layer(c, lo,
+        hi, d01, d02, d12)`` for the triples (a, b, c) at tril positions
+        ``lo:hi``, whose ranks C(S[c],3) + C(S[b],2) + S[a] rise strictly.
+        When they are consecutive (``S`` runs 0, 1, 2, ... up to the run's
+        b-rows, as in a pass over every leaf) the run fills the store
+        bytes ``B0:B1`` from the first rank's to the last's: a run with no
+        answered triple is decided as given, and each byte is read and
+        written once.  Any other run goes to ``_draw_slots``.
+        """
+        c2, c3 = self._c2, self._c3
+        key2 = (S[ta] * self._n2 + S[tb] * self.n_leaves
+                if self.model.sampled else None)
+
+        def layer(c, lo, hi, d01, d02, d12):
+            k = S[c]
+            first = c3[k] + c2[S[tb[lo]]] + S[ta[lo]]
+            last = c3[k] + c2[S[tb[hi - 1]]] + S[ta[hi - 1]]
+            if last - first == hi - lo - 1:
+                B0, B1 = first >> 2, (last >> 2) + 1
+                at = slice(first - 4 * B0, last + 1 - 4 * B0)
+                codes = np.zeros(4 * (B1 - B0), dtype=np.uint8)
+                codes[at] = 3
+                # one masked read per byte: the run's own 2-bit codes only
+                if not (self._store[B0:B1] & _pack(codes)).any():
+                    slot = self._decide(
+                        self.model.slot_probs(d01, d02, d12),
+                        lambda: (key2[lo:hi] + k).astype(np.uint64))
+                    codes[at] = slot + 1
+                    # a byte may hold other answers: OR in, never assign
+                    self._store[B0:B1] |= _pack(codes)
+                    self._count += hi - lo
+                    return slot
+            return self._draw_slots(S[ta[lo:hi]], S[tb[lo:hi]],
+                                    np.full(hi - lo, k))
+
+        return layer
 
     def wins(self, A, B, C):
         """
@@ -426,6 +506,11 @@ class ExpectationOracle(_OracleBase):
         """Most likely answer slot of canonical rows; nothing is stored."""
         _check_rows(i, j, k)
         return np.argmax(np.stack(self._probs(i, j, k)), axis=0)
+
+    def _layer_reader(self, S, tb, ta):
+        """The most likely slots of a ``pass_slots`` run from its distances."""
+        return lambda c, lo, hi, *d: np.argmax(
+            np.stack(self.model.slot_probs(*d)), axis=0)
 
     def wins(self, A, B, C):
         A, B, C = self._rows(A, B, C)

@@ -35,8 +35,8 @@ leaves outside the members, and an assembly's tied scores go to a
 deterministic key over the score matrix (``_tie_key``): no single noisy
 answer is right with probability above 1/2.  A run ends in a tree;
 ReconstructionFailure is left for what no aggregation can settle (two
-parts too large to coexist, or a completion with no leaf outside its
-members).
+parts too large to coexist, or a noisy completion with no leaf outside
+its members).
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ import numpy as np
 from .noise_oracle import ExpectationOracle
 from .tree_core import _closest_codes, map_plan, tree_from_topology
 
-_CHUNK = 1 << 21
+# Rows per block of ``_pair_tallies`` and ``_wins_sum_pairs``; bounds their
+# temporaries (about 90 bytes a row, so some 23 MB a block).
+_CHUNK = 1 << 18
 
 
 class ReconstructionFailure(Exception):
@@ -144,8 +146,9 @@ class RunStats:
         """
         Every pivot collapse must stay within the size band's top and be
         followed either by a fresh base of at least the band's bottom or
-        by a direct completion of the collapsed bucket against leaves
-        outside it (whose existence the completion call itself enforces).
+        by a direct completion of the collapsed bucket (against leaves
+        outside it under noise, whose existence the completion call itself
+        enforces).
         """
         lo, hi = self.band
         pending = 0
@@ -217,43 +220,31 @@ def _pair_tallies(oracle, X, Y, W):
     return out
 
 
-def _triple_blocks(l, rows=_CHUNK):
-    """
-    Position triples a < b < c < l in rank order (by c, then b, then a),
-    as (a, b, c) arrays of about ``rows`` triples each (every pair (b, c)
-    whole).  Over sorted leaf ids the oracle's triple ranks
-    ``C(k,3) + C(j,2) + i`` rise strictly across the pass, so each block
-    fills the answer store without deduplication.
-    """
-    C, B = np.tril_indices(l, k=-1)  # pairs b < c; (b, c) extends to b triples
-    end = np.cumsum(B)
-    lo = start = 0
-    while lo < len(B) and start < end[-1]:
-        hi = max(lo + 1, int(np.searchsorted(end, start + rows, side="right")))
-        cnt = B[lo:hi]
-        a = np.arange(start, end[hi - 1]) - np.repeat(end[lo:hi] - cnt, cnt)
-        yield a, np.repeat(cnt, cnt), np.repeat(C[lo:hi], cnt)
-        lo, start = hi, end[hi - 1]
-
-
 def _triple_scores(oracle, S):
     """
     Score matrix over the positions of the sorted leaf ids ``S``: ``M[a, b]``
     (a < b) counts the other members x whose experiment (S[a], S[b], x)
     answered (S[a], S[b]), and every other entry is -inf.  One pass over
-    the triples a < b < c in rank order reads one answer code per triple
-    and counts it for the pair it names.  The counts are integers, so the
-    matrix over a subset of ``S`` is this one restricted to the subset,
-    minus the counts over the dropped members, bit for bit (see
-    ``_Driver._scores``).
+    the triples a < b < c in rank order (``oracle.pass_slots``) reads one
+    answer code per triple and counts each layer c at once: answers (a, b)
+    by the pair's tril position, answers (a, c) and (b, c) into column c.
+    The counts are integers, so the matrix over a subset of ``S`` is this
+    one restricted to the subset, minus the counts over the dropped
+    members, bit for bit (see ``_Driver._scores``).
     """
     l = len(S)
-    flat = np.zeros(l * l)
-    for a, b, c in _triple_blocks(l):
-        slot = oracle.codes(S[a], S[b], S[c])
-        pair = np.where(slot == 2, b, a) * l + np.where(slot == 0, b, c)
-        flat += np.bincount(pair, minlength=l * l)
-    M = flat.reshape(l, l)
+    M = np.zeros((l, l))
+    tb, ta = np.tril_indices(l, k=-1)
+    same = np.zeros(len(tb), dtype=np.int64)  # answers (a, b) at (b, a)
+    c2 = np.arange(l) * np.arange(-1, l - 1) // 2  # C(b, 2): b-row starts
+    for c, b0, b1, slot in oracle.pass_slots(S):
+        lo = c2[b0]
+        hi = lo + len(slot)
+        same[lo:hi] += slot == 0
+        M[:c, c] += np.bincount(ta[lo:hi][slot == 1], minlength=c)
+        M[b0:b1, c] += np.add.reduceat(slot == 2, c2[b0:b1] - lo,
+                                       dtype=np.int64)
+    M[ta, tb] += same
     M[np.tril_indices(l)] = -np.inf
     return M
 
@@ -599,7 +590,9 @@ class _Driver:
 
     def _scores(self, S):
         """
-        ``_triple_scores(self.oracle, S)`` for sorted leaf ids ``S``.  When
+        ``_triple_scores(self.oracle, S)`` for sorted leaf ids ``S``: a
+        fresh pass asks every triple of ``S`` once, one layer at a time
+        (``pass_slots``), and is kept as the last full pass.  When
         ``S`` lies inside the ids ``S0`` of the last full pass and the
         C(|S|,2) * |drop| rows over the dropped ids ``drop`` (``S0`` less
         ``S``) are fewer than C(|S|,3), the matrix is the kept one
@@ -675,7 +668,9 @@ class _Driver:
             p, q = divmod(int(np.argmax(M)), l)
             if not np.isfinite(M[p, q]):
                 raise ReconstructionFailure("build-subtree", "no scorable pair left")
-            mean = _mean_row(np.maximum(M, M.T), sizes, p, q)
+            # rows p and q of the symmetrised M (the pair {t, u} is at t < u)
+            rows = np.maximum(M[[p, q]], M[:, [p, q]].T)
+            mean = _mean_row(rows, [sizes[p], sizes[q]], 0, 1)
             # merge q into p
             plans[p] = (plans[p], plans[q])
             sizes[p] += sizes[q]
@@ -728,21 +723,23 @@ class _Driver:
     def completion_induced(self, members, stage="completion-induced"):
         """
         Resolve the induced topology on ``members``: from the triple counts
-        for an exact source, and under noise from the pair counts over the
-        leaves outside ``members``.  Either way some leaf must lie outside.
+        for an exact source, which need no other leaf, and under noise from
+        the pair counts over the leaves outside ``members``, of which there
+        must be one.
         """
         members = sorted(int(v) for v in members)
         if len(members) == 1:
             return members[0]
         if len(members) == 2:
             return (members[0], members[1])
-        xs = self.outside(members)
-        if len(xs) == 0:
-            raise ReconstructionFailure(stage, "no leaves outside the target set")
         ids = np.asarray(members, dtype=np.int64)
         if self.exact:
             M = self._exact_scores(ids)
         else:
+            xs = self.outside(members)
+            if len(xs) == 0:
+                raise ReconstructionFailure(stage,
+                                            "no leaves outside the target set")
             ii, jj = np.triu_indices(len(ids), k=1)
             M = np.zeros((len(ids), len(ids)))
             M[ii, jj] = M[jj, ii] = _pair_tallies(self.oracle, ids[ii],
@@ -968,7 +965,8 @@ def reconstruct_topology(oracle, cfg=None, return_stats=False):
     topology is meaningful).  Its decisions aggregate counts and never
     test the answers for consistency.  Raises ReconstructionFailure,
     naming the stage, when two parts of a partition are too large to
-    coexist, or when a completion is left with no leaf outside its members.
+    coexist, or when a noisy completion is left with no leaf outside its
+    members.
     Raises ValueError for fewer than two leaves.
     """
     if oracle.n_leaves < 2:

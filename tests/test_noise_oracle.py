@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletree import (
@@ -249,9 +249,11 @@ _OPS = st.one_of(
                                2 * _BLOCK_ROWS + 3]),
               st.sampled_from([1, 5, 60, 4000])),
     st.tuples(st.just("query"), st.just(1), st.just(1)),
-    # a run of consecutive ranks, as the scoring pass asks them; the pool
-    # size is how many ranks are asked beforehand: none, the rank before
-    # the run, or that one and four of the run's first block
+    # a run of consecutive ranks through ``codes`` or ``wins``, which take
+    # the general path of ``_draw_slots`` like any other rows (the scoring
+    # pass asks its runs through ``pass_slots``); the pool size is how many
+    # ranks are asked beforehand: none, the rank before the run, or that
+    # one and four of the run's first block
     st.tuples(st.sampled_from(["wins-ranks", "codes-ranks"]),
               st.sampled_from([1, 7, 300, _BLOCK_ROWS + 5,
                                2 * _BLOCK_ROWS + 3]),
@@ -283,11 +285,10 @@ def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, op
     for kind, rows, pool_size in ops:
         if kind.endswith("-ranks"):
             # start off a byte boundary, so the run's first byte is shared
-            # with the rank before it.  Answering that rank first makes an
-            # all-new first block write into a byte already in use; ranks
-            # of the first block answered first send it down the general
-            # path, and a later all-new block then shares its first byte
-            # with the rows that path wrote
+            # with the rank before it: answering that rank first makes the
+            # run write into a byte already in use, and ranks of the first
+            # block answered first make a later block share its first byte
+            # with the rows already written
             rows = min(rows, n3)
             start = int(rng.integers(0, n3 - rows + 1))
             if start % 4 == 0 and start + rows < n3:
@@ -345,6 +346,72 @@ def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, op
                 ((a, b), (a, c), (b, c))[slot]
             )
         assert o.query_count == len(asked)
+
+
+def _pass_source(source, tree, seed):
+    if source == "expectation-homogeneous":
+        return ExpectationOracle(tree, "homogeneous")
+    if source == "expectation-custom":
+        return ExpectationOracle(tree, CustomModel(_linear_p_correct,
+                                                   epsilon=1.0 / 13.0))
+    return OracleState(tree, source, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 60),
+    source=st.sampled_from(["noiseless", "homogeneous",
+                            "expectation-homogeneous", "expectation-custom"]),
+    subset=st.booleans(),
+    block=st.sampled_from([1, 3, 40, _BLOCK_ROWS]),
+    seed=st.integers(0, 2 ** 64 - 1),
+    data_seed=st.integers(0, 2 ** 32 - 1),
+)
+# layers 4 and 5 each end in an answered triple; layer 5 starts mid-byte,
+# in the byte of layer 4's last triple
+@example(n=9, source="noiseless", subset=False, block=_BLOCK_ROWS, seed=0,
+         data_seed=0)
+def test_pass_slots_match_row_wise_codes(n, source, subset, block, seed,
+                                         data_seed):
+    # the layer pass answers, stores and counts what ``codes`` does on the
+    # same rows in rank order.  Asked first: the last triple of some layers,
+    # so that those layers hold an answered triple (``_draw_slots``) and
+    # the fresh layer after each shares its first store byte with it when
+    # C(c,3) is not a multiple of 4, plus a few triples anywhere
+    tree = _store_tree(n)
+    rng = np.random.default_rng(data_seed)
+    S = np.arange(n)
+    if subset:
+        S = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)),
+                               replace=False))
+    l = len(S)
+    ends = np.arange(2, l)[rng.random(max(0, l - 2)) < 0.3]
+    pre = np.concatenate([np.stack([S[ends - 2], S[ends - 1], S[ends]], axis=1),
+                          _triple_pool(rng, n, int(rng.integers(0, 6)))])
+    trips = np.array(sorted(itertools.combinations(range(l), 3),
+                            key=lambda t: t[::-1]), dtype=np.int64)
+    T = S[trips.reshape(-1, 3)]
+    o, ref = _pass_source(source, tree, seed), _pass_source(source, tree, seed)
+    for x in (o, ref):
+        x.codes(pre[:, 0], pre[:, 1], pre[:, 2])
+    with mock.patch.object(noise_oracle, "_BLOCK_ROWS", block):
+        blocks = list(o.pass_slots(S))
+    got = np.concatenate([slot for *_, slot in blocks] + [np.empty(0)])
+    np.testing.assert_array_equal(got, ref.codes(T[:, 0], T[:, 1], T[:, 2]))
+    assert o.query_count == ref.query_count
+    if isinstance(o, OracleState):
+        np.testing.assert_array_equal(o._store, ref._store)
+
+
+@pytest.mark.parametrize("source", ["noiseless", "expectation-homogeneous"])
+@pytest.mark.parametrize("S", [[2, 1, 3], [0, 1, 1, 3], [-1, 2, 3],
+                               [0, 1, 8], [[0, 1, 2]]])
+def test_pass_slots_takes_sorted_distinct_ids_in_range(source, S):
+    t = generate_random_ultrametric(8, 0.05, seed=0)
+    o = _pass_source(source, t, 0)
+    with pytest.raises(ValueError):
+        next(o.pass_slots(S))
+    assert o.query_count == 0
 
 
 def test_rows_that_are_not_triples_raise_and_leave_the_store_alone():

@@ -31,6 +31,7 @@ from tripletree import (
     topology_equal,
     tree_from_topology,
 )
+import tripletree.noise_oracle as noise_oracle
 import tripletree.topology as topology_mod
 from tripletree.noise_oracle import _OracleBase
 from tripletree.topology import (
@@ -41,7 +42,6 @@ from tripletree.topology import (
     _plan_codes,
     _position_triples,
     _topology_tables,
-    _triple_blocks,
     _triple_scores,
     _wins_sum_pairs,
 )
@@ -260,17 +260,30 @@ def test_build_subtree_incremental_scores_match_rescoring(kind, n, seed, keep,
 @pytest.mark.parametrize("l", [0, 1, 2, 3, 4, 7, 40])
 @pytest.mark.parametrize("rows", [1, 2, 5, 37, 1 << 21])
 def test_triple_blocks_ask_each_triple_once_in_rank_order(l, rows):
-    blocks = list(_triple_blocks(l, rows))
-    trips = [t for a, b, c in blocks
-             for t in zip(a.tolist(), b.tolist(), c.tolist())]
-    assert sorted(trips) == list(itertools.combinations(range(l), 3))
-    ranks = [math.comb(c, 3) + math.comb(b, 2) + a for a, b, c in trips]
+    # the blocks of ``pass_slots`` (runs of whole b-rows of a layer c, at
+    # most ``_BLOCK_ROWS`` rows unless one b-row is longer) answer every
+    # position triple once, in rank order, as a row-wise ``codes`` does
+    t = random_tree(40, w=0.005, seed=l)
+    S = np.sort(np.random.default_rng(rows).choice(40, size=l, replace=False))
+    o = OracleState(t, "homogeneous", seed=rows)
+    with mock.patch.object(noise_oracle, "_BLOCK_ROWS", rows):
+        blocks = list(o.pass_slots(S))
+    trips, slots = [], []
+    for c, b0, b1, slot in blocks:
+        assert 1 <= b0 < b1 <= c
+        assert len(slot) <= rows or b1 - b0 == 1
+        run = [(a, b, c) for b in range(b0, b1) for a in range(b)]
+        assert len(slot) == len(run)
+        trips += run
+        slots += slot.tolist()
+    assert trips == sorted(itertools.combinations(range(l), 3),
+                           key=lambda t: (t[2], t[1], t[0]))
+    ranks = [math.comb(S[c], 3) + math.comb(S[b], 2) + S[a] for a, b, c in trips]
     assert all(x < y for x, y in zip(ranks, ranks[1:]))
-    # each pair (b, c) lies in one block, and a block outgrows ``rows``
-    # only to keep its first pair whole
-    pairs = [set(zip(b.tolist(), c.tolist())) for _, b, c in blocks]
-    assert sum(map(len, pairs)) == len(set().union(*pairs))
-    assert all(len(a) <= max(rows, l - 2) for a, _, _ in blocks)
+    assert o.query_count == len(trips)
+    ref = OracleState(t, "homogeneous", seed=rows)
+    T = S[np.array(trips, dtype=np.int64).reshape(-1, 3)]
+    np.testing.assert_array_equal(slots, ref.codes(T[:, 0], T[:, 1], T[:, 2]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -770,6 +783,27 @@ def test_expectation_runs_as_the_noiseless_store_does(model, n, seed,
     want = _run_record(ref, ReconstructionConfig.for_oracle(ref, **band))
     assert got == want
     assert eo.query_count == 0
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("source", ["noiseless", "homogeneous", "steep"])
+def test_exact_grow_lower_needs_no_outside_leaf(source, seed):
+    # with the small band at n=7 the pivot and the lower parts take every
+    # leaf, so "grow-lower" completes the whole universe: an exact source
+    # assembles it on its triple counts, which need no outside leaf
+    t = random_tree(7, w=0.01, seed=seed)
+    o = (OracleState(t, "noiseless", 0) if source == "noiseless"
+         else ExpectationOracle(t, "homogeneous" if source == "homogeneous"
+                                else _STEEP))
+    cfg = ReconstructionConfig.for_oracle(o, subtree_band=(3, 6),
+                                          large_fraction=0.5, n0=3)
+    got, stats = reconstruct_topology(o, cfg, return_stats=True)
+    assert topology_equal(got, t)
+    assert "peel" in stats.stages
+    # a noisy source still needs a leaf outside the members
+    noisy = _Driver(OracleState(t, "homogeneous", 1))
+    with pytest.raises(ReconstructionFailure, match="no leaves outside"):
+        noisy.completion_induced(range(7), stage="grow-lower")
 
 
 def test_reconstruct_rerun_same_oracle_identical():
