@@ -20,7 +20,11 @@ clusters are scored by average linkage on the triplet votes, the
 partition and the bucket order count all three answers of each
 experiment, and buckets are ordered by rank aggregation.  Under a tree's
 answers sibling clusters have equal score rows, so average linkage there
-is the paper's merging on representative rows.
+is the paper's merging on representative rows.  One routine does all the
+average linkage (``_agglomerate``, O(m) a merge on an m-cluster matrix
+updated in place): the base and the pivot stop at the size band with ties
+to the smallest positions, and every assembly runs to one cluster with the
+tie rule of its source (``_assemble_by_scores``).
 
 An exact answer source (the noiseless model, or expectation mode, which
 the driver asks for each triple's most likely pair) selects two things
@@ -318,68 +322,131 @@ def _find_sibling_pair(a, b, reps, closest, stage):
             )
 
 
-def _assemble_by_scores(ids, plans, M, closest, stage):
+def _agglomerate(M, size, band=None, tie=None):
     """
-    Agglomerate by merging the pair of clusters with the highest score: the
-    expected score is strictly decreasing in the pair distance against an
-    equidistant witness set, so the best-supported pair is a sibling pair.
-    A merged cluster scores with the size-weighted mean of its two parts'
-    rows (average linkage), so each decision draws on every leaf pair
-    across two clusters.
+    Average linkage in place: merge the top-scoring pair of live clusters
+    of the symmetric float64 score matrix ``M`` (-inf on the diagonal)
+    until one cluster is left or, with ``band``, until the merged cluster
+    holds ``band`` members (no merge at all when one already does).
+    ``size`` holds each position's member count and is updated in place.
+    Returns the merges in order as position pairs (i, j), i < j: j is
+    merged into i, whose row and column become the size-weighted mean of
+    the two (``_mean_row``), while row and column j become -inf.
 
-    With ``closest`` None, tied top pairs go to ``_tie_key`` over the
-    scores.  Under noise a tie is a chance coincidence of counts, and a
-    single direct answer is right with probability at most 1/2.  Under a
-    tree's counts (an exact source's, over any set S that holds ``ids``)
-    the pair (i, j) scores |S| - |S & clade(lca(i, j))|.  A top pair is
-    then a sibling pair of the topology induced on ``ids``: were a member
-    k nearer to i than j is, (i, k) would score higher, since j lies in
-    clade(lca(i, j)) but not in clade(lca(i, k)).  Sibling clusters have
-    equal rows of integer counts, so their mean is that row bit for bit
-    and the merged cluster scores as one leaf.  So every merge is a
-    sibling merge whichever tied pair goes first, and since each merged
-    plan puts its smaller representative's part first, any tie rule gives
-    the same plan.
+    The top pair is the first maximum of ``M`` in row-major order, so tied
+    pairs go to the smallest positions.  When more than one pair ties and
+    ``tie`` is given, ``tie(M, p, q, live)`` names the pair to merge, with
+    (p, q) the smallest top pair and ``live`` the live positions in order
+    (``_key_tie``, or the walk of ``_assemble_by_scores``).
 
-    ``closest(a, b, C)``, when given, settles tied top pairs by the
-    displacement walk from the smallest tied pair over its answers
-    (``_find_sibling_pair``).  With an all-zero ``M`` every pair ties, so
-    each merge is that walk: a BUILD-style assembly from closest-pair
-    answers alone.
+    Each row's best value and first column are kept (``rowmax``,
+    ``rowarg``), so the top pair is read in O(m).  A merge changes only
+    columns i and j of the other rows: a row whose best was i or j is
+    scanned again, and every other row keeps its best unless the new
+    entry in column i beats it (an equal value goes to the smaller
+    column).  A merge costs O(m) plus O(m) for each row scanned again.
     """
-    ids = [int(v) for v in ids]
-    pos = {v: i for i, v in enumerate(ids)}
-    plans = dict(zip(ids, plans))
-    M = np.array(M, dtype=np.float64)
-    np.fill_diagonal(M, -np.inf)
-    size = np.ones(len(ids), dtype=np.float64)
-    reps = sorted(ids)
-    while len(reps) > 1:
-        live = np.array([pos[r] for r in reps], dtype=np.int64)
-        sub = M[np.ix_(live, live)]
-        iu = np.triu_indices(len(reps), k=1)
-        vals = sub[iu]
-        tied = np.flatnonzero(vals == np.max(vals))
-        # reps ascend, so the first tied pair in triu order is the smallest
-        t = tied[0]
-        if len(tied) > 1 and closest is None:
-            t = tied[_tie_key(sub, iu[0][tied], iu[1][tied])]
-        a, b = reps[iu[0][t]], reps[iu[1][t]]
-        if len(tied) > 1 and closest is not None:
-            a, b = _find_sibling_pair(a, b, reps, closest, stage)
-        lo, hi = min(a, b), max(a, b)
-        i, j = pos[lo], pos[hi]
-        M[i, :] = M[:, i] = _mean_row(M, size, i, j)
-        M[i, i] = -np.inf
+    m = len(M)
+    merges = []
+    if m < 2 or (band is not None and size.max() >= band):
+        return merges
+    rowarg = M.argmax(axis=1)
+    rowmax = M.max(axis=1)
+    alive = np.ones(m, dtype=bool)
+    for _ in range(m - 1):
+        p = int(rowmax.argmax())
+        i, j = p, int(rowarg[p])
+        if tie is not None and np.count_nonzero(rowmax == rowmax[p]) > 2:
+            i, j = sorted(int(v) for v in tie(M, i, j, np.flatnonzero(alive)))
+        merges.append((i, j))
+        mean = _mean_row(M, size, i, j)  # -inf at i and j
         size[i] += size[j]
-        plans[lo] = (plans[lo], plans.pop(hi))
-        reps.remove(hi)
-    return plans[reps[0]]
+        alive[j] = False
+        M[i] = M[:, i] = mean
+        M[j] = M[:, j] = -np.inf
+        rowarg[i] = rowarg[j] = i
+        stale = np.flatnonzero((rowarg == i) | (rowarg == j))
+        up = mean > rowmax
+        up |= (mean == rowmax) & (rowarg > i)
+        np.copyto(rowmax, mean, where=up)
+        rowarg[up] = i
+        rows = M[stale]
+        rowarg[stale] = rows.argmax(axis=1)
+        rowmax[stale] = rows.max(axis=1)
+        if band is not None and size[i] >= band:
+            break
+    return merges
 
 
 def _mean_row(M, size, i, j):
     """Average-linkage row of clusters i and j merged (symmetric ``M``)."""
     return (size[i] * M[i] + size[j] * M[j]) / (size[i] + size[j])
+
+
+def _key_tie(M, p, q, live):
+    """
+    Tie rule of ``_agglomerate`` under noise: the tied top pair that
+    ``_tie_key`` picks over the live rows and columns of ``M``.
+    """
+    sub = M[np.ix_(live, live)]
+    P, Q = np.nonzero(np.triu(sub == M[p, q], k=1))  # triu order
+    t = _tie_key(sub, P, Q)
+    return live[P[t]], live[Q[t]]
+
+
+# ``closest`` of ``_assemble_by_scores`` for an exact source: tied top pairs
+# go to the smallest positions
+_FIRST = "first"
+
+
+def _assemble_by_scores(ids, plans, M, closest, stage):
+    """
+    Plan over the ascending leaf ids ``ids`` (``plans`` their leaf plans)
+    by average linkage on the symmetric scores ``M`` (``_agglomerate`` to
+    one cluster): the expected score is strictly decreasing in the pair
+    distance against an equidistant witness set, so the best-supported pair
+    is a sibling pair.  A merged cluster scores with the size-weighted mean
+    of its two parts' rows, so each decision draws on every leaf pair
+    across two clusters.
+
+    ``closest`` sets the tie rule of the top pairs.  With ``closest`` None
+    they go to ``_tie_key`` (``_key_tie``): under noise a tie is a chance
+    coincidence of counts, and a single direct answer is right with
+    probability at most 1/2.  With ``_FIRST`` they go to the smallest
+    positions; that is for a tree's counts (an exact source's, over any set
+    S that holds ``ids``), on which any tie rule gives the same plan.
+    There the pair (i, j) scores |S| - |S & clade(lca(i, j))|.  A top pair
+    is then a sibling pair of the topology induced on ``ids``: were a
+    member k nearer to i than j is, (i, k) would score higher, since j lies
+    in clade(lca(i, j)) but not in clade(lca(i, k)).  Sibling clusters have
+    equal rows of integer counts, so their mean is that row bit for bit and
+    the merged cluster scores as one leaf.  So every merge is a sibling
+    merge whichever tied pair goes first, and since each merged plan puts
+    its smaller representative's part first, any tie rule gives the same
+    plan.
+
+    Any other ``closest(a, b, C)`` settles tied top pairs by the
+    displacement walk from the smallest tied pair over its answers
+    (``_find_sibling_pair``).  With an all-zero ``M`` every pair ties, so
+    each merge is that walk: a BUILD-style assembly from closest-pair
+    answers alone.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    plans = list(plans)
+    M = np.array(M, dtype=np.float64)
+    np.fill_diagonal(M, -np.inf)
+    if closest is None:
+        tie = _key_tie
+    elif closest is _FIRST:
+        tie = None
+    else:
+        def tie(M, p, q, live):
+            a, b = _find_sibling_pair(int(ids[p]), int(ids[q]), ids[live],
+                                      closest, stage)
+            return np.searchsorted(ids, [a, b])
+    for i, j in _agglomerate(M, np.ones(len(ids)), tie=tie):
+        plans[i] = (plans[i], plans[j])
+    return plans[0]
 
 
 def _tie_key(sub, P, Q):
@@ -640,10 +707,11 @@ class _Driver:
         are indexed by the position of their smallest member.  The first
         matrix is one pass over the member triples (see ``_triple_scores``);
         the pivot's, over members inside the first pass's, is derived from
-        that pass's matrix when that reads fewer rows (see ``_scores``).  A
-        merged cluster scores with the size-weighted mean of its two parts'
-        rows (average linkage, see ``_assemble_by_scores``).  Ties go to
-        the smallest positions, under every source.
+        that pass's matrix when that reads fewer rows (see ``_scores``).
+        The merging is ``_agglomerate`` on the symmetrised matrix with the
+        band stop: a merged cluster scores with the size-weighted mean of
+        its two parts' rows (average linkage, see ``_assemble_by_scores``),
+        and ties go to the smallest positions, under every source.
 
         Under a tree's answers each merge is a sibling merge, and sibling
         clusters p and q have equal rows of integer counts, so the mean is
@@ -653,40 +721,17 @@ class _Driver:
         """
         lo_band, _ = self.cfg.band(self.n)
         S = np.array(sorted(int(v) for v in members), dtype=np.int64)
-        l = len(S)
-        part_of = np.full(self.oracle.n_leaves, -1, dtype=np.int64)
-        part_of[S] = np.arange(l)  # leaf id -> cluster
-        plans = S.tolist()
-        sizes = [1] * l
-        alive = np.ones(l, dtype=bool)
         M = self._scores(S)
-
-        n_alive = l
-        while n_alive > 1 and max(sizes) < lo_band:
-            # the first maximum in row-major order is, among tied pairs, the
-            # one with the smallest representatives (they ascend with p)
-            p, q = divmod(int(np.argmax(M)), l)
-            if not np.isfinite(M[p, q]):
-                raise ReconstructionFailure("build-subtree", "no scorable pair left")
-            # rows p and q of the symmetrised M (the pair {t, u} is at t < u)
-            rows = np.maximum(M[[p, q]], M[:, [p, q]].T)
-            mean = _mean_row(rows, [sizes[p], sizes[q]], 0, 1)
-            # merge q into p
-            plans[p] = (plans[p], plans[q])
-            sizes[p] += sizes[q]
-            alive[q] = False
-            part_of[part_of == q] = p
-            M[q, :] = -np.inf
-            M[:, q] = -np.inf
-            n_alive -= 1
-            if n_alive == 1 or sizes[p] >= lo_band:
-                break
-            ot = np.flatnonzero(alive)
-            ot = ot[ot != p]
-            M[np.minimum(ot, p), np.maximum(ot, p)] = mean[ot]
-
-        winner = max(np.flatnonzero(alive), key=lambda t: (sizes[t], -t))
-        leaf_ids = S[part_of[S] == winner].tolist()
+        plans = S.tolist()
+        leaves = [[v] for v in plans]
+        size = np.ones(len(S))
+        alive = np.ones(len(S), dtype=bool)
+        for i, j in _agglomerate(np.maximum(M, M.T), size, band=lo_band):
+            plans[i] = (plans[i], plans[j])
+            leaves[i] += leaves[j]
+            alive[j] = False
+        winner = max(np.flatnonzero(alive), key=lambda t: (size[t], -t))
+        leaf_ids = sorted(leaves[winner])
         self.stats.bases.append(len(leaf_ids))
         self.stats.events.append(("base", len(leaf_ids)))
         return leaf_ids, plans[winner]
@@ -744,7 +789,8 @@ class _Driver:
             M = np.zeros((len(ids), len(ids)))
             M[ii, jj] = M[jj, ii] = _pair_tallies(self.oracle, ids[ii],
                                                   ids[jj], xs)[0]
-        return _assemble_by_scores(members, list(members), M, None, stage)
+        return _assemble_by_scores(members, list(members), M,
+                                   _FIRST if self.exact else None, stage)
 
     def completion_quotient(self, inside, candidates):
         """
@@ -789,7 +835,8 @@ class _Driver:
             else:
                 M = (self._exact_scores(np.array(bucket, dtype=np.int64))
                      if self.exact else same[np.ix_(pos, pos)])
-                bplan = _assemble_by_scores(bucket, list(bucket), M, None,
+                bplan = _assemble_by_scores(bucket, list(bucket), M,
+                                            _FIRST if self.exact else None,
                                             "within-bucket")
             plan = (plan, bplan)
         return plan, rep

@@ -35,12 +35,17 @@ import tripletree.noise_oracle as noise_oracle
 import tripletree.topology as topology_mod
 from tripletree.noise_oracle import _OracleBase
 from tripletree.topology import (
+    _FIRST,
     _Driver,
+    _agglomerate,
     _find_sibling_pair,
+    _key_tie,
     _mean_row,
     _pair_tallies,
     _plan_codes,
     _position_triples,
+    _relabel,
+    _tie_key,
     _topology_tables,
     _triple_scores,
     _wins_sum_pairs,
@@ -134,6 +139,179 @@ def test_sibling_scores_rejects_small_ambient():
     labs = t.leaf_labels
     with pytest.raises(ValueError):
         sibling_scores(o, [[labs[0]], [labs[1]]], labs, n=1000)
+
+
+# ---------------------------------------------------------------------- #
+# average-linkage agglomeration                                           #
+# ---------------------------------------------------------------------- #
+
+
+def _reference_band_loop(M, sizes, lo_band):
+    """
+    The merge loop ``_Driver.build_subtree`` ran before ``_agglomerate``:
+    the first maximum of an upper-triangular matrix in row-major order
+    merges, and the merged row is written back into that triangle, until a
+    merged cluster reaches ``lo_band`` or one cluster is left.  Returns
+    (plans, sizes, merges) over positions.
+    """
+    l = len(M)
+    M = np.where(np.triu(np.ones((l, l), dtype=bool), k=1), M, -np.inf)
+    plans = list(range(l))
+    sizes = list(sizes)
+    alive = np.ones(l, dtype=bool)
+    merges = []
+    n_alive = l
+    while n_alive > 1 and max(sizes) < lo_band:
+        p, q = divmod(int(np.argmax(M)), l)
+        rows = np.maximum(M[[p, q]], M[:, [p, q]].T)
+        mean = _mean_row(rows, [sizes[p], sizes[q]], 0, 1)
+        merges.append((p, q))
+        plans[p] = (plans[p], plans[q])
+        sizes[p] += sizes[q]
+        alive[q] = False
+        M[q, :] = -np.inf
+        M[:, q] = -np.inf
+        n_alive -= 1
+        if n_alive == 1 or sizes[p] >= lo_band:
+            break
+        ot = np.flatnonzero(alive)
+        ot = ot[ot != p]
+        M[np.minimum(ot, p), np.maximum(ot, p)] = mean[ot]
+    return plans, sizes, merges
+
+
+def _reference_assembly_loop(M, sizes, rule, band=None, closest=None):
+    """
+    The merge loop ``_assemble_by_scores`` ran before ``_agglomerate``,
+    over positions: every merge rebuilds the live submatrix and its triu
+    indices, and tied top pairs go to the smallest pair (``rule`` "first"),
+    to ``_tie_key`` ("key") or to the walk over ``closest`` ("walk").  With
+    ``band``, it stops once a merged cluster holds ``band`` members.
+    Returns (plans, sizes, merges) over positions.
+    """
+    M = np.array(M, dtype=np.float64)
+    np.fill_diagonal(M, -np.inf)
+    size = np.array(sizes, dtype=np.float64)
+    plans = list(range(len(M)))
+    reps = list(range(len(M)))
+    merges = []
+    while len(reps) > 1 and (band is None or size.max() < band):
+        live = np.array(reps, dtype=np.int64)
+        sub = M[np.ix_(live, live)]
+        iu = np.triu_indices(len(reps), k=1)
+        vals = sub[iu]
+        tied = np.flatnonzero(vals == np.max(vals))
+        t = tied[0]
+        if len(tied) > 1 and rule == "key":
+            t = tied[_tie_key(sub, iu[0][tied], iu[1][tied])]
+        a, b = reps[iu[0][t]], reps[iu[1][t]]
+        if len(tied) > 1 and rule == "walk":
+            a, b = _find_sibling_pair(a, b, reps, closest, "walk")
+        i, j = min(a, b), max(a, b)
+        M[i, :] = M[:, i] = _mean_row(M, size, i, j)
+        M[i, i] = -np.inf
+        size[i] += size[j]
+        merges.append((i, j))
+        plans[i] = (plans[i], plans[j])
+        reps.remove(j)
+    return plans, size.tolist(), merges
+
+
+def _random_closest(m, rng):
+    """
+    A closest-pair function over positions 0..m-1 that names a random pair
+    of each triple (the walk may cycle on it).
+    """
+    win = {trip: rng.integers(3) for trip in itertools.combinations(range(m), 3)}
+
+    def closest(a, b, C):
+        codes = []
+        for c in C.tolist():
+            x, y, z = sorted((a, b, c))
+            pair = ((x, y), (x, z), (y, z))[win[x, y, z]]
+            codes.append(0 if set(pair) == {a, b} else 1 if a in pair else 2)
+        return np.array(codes, dtype=np.int64)
+
+    return closest
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 60),
+    values=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+    rule=st.sampled_from(["first", "key", "walk"]),
+    banded=st.booleans(),
+)
+def test_agglomerate_matches_the_reference_loops(m, values, seed, rule, banded):
+    # integer scores from 2-4 values tie often; clusters start at sizes 1-3,
+    # so merged rows are means of unequal weights
+    rng = np.random.default_rng(seed)
+    M = np.triu(rng.integers(0, values, size=(m, m)), k=1).astype(np.float64)
+    M += M.T
+    np.fill_diagonal(M, -np.inf)
+    sizes = rng.integers(1, 4, size=m).tolist()
+    band = int(rng.integers(2, 2 * m + 2)) if banded else None
+    closest = _random_closest(m, rng) if rule == "walk" else None
+
+    def run(loop):
+        try:
+            return loop()
+        except ReconstructionFailure as exc:
+            return exc.stage, exc.detail, exc.witness
+
+    def new():
+        tie = {"first": None, "key": _key_tie,
+               "walk": lambda M, p, q, live: _find_sibling_pair(
+                   p, q, live, closest, "walk")}[rule]
+        size = np.array(sizes, dtype=np.float64)
+        merges = _agglomerate(M.copy(), size, band=band, tie=tie)
+        plans = list(range(m))
+        for i, j in merges:
+            plans[i] = (plans[i], plans[j])
+        return plans, size.tolist(), merges
+
+    got = run(new)
+    assert got == run(lambda: _reference_assembly_loop(M, sizes, rule, band,
+                                                       closest))
+    if rule == "first":
+        assert got == _reference_band_loop(M, sizes,
+                                           band if banded else sum(sizes) + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, 40),
+    values=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    rule=st.sampled_from(["first", "key", "walk"]),
+)
+def test_assemble_by_scores_wires_each_tie_rule(m, values, seed, rule):
+    # over ascending leaf ids: ``_FIRST`` takes the smallest tied pair, None
+    # keys ties by ``_tie_key``, and a closest-pair function walks on ids
+    rng = np.random.default_rng(seed)
+    M = np.triu(rng.integers(0, values, size=(m, m)), k=1).astype(np.float64)
+    M += M.T
+    ids = np.sort(rng.choice(10 * m, size=m, replace=False))
+    walk = _random_closest(m, rng)
+
+    def closest(a, b, C):
+        return walk(*np.searchsorted(ids, [a, b]).tolist(),
+                    np.searchsorted(ids, C))
+
+    arg = {"first": _FIRST, "key": None, "walk": closest}[rule]
+    names = [f"p{v}" for v in ids]
+    try:
+        got = topology_mod._assemble_by_scores(ids.tolist(), names, M, arg,
+                                               "walk")
+    except ReconstructionFailure as exc:
+        got = exc.stage, exc.witness
+    try:
+        want = _relabel(_reference_assembly_loop(M, [1] * m, rule,
+                                                 closest=walk)[0][0], names)
+    except ReconstructionFailure as exc:
+        want = exc.stage, tuple(int(ids[x]) for x in exc.witness)
+    assert got == want
 
 
 # ---------------------------------------------------------------------- #
@@ -619,6 +797,46 @@ def test_exact_completions_match_the_walked_reference(kind, n, seed, keep,
     fresh = driver()
     assert run(fresh) == want
     assert fresh._scored is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["noiseless", "expectation"]),
+    n=st.integers(6, 80),
+    seed=st.integers(0, 2**16),
+    keep=st.floats(0.1, 0.9),
+    small_band=st.booleans(),
+)
+def test_exact_assemblies_need_no_tie_key(kind, n, seed, keep, small_band):
+    # on a tree's counts any tie rule gives one plan (``_assemble_by_scores``),
+    # so an exact source's assemblies take the smallest tied pair: pinned on
+    # every assembly of a run, on the kept pass restricted to some members
+    # and on a fresh pass over them
+    t = random_tree(n, w=0.2 / n, seed=seed)
+    band = (dict(subtree_band=(3, 6), large_fraction=0.5, n0=3)
+            if small_band else {})
+    assemble = topology_mod._assemble_by_scores
+    seen = []
+
+    def recorded(ids, plans, M, closest, stage):
+        if closest is _FIRST:
+            seen.append((list(ids), np.array(M)))
+        return assemble(ids, plans, M, closest, stage)
+
+    def driver():
+        o = _oracle(kind, t, seed)
+        return _Driver(o, ReconstructionConfig.for_oracle(o, **band))
+
+    drv = driver()
+    with mock.patch.object(topology_mod, "_assemble_by_scores", recorded):
+        drv.resolve(range(n))
+    rng = np.random.default_rng(seed)
+    members = np.sort(rng.choice(n, size=max(3, int(keep * n)), replace=False))
+    for d in (drv, driver()):
+        seen.append((members.tolist(), d._exact_scores(members)))
+    for ids, M in seen:
+        assert (assemble(ids, ids, M, _FIRST, "first")
+                == assemble(ids, ids, M, None, "key"))
 
 
 # ---------------------------------------------------------------------- #
