@@ -25,9 +25,18 @@ each block answered by the class's ``_draw_slots`` (the answer store in
 returns each canonical row's answer slot (0: (i,j), 1: (i,k), 2: (j,k)),
 one gather for all three pairs of a triple; ``answers`` the answer in
 argument order (0: (A,B), 1: (A,C), 2: (B,C)) from one ``_slots`` call on
-its canonical rows; and ``wins`` the indicator of one target pair (in
+its canonical rows; ``tallies`` the three-way answer counts of pairs over
+witnesses, the counts every decision of the topology driver after its
+first pass reads; and ``wins`` the indicator of one target pair (in
 expectation mode its probability).  A row that does not name three
-distinct leaves raises ``ValueError``, in both oracles.
+distinct leaves in [0, n) raises ``ValueError``, in both oracles.
+
+``tallies(X, Y, W)`` reads the experiments (X[p], Y[p], w) with no
+repeated rows: each pair's leaves are broadcast against the witnesses,
+and two masks give each row's canonical order.  ``OracleState`` then
+reads every answer with one gather at the ranks, and sends a block that
+holds a never-asked triple through ``_slots``; ``ExpectationOracle``
+always reads through ``_slots``.
 
 ``pass_slots(S)`` answers every triple of the sorted leaf ids ``S`` in
 rank order, one layer at a time: the triples whose top position is c are
@@ -232,11 +241,12 @@ def _pack(codes):
     return (v | v >> 6 | v >> 12 | v >> 18).astype(np.uint8)
 
 
-def _check_rows(i, j, k):
-    """Raise ``ValueError`` unless every canonical row has 0 <= i < j < k."""
-    if not ((i < j) & (j < k) & (i >= 0)).all():
+def _check_rows(i, j, k, n):
+    """Raise ``ValueError`` unless every canonical row has 0 <= i < j < k < n."""
+    if not ((i < j) & (j < k) & (i >= 0)).all() or (k.size and k.max() >= n):
         # in the store, (a, a, c) or (-1, j, k) would rank as another
-        # triple and overwrite its answer
+        # triple and overwrite its answer, and a flat distance index
+        # i * n + k with k >= n would read another row
         raise ValueError("oracle rows must name three distinct leaves "
                          "(codes: in order i < j < k)")
 
@@ -361,6 +371,56 @@ class _OracleBase:
         code = np.where(left_out == C, 0, np.where(left_out == B, 1, 2))
         return code.reshape(shape)
 
+    def tallies(self, X, Y, W):
+        """
+        Three-way answer counts of the experiments (X[p], Y[p], w) over the
+        witnesses ``W`` (leaf ids, repeats counted): a (3, P) int64 array
+        whose row 0 counts the answers (X[p], Y[p]), row 1 the answers
+        (X[p], w) and row 2 the answers (Y[p], w).  Read in blocks of about
+        ``_BLOCK_ROWS`` rows over whole pairs, the block's ``lo < hi`` of
+        each pair broadcast against ``W`` as a column: the masks ``top = W
+        > hi`` and ``mid = W > lo`` fix each row's canonical order (lo, hi,
+        w), (lo, w, hi) or (w, lo, hi), so the pair's answer is code 3 -
+        top - mid and the answer (lo, w) is code 1 + top (codes are slot +
+        1, from ``_pair_codes``).  Raises ``ValueError`` unless every id
+        lies in [0, n), X[p] != Y[p], and no witness is a leaf of a pair:
+        checked once, since a bad row would alias another triple.
+        """
+        X, Y, W = (np.asarray(v, dtype=np.int64).reshape(-1) for v in (X, Y, W))
+        n = self.n_leaves
+        ids = np.concatenate([X, Y, W])
+        if len(X) != len(Y) or (ids.size and not 0 <= ids.min() <= ids.max() < n):
+            raise ValueError("tallies takes pairs and witnesses of leaf ids")
+        witness = np.zeros(n, dtype=bool)
+        witness[W] = True
+        if (X == Y).any() or witness[X].any() or witness[Y].any():
+            raise ValueError("tallies takes pairs of two leaves and "
+                             "witnesses outside every pair")
+        P, m = len(X), len(W)
+        out = np.zeros((3, P), dtype=np.int64)
+        LO, HI, W = np.minimum(X, Y), np.maximum(X, Y), W[:, None]
+        per = max(1, _BLOCK_ROWS // max(1, m))
+        for s in range(0, P if m else 0, per):
+            lo, hi = LO[s:s + per], HI[s:s + per]
+            top, mid = W > hi, W > lo
+            code = self._pair_codes(lo, hi, W, top, mid)
+            out[0, s:s + per] = np.count_nonzero(code + top + mid == 3, axis=0)
+            out[1, s:s + per] = np.count_nonzero(code - top == 1, axis=0)
+        out[2] = m - out[0] - out[1]
+        swap = X > Y  # row 1 counted the answers (lo, w)
+        out[1, swap], out[2, swap] = out[2, swap], out[1, swap]
+        return out
+
+    def _pair_codes(self, lo, hi, W, top, mid):
+        """
+        Answer slot + 1 of each ``tallies`` row (lo[p], hi[p], W[q]), as an
+        (m, P) uint8 array: one ``_slots`` call on the canonical rows.
+        """
+        i = np.where(mid, lo, W)
+        j = np.where(top, hi, np.where(mid, W, lo))
+        k = np.where(top, W, hi)
+        return (self._slots(i.ravel(), j.ravel(), k.ravel()) + 1).reshape(top.shape)
+
 
 class OracleState(_OracleBase):
     """
@@ -370,8 +430,9 @@ class OracleState(_OracleBase):
     ``codes(I, J, K)`` is the vectorized answer slot of each canonical row
     I < J < K, ``answers(A, B, C)`` the answer of each row in argument
     order, ``wins(A, B, C)`` the vectorized indicator that the answer to
-    each row's triple is the pair (A, B), and ``pass_slots(S)`` the
-    answers to every triple of sorted leaf ids.  All of them read and fill
+    each row's triple is the pair (A, B), ``tallies(X, Y, W)`` the answer
+    counts of pairs over witnesses, and ``pass_slots(S)`` the answers to
+    every triple of sorted leaf ids.  All of them read and fill
     one answer store, a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes
     holding a 2-bit code per canonical triple (see the module docstring).
     ``query_count`` is the number of codes written, i.e. of distinct
@@ -386,9 +447,12 @@ class OracleState(_OracleBase):
         n = self.n_leaves
         self._n2 = n * n
         m = np.arange(n, dtype=np.int64)
-        self._c2 = m * (m - 1) // 2
-        self._c3 = self._c2 * (m - 2) // 3
+        c2 = m * (m - 1) // 2
         n_triples = n * (n - 1) * (n - 2) // 6
+        # C(m, 2) and C(m, 3) in int32 while every rank fits, which halves
+        # the bytes of the rank arithmetic in ``tallies``
+        dt = np.int32 if n_triples <= np.iinfo(np.int32).max else np.int64
+        self._c2, self._c3 = c2.astype(dt), (c2 * (m - 2) // 3).astype(dt)
         self._store = np.zeros((n_triples + 3) // 4, dtype=np.uint8)
 
     # -- answers ------------------------------------------------------- #
@@ -412,7 +476,7 @@ class OracleState(_OracleBase):
         rows are deduplicated first and the store is read again after the
         write.
         """
-        _check_rows(i, j, k)
+        _check_rows(i, j, k, self.n_leaves)
         rank = self._c3[k] + self._c2[j] + i
         byte = rank >> 2
         shift = ((rank & 3) << 1).astype(np.uint8)
@@ -469,6 +533,26 @@ class OracleState(_OracleBase):
 
         return layer
 
+    def _pair_codes(self, lo, hi, W, top, mid):
+        """
+        ``tallies`` codes read off the store: one gather at the ranks of the
+        three canonical orders, C(hi,3) + C(lo,2) + w below the pair,
+        C(hi,3) + C(w,2) + lo between its leaves and C(w,3) + C(hi,2) + lo
+        above it, each built from the one before by the masks.  A block
+        holding a never-asked row takes the general path, which draws each
+        such triple once.
+        """
+        c2, c3 = self._c2, self._c3
+        a, b, w = (x.astype(c2.dtype) for x in (lo, hi, W))
+        rank = w + (c3[b] + c2[a])
+        rank += mid * ((c2[w] - w) + (a - c2[a]))
+        rank += top * ((c3[w] - c2[w]) + (c2[b] - c3[b]))
+        shift = ((rank & 3) << 1).astype(np.uint8)
+        code = (self._store.take(rank >> 2) >> shift) & 3
+        if code.all():
+            return code
+        return super()._pair_codes(lo, hi, W, top, mid)
+
     def wins(self, A, B, C):
         """
         Float indicator per row: 1.0 iff the experiment on (A, B, C)
@@ -504,7 +588,7 @@ class ExpectationOracle(_OracleBase):
 
     def _draw_slots(self, i, j, k):
         """Most likely answer slot of canonical rows; nothing is stored."""
-        _check_rows(i, j, k)
+        _check_rows(i, j, k, self.n_leaves)
         return np.argmax(np.stack(self._probs(i, j, k)), axis=0)
 
     def _layer_reader(self, S, tb, ta):
@@ -515,7 +599,7 @@ class ExpectationOracle(_OracleBase):
     def wins(self, A, B, C):
         A, B, C = self._rows(A, B, C)
         i, j, k = self._canonical(A, B, C)
-        _check_rows(i, j, k)
+        _check_rows(i, j, k, self.n_leaves)
         p0, p1, p2 = self._probs(i, j, k)
         return np.where(C == k, p0, np.where(C == j, p1, p2))
 

@@ -55,8 +55,8 @@ import numpy as np
 from .noise_oracle import ExpectationOracle
 from .tree_core import _closest_codes, map_plan, tree_from_topology
 
-# Rows per block of ``_pair_tallies`` and ``_wins_sum_pairs``; bounds their
-# temporaries (about 90 bytes a row, so some 23 MB a block).
+# Rows per block of ``_wins_sum_pairs``; bounds its temporaries (about 90
+# bytes a row, so some 23 MB a block).
 _CHUNK = 1 << 18
 
 
@@ -207,21 +207,11 @@ def _pair_tallies(oracle, X, Y, W):
     Three-way answer counts per pair (X[p], Y[p]) over the witnesses ``W``
     (leaf ids outside every pair): row 0 counts the experiments
     (X[p], Y[p], w) that answered (X[p], Y[p]), row 1 those that answered
-    (X[p], w) and row 2 those that answered (Y[p], w).  Asked pair-major in
-    blocks of about ``_CHUNK`` rows; returns a (3, P) int64 array.
+    (X[p], w) and row 2 those that answered (Y[p], w); a (3, P) int64
+    array from ``oracle.tallies``, which reads an answered triple off the
+    store by its rank and asks only the triples never asked.
     """
-    P, m = len(X), len(W)
-    out = np.zeros((3, P), dtype=np.int64)
-    per = max(1, _CHUNK // max(1, m))
-    for lo in range(0, P, per):
-        hi = min(P, lo + per)
-        code = oracle.answers(
-            np.repeat(X[lo:hi], m), np.repeat(Y[lo:hi], m), np.tile(W, hi - lo)
-        ).reshape(hi - lo, m)
-        out[0, lo:hi] = np.count_nonzero(code == 0, axis=1)
-        out[1, lo:hi] = np.count_nonzero(code == 1, axis=1)
-    out[2] = m - out[0] - out[1]
-    return out
+    return oracle.tallies(X, Y, W)
 
 
 def _triple_scores(oracle, S):

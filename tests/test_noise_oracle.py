@@ -451,6 +451,141 @@ def test_rows_that_are_not_triples_raise_and_leave_the_store_alone():
         eo.codes(1, 3, 2)
 
 
+@pytest.mark.parametrize("source", ["noiseless", "homogeneous",
+                                    "expectation-homogeneous"])
+def test_rows_past_the_last_leaf_raise(source):
+    # a leaf id n would rank past the store's triples, and in expectation
+    # mode its flat distance index i * n + k would read another row
+    t = generate_random_ultrametric(12, 0.02, seed=1)
+    o = _pass_source(source, t, 0)
+    for read, args in [(o.wins, (1, 2, 12)), (o.wins, (12, 1, 2)),
+                       (o.codes, (1, 2, 12)), (o.answers, (0, 5, 13)),
+                       (o.answers, (13, 0, 5)),
+                       (o.codes, ([0, 1], [2, 3], [4, 12]))]:
+        with pytest.raises(ValueError):
+            read(*args)
+    assert o.query_count == 0
+    if isinstance(o, OracleState):
+        assert not o._store.any()
+
+
+# ---------------------------------------------------------------------- #
+# Pair tallies                                                            #
+# ---------------------------------------------------------------------- #
+
+
+def _reference_tallies(oracle, X, Y, W):
+    """Pair tallies through the general reader: every experiment
+    (X[p], Y[p], w) asked through ``answers`` on repeated rows."""
+    P, m = len(X), len(W)
+    out = np.zeros((3, P), dtype=np.int64)
+    if P and m:
+        code = oracle.answers(np.repeat(X, m), np.repeat(Y, m),
+                              np.tile(W, P)).reshape(P, m)
+        out[0] = np.count_nonzero(code == 0, axis=1)
+        out[1] = np.count_nonzero(code == 1, axis=1)
+    out[2] = m - out[0] - out[1]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    source=st.sampled_from(["noiseless", "homogeneous",
+                            "expectation-homogeneous", "expectation-custom"]),
+    asked=st.sampled_from(["fresh", "some", "all"]),
+    n_pairs=st.integers(0, 30),
+    n_wit=st.integers(0, 12),
+    block=st.sampled_from([1, 7, 64, _BLOCK_ROWS]),
+    seed=st.integers(0, 2 ** 64 - 1),
+    data_seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(n=20, source="homogeneous", asked="all", n_pairs=30, n_wit=12,
+         block=_BLOCK_ROWS, seed=0, data_seed=0)
+def test_tallies_match_the_general_reader(n, source, asked, n_pairs, n_wit,
+                                          block, seed, data_seed):
+    # the counts, and the triples asked, stored and counted, are those of
+    # ``answers`` on the repeated rows: pairs in either order, repeated or
+    # sharing leaves, witnesses unsorted and repeated, on a fresh, a partly
+    # and a fully answered store, in blocks of one pair or more
+    tree = _store_tree(n)
+    rng = np.random.default_rng(data_seed)
+    leaves = rng.permutation(n)
+    k = min(n - 2, int(rng.integers(1, n_wit + 1))) if n_wit else 0
+    W = rng.choice(leaves[:k], size=n_wit) if k else leaves[:0]
+    XY = np.array([rng.choice(leaves[k:], size=2, replace=False)
+                   for _ in range(n_pairs)], dtype=np.int64).reshape(-1, 2)
+    pre = _triple_pool(rng, n, int(rng.integers(1, 4 * n)))
+    o, ref = _pass_source(source, tree, seed), _pass_source(source, tree, seed)
+    for x in (o, ref):
+        if asked == "all":
+            for _ in x.pass_slots(np.arange(n)):
+                pass
+        elif asked == "some":
+            x.codes(pre[:, 0], pre[:, 1], pre[:, 2])
+    with mock.patch.object(noise_oracle, "_BLOCK_ROWS", block):
+        got = o.tallies(XY[:, 0], XY[:, 1], W)
+    assert got.dtype == np.int64 and got.shape == (3, n_pairs)
+    np.testing.assert_array_equal(
+        got, _reference_tallies(ref, XY[:, 0], XY[:, 1], W))
+    assert o.query_count == ref.query_count
+    if isinstance(o, OracleState):
+        np.testing.assert_array_equal(o._store, ref._store)
+
+
+@pytest.mark.parametrize("source", ["noiseless", "homogeneous",
+                                    "expectation-homogeneous",
+                                    "expectation-custom"])
+@pytest.mark.parametrize("X, Y, W", [
+    ([0, -1], [1, 2], [3, 4]),  # a leaf id below 0
+    ([0, 1], [1, 8], [3, 4]),  # a leaf id n
+    ([0, 1], [1, 2], [3, -1]),
+    ([0, 1], [1, 2], [8, 4]),
+    ([0, 2], [1, 2], [3, 4]),  # X == Y
+    ([0, 1], [1, 2], [4, 2]),  # a witness that is a pair's Y
+    ([0, 5], [1, 2], [5, 4]),  # a witness that is a pair's X
+    ([0, 1], [1], [3, 4]),  # more X than Y
+], ids=["x-below-0", "y-is-n", "w-below-0", "w-is-n", "x-is-y", "w-is-y",
+        "w-is-x", "unpaired"])
+@pytest.mark.parametrize("asked", ["one", "all"])
+def test_tallies_reject_rows_that_are_not_experiments(source, X, Y, W, asked):
+    # checked before any row is read: with one triple answered the first
+    # rows name fresh triples, none of which may be asked; with all of
+    # them answered a bad row would read another triple's answer
+    t = generate_random_ultrametric(8, 0.05, seed=0)
+    o = _pass_source(source, t, 0)
+    if asked == "all":
+        for _ in o.pass_slots(np.arange(8)):
+            pass
+    else:
+        o.codes(0, 1, 3)
+    count = o.query_count
+    store = o._store.copy() if isinstance(o, OracleState) else None
+    with pytest.raises(ValueError):
+        o.tallies(X, Y, W)
+    assert o.query_count == count
+    if store is not None:
+        np.testing.assert_array_equal(o._store, store)
+
+
+@pytest.mark.parametrize("model", ["noiseless", "homogeneous"])
+@pytest.mark.parametrize("n", [2345, 2346])
+def test_tallies_at_the_edge_of_int32_ranks(n, model):
+    # C(2345, 3) is the last triple count below 2**31: the store's rank
+    # tables are int32 up to it and int64 past it.  Rows at the top of the
+    # id range, read fresh (the general path) and then off the store
+    t = generate_random_ultrametric(n, 1e-4, seed=0)
+    X = np.array([n - 1, 0, n - 3, 5, n - 2])
+    Y = np.array([n - 2, n - 1, 1, n - 4, 7])
+    W = np.array([n - 5, 2, n - 6, 1000, 3, n - 5])
+    o, ref = OracleState(t, model, seed=n), OracleState(t, model, seed=n)
+    assert o._c3.dtype == (np.int32 if n == 2345 else np.int64)
+    want = _reference_tallies(ref, X, Y, W)
+    for _ in range(2):
+        np.testing.assert_array_equal(o.tallies(X, Y, W), want)
+        assert o.query_count == ref.query_count == len(X) * 5
+
+
 @pytest.mark.parametrize("model", ["homogeneous", "noiseless"])
 def test_expectation_codes_are_the_most_likely_slot(model):
     t = generate_random_ultrametric(30, 0.02, seed=2)

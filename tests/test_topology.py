@@ -508,12 +508,12 @@ def test_scores_on_a_subset_match_a_fresh_pass(kind, n, seed, keep, sub):
     seed=st.integers(0, 2**16),
     n_pairs=st.integers(1, 30),
     n_wit=st.integers(0, 12),
-    chunk=st.sampled_from([1, 7, 40, 1 << 21]),
+    block=st.sampled_from([1, 7, 40, 1 << 21]),
 )
 def test_pair_tallies_count_per_row_query_answers(kind, n, seed, n_pairs,
-                                                  n_wit, chunk):
+                                                  n_wit, block):
     # witnesses disjoint from the pairs; pairs may repeat and share leaves;
-    # small chunks split the pairs over many blocks
+    # a small ``_BLOCK_ROWS`` splits the pairs over many blocks
     t = random_tree(n, w=0.2 / n, seed=seed)
     rng = np.random.default_rng(seed)
     leaves = rng.permutation(n)
@@ -522,7 +522,7 @@ def test_pair_tallies_count_per_row_query_answers(kind, n, seed, n_pairs,
     XY = np.array([rng.choice(pool, size=2, replace=False)
                    for _ in range(n_pairs)], dtype=np.int64)
     o, ref = OracleState(t, kind, seed=seed), OracleState(t, kind, seed=seed)
-    with mock.patch.object(topology_mod, "_CHUNK", chunk):
+    with mock.patch.object(noise_oracle, "_BLOCK_ROWS", block):
         got = _pair_tallies(o, XY[:, 0], XY[:, 1], W)
     lab = t.leaf_labels
     want = np.zeros((3, n_pairs), dtype=np.int64)
