@@ -27,16 +27,26 @@ one gather for all three pairs of a triple; ``answers`` the answer in
 argument order (0: (A,B), 1: (A,C), 2: (B,C)) from one ``_slots`` call on
 its canonical rows; ``tallies`` the three-way answer counts of pairs over
 witnesses, the counts every decision of the topology driver after its
-first pass reads; and ``wins`` the indicator of one target pair (in
-expectation mode its probability).  A row that does not name three
-distinct leaves in [0, n) raises ``ValueError``, in both oracles.
+first pass reads; ``wins`` the indicator of one target pair (in
+expectation mode its probability); and ``pair_wins`` the ``wins`` of
+pairs over witnesses, the values the weight estimators average.  A row
+that does not name three distinct leaves in [0, n) raises ``ValueError``,
+in both oracles.
 
-``tallies(X, Y, W)`` reads the experiments (X[p], Y[p], w) with no
-repeated rows: each pair's leaves are broadcast against the witnesses,
-and two masks give each row's canonical order.  ``OracleState`` then
-reads every answer with one gather at the ranks, and sends a block that
-holds a never-asked triple through ``_slots``; ``ExpectationOracle``
-always reads through ``_slots``.
+``tallies(X, Y, W)`` and ``pair_wins(X, Y, W)`` read the experiments
+(X[p], Y[p], w) with no repeated rows, through one front,
+``_pair_blocks``: it checks the ids once, and each pair's leaves lo < hi
+are broadcast against the witnesses, where two masks give each row's
+canonical order.  For ``tallies``, ``OracleState`` then reads every
+answer with one gather at the ranks, and sends a block that holds a
+never-asked triple through ``_slots``; ``ExpectationOracle`` always reads
+through ``_slots``.  ``pair_wins`` picks each row's value with the
+class's ``_pair_wins``: ``OracleState`` draws through ``_slots`` (the
+weight estimators' triples are mostly never asked), and
+``ExpectationOracle`` gathers d(lo, hi) once per pair, places it with
+d(lo, w) and d(hi, w) in the row's canonical order for the model's
+``slot_probs``, and picks the pair's slot; its ``wins`` is the flat-row
+case of the same ``_pair_wins``.
 
 ``pass_slots(S)`` answers every triple of the sorted leaf ids ``S`` in
 rank order, one layer at a time: the triples whose top position is c are
@@ -228,6 +238,10 @@ expectation_query = triple_distribution
 
 # Rows per block in ``_OracleBase._slots``; bounds its temporaries.
 _BLOCK_ROWS = 1 << 16
+# Rows per block of ``pair_wins`` (float64 temporaries of 64 KiB): an
+# n=2048 expectation ``reconstruct_weights`` took 0.084 s with it and
+# 0.119 s with blocks of 16K rows.
+_WIN_BLOCK_ROWS = 1 << 13
 
 
 def _left_out(slot, i, j, k):
@@ -371,50 +385,85 @@ class _OracleBase:
         code = np.where(left_out == C, 0, np.where(left_out == B, 1, 2))
         return code.reshape(shape)
 
-    def tallies(self, X, Y, W):
+    def _pair_blocks(self, X, Y, W, reader, block, by_pair):
         """
-        Three-way answer counts of the experiments (X[p], Y[p], w) over the
-        witnesses ``W`` (leaf ids, repeats counted): a (3, P) int64 array
-        whose row 0 counts the answers (X[p], Y[p]), row 1 the answers
-        (X[p], w) and row 2 the answers (Y[p], w).  Read in blocks of about
-        ``_BLOCK_ROWS`` rows over whole pairs, the block's ``lo < hi`` of
-        each pair broadcast against ``W`` as a column: the masks ``top = W
-        > hi`` and ``mid = W > lo`` fix each row's canonical order (lo, hi,
-        w), (lo, w, hi) or (w, lo, hi), so the pair's answer is code 3 -
-        top - mid and the answer (lo, w) is code 1 + top (codes are slot +
-        1, from ``_pair_codes``).  Raises ``ValueError`` unless every id
-        lies in [0, n), X[p] != Y[p], and no witness is a leaf of a pair:
-        checked once, since a bad row would alias another triple.
+        The shared front of ``tallies`` and ``pair_wins``, the readers of
+        the experiments (X[p], Y[p], w) over witnesses ``W``.  Returns X, Y
+        and W as 1-d int64 arrays and an iterator over blocks of about
+        ``block`` rows of whole pairs, ``(rows, lo, hi, w, top, mid)``:
+        ``rows`` slices the block's pairs, ``lo < hi`` are their leaves,
+        and the masks ``top = w > hi`` and ``mid = w > lo`` fix each row's
+        canonical order (lo, hi, w), (lo, w, hi) or (w, lo, hi).  The masks
+        are (p, m), with ``lo`` and ``hi`` as columns, when ``by_pair``, and
+        (m, p), with ``w`` as a column, when not: numpy's inner loops run
+        along the last axis, which should be the longer.  Raises
+        ``ValueError`` unless every id lies in [0, n), X[p] != Y[p], and
+        no witness is a leaf of a pair: checked once, before any row is
+        read, since a bad row would alias another triple.
         """
         X, Y, W = (np.asarray(v, dtype=np.int64).reshape(-1) for v in (X, Y, W))
         n = self.n_leaves
         ids = np.concatenate([X, Y, W])
         if len(X) != len(Y) or (ids.size and not 0 <= ids.min() <= ids.max() < n):
-            raise ValueError("tallies takes pairs and witnesses of leaf ids")
+            raise ValueError(f"{reader} takes pairs and witnesses of leaf ids")
         witness = np.zeros(n, dtype=bool)
         witness[W] = True
         if (X == Y).any() or witness[X].any() or witness[Y].any():
-            raise ValueError("tallies takes pairs of two leaves and "
+            raise ValueError(f"{reader} takes pairs of two leaves and "
                              "witnesses outside every pair")
-        P, m = len(X), len(W)
-        out = np.zeros((3, P), dtype=np.int64)
-        LO, HI, W = np.minimum(X, Y), np.maximum(X, Y), W[:, None]
-        per = max(1, _BLOCK_ROWS // max(1, m))
-        for s in range(0, P if m else 0, per):
-            lo, hi = LO[s:s + per], HI[s:s + per]
-            top, mid = W > hi, W > lo
-            code = self._pair_codes(lo, hi, W, top, mid)
-            out[0, s:s + per] = np.count_nonzero(code + top + mid == 3, axis=0)
-            out[1, s:s + per] = np.count_nonzero(code - top == 1, axis=0)
-        out[2] = m - out[0] - out[1]
+        LO, HI, w = np.minimum(X, Y), np.maximum(X, Y), W[:, None]
+        if by_pair:
+            LO, HI, w = LO[:, None], HI[:, None], W
+        per = max(1, block // max(1, len(W)))
+        blocks = ((slice(s, s + per), LO[s:s + per], HI[s:s + per], w,
+                   w > HI[s:s + per], w > LO[s:s + per])
+                  for s in range(0, len(X) if len(W) else 0, per))
+        return X, Y, W, blocks
+
+    def tallies(self, X, Y, W):
+        """
+        Three-way answer counts of the experiments (X[p], Y[p], w) over the
+        witnesses ``W`` (leaf ids, repeats counted): a (3, P) int64 array
+        whose row 0 counts the answers (X[p], Y[p]), row 1 the answers
+        (X[p], w) and row 2 the answers (Y[p], w).  Read in the (m, p)
+        blocks of ``_pair_blocks`` (the topology driver asks many pairs
+        against few witnesses), whose masks make the pair's answer code 3 -
+        top - mid and the answer (lo, w) code 1 + top (codes are slot + 1,
+        from ``_pair_codes``); raises ``ValueError`` as ``_pair_blocks``
+        does.
+        """
+        X, Y, W, blocks = self._pair_blocks(X, Y, W, "tallies", _BLOCK_ROWS,
+                                            by_pair=False)
+        out = np.zeros((3, len(X)), dtype=np.int64)
+        for rows, lo, hi, w, top, mid in blocks:
+            code = self._pair_codes(lo, hi, w, top, mid)
+            out[0, rows] = np.count_nonzero(code + top + mid == 3, axis=0)
+            out[1, rows] = np.count_nonzero(code - top == 1, axis=0)
+        out[2] = len(W) - out[0] - out[1]
         swap = X > Y  # row 1 counted the answers (lo, w)
         out[1, swap], out[2, swap] = out[2, swap], out[1, swap]
         return out
 
+    def pair_wins(self, X, Y, W):
+        """
+        ``wins`` of the experiments (X[p], Y[p], w) over the witnesses
+        ``W``: a (P, m) float64 array whose entry (p, q) equals
+        ``wins(X[p], Y[p], W[q])`` bit for bit, read in the (p, m) blocks
+        of ``_pair_blocks`` (the weight estimators ask few pairs against
+        many witnesses) with no repeated rows; raises ``ValueError`` as
+        ``_pair_blocks`` does.
+        """
+        X, Y, W, blocks = self._pair_blocks(X, Y, W, "pair_wins",
+                                            _WIN_BLOCK_ROWS, by_pair=True)
+        out = np.empty((len(X), len(W)))
+        for rows, lo, hi, w, top, mid in blocks:
+            out[rows] = self._pair_wins(lo, hi, w, top, mid)
+        return out
+
     def _pair_codes(self, lo, hi, W, top, mid):
         """
-        Answer slot + 1 of each ``tallies`` row (lo[p], hi[p], W[q]), as an
-        (m, P) uint8 array: one ``_slots`` call on the canonical rows.
+        Answer slot + 1 of each experiment (lo, hi, w) of the masks' shape,
+        as uint8: one ``_slots`` call on the canonical rows.
         """
         i = np.where(mid, lo, W)
         j = np.where(top, hi, np.where(mid, W, lo))
@@ -431,8 +480,9 @@ class OracleState(_OracleBase):
     I < J < K, ``answers(A, B, C)`` the answer of each row in argument
     order, ``wins(A, B, C)`` the vectorized indicator that the answer to
     each row's triple is the pair (A, B), ``tallies(X, Y, W)`` the answer
-    counts of pairs over witnesses, and ``pass_slots(S)`` the answers to
-    every triple of sorted leaf ids.  All of them read and fill
+    counts of pairs over witnesses, ``pair_wins(X, Y, W)`` the indicators
+    of pairs over witnesses, and ``pass_slots(S)`` the answers to every
+    triple of sorted leaf ids.  All of them read and fill
     one answer store, a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes
     holding a 2-bit code per canonical triple (see the module docstring).
     ``query_count`` is the number of codes written, i.e. of distinct
@@ -553,6 +603,16 @@ class OracleState(_OracleBase):
             return code
         return super()._pair_codes(lo, hi, W, top, mid)
 
+    def _pair_wins(self, lo, hi, W, top, mid):
+        """
+        ``pair_wins`` rows: 1.0 where the experiment (lo, hi, w) answered
+        (lo, hi), whose code is 3 - top - mid.  Drawn through the general
+        ``_pair_codes``, not the store gather above: the weight estimators'
+        triples are mostly never asked, so the gather would rank them twice.
+        """
+        code = super()._pair_codes(lo, hi, W, top, mid)
+        return (code + top + mid == 3).astype(np.float64)
+
     def wins(self, A, B, C):
         """
         Float indicator per row: 1.0 iff the experiment on (A, B, C)
@@ -577,8 +637,9 @@ class OracleState(_OracleBase):
 
 class ExpectationOracle(_OracleBase):
     """
-    Drop-in oracle whose ``wins`` returns the exact probability of each
-    target pair instead of a sampled indicator, and whose ``codes`` is each
+    Drop-in oracle whose ``wins`` and ``pair_wins`` return the exact
+    probability of each target pair instead of a sampled indicator (both
+    through ``_pair_wins``), and whose ``codes`` is each
     canonical row's most likely slot (the closest pair, under a validated
     model).  Topology reconstruction and grading read the most likely pair
     through ``codes`` and ``answers``, computed afresh on every call: an
@@ -597,11 +658,29 @@ class ExpectationOracle(_OracleBase):
             np.stack(self.model.slot_probs(*d)), axis=0)
 
     def wins(self, A, B, C):
+        """
+        Probability per row that the experiment on (A, B, C) answers the
+        pair (A, B): the flat-row case of ``_pair_wins``, with lo and hi
+        the row's min and max of A and B and C its witness.
+        """
         A, B, C = self._rows(A, B, C)
-        i, j, k = self._canonical(A, B, C)
-        _check_rows(i, j, k, self.n_leaves)
-        p0, p1, p2 = self._probs(i, j, k)
-        return np.where(C == k, p0, np.where(C == j, p1, p2))
+        _check_rows(*self._canonical(A, B, C), self.n_leaves)
+        lo, hi = np.minimum(A, B), np.maximum(A, B)
+        return self._pair_wins(lo, hi, C, C > hi, C > lo)
+
+    def _pair_wins(self, lo, hi, W, top, mid):
+        """
+        Probability that the experiment (lo, hi, w) answers (lo, hi): d(lo,
+        hi), d(lo, w) and d(hi, w) placed by the masks in the canonical
+        order (d01, d02, d12) that ``_probs`` gives the row, then the
+        pair's slot, 0 (top), 1 (mid) or 2, of ``slot_probs``.  In the
+        blocks of ``pair_wins`` d(lo, hi) is one gather per pair.
+        """
+        dp, dl, dh = self._dist(lo, hi), self._dist(lo, W), self._dist(hi, W)
+        p0, p1, p2 = self.model.slot_probs(
+            np.where(top, dp, dl), np.where(top, dl, np.where(mid, dp, dh)),
+            np.where(mid, dh, dp))
+        return np.where(top, p0, np.where(mid, p1, p2))
 
     def query(self, a, b, c):
         """Expectation mode has no single answer; exposes the distribution."""

@@ -21,18 +21,26 @@ Heights are finally clamped to be monotone along root-leaf paths and edge
 weights read off as height differences.  Leaves sit at height 0 and the
 root at 1 exactly.
 
-Each stage reads its answers in blocks: the rows of all its vertices (and,
-below the heavy path, of all anchors) go to ``wins`` in a few calls, cut
-into chunks of whole vertices of at most ``_CHUNK_ROWS`` rows.  Every
-response is then a row-wise ``mean`` over one vertex's (or one anchor's)
-contiguous slice of a chunk: the pairwise sum ``np.mean`` takes over that
-vertex's own rows, so the estimates are bit-equal to asking each vertex
-and anchor on its own.  A segmented ``np.add.reduceat`` sums left to right
+Each stage reads its answers in blocks: the pairs of all its vertices
+(against all anchors' witnesses below the heavy path) go to the oracle's
+``pair_wins`` in a few calls, cut into chunks of whole vertices of at most
+``_CHUNK_ROWS`` rows, with no repeated rows built.  Every response is then
+a row-wise ``mean`` over one vertex's (or one anchor's) contiguous slice
+of a chunk: the pairwise sum ``np.mean`` takes over that vertex's own
+``wins`` rows, so the estimates are bit-equal to asking each vertex and
+anchor on its own.  A segmented ``np.add.reduceat`` sums left to right
 instead and changes the low bits of expectation-mode estimates.
+
+A node's leaves are a slice of one depth-first leaf order; the sorted
+leafset a stage reads is built from it on first read, and each vertex's
+representative pair is the smallest leaf of each child.  Below the heavy
+path every bisection starts from the same bracket, so the stage evaluates
+the shared response curve once per distinct midpoint.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,17 +185,16 @@ def response_curve(a, anchor_heights, weights):
     return float(np.dot(w, b / (2.0 * b + a)) / np.sum(w))
 
 
-def invert_F(q_hat, anchor_heights, weights, tol=1e-12, max_iter=200):
+def _curve(anchor_heights, weights):
     """
-    The unique a >= 0 with F(a) = q_hat, by bisection on the strictly
-    decreasing response curve.  Out-of-range targets clamp to the nearest
-    bracket endpoint.  Returns (a, residual).
+    The response curve F of ``response_curve`` with its constants computed
+    once (the same operations on the same values, so F(a) equals
+    ``response_curve(a, ...)`` bit for bit), and the top 4 min b of its
+    bisection bracket.
     """
     b = np.asarray(anchor_heights, dtype=np.float64)
     if len(b) == 0 or np.any(b <= 0):
         raise EstimationFailure("anchor heights must be positive")
-    # response_curve with its constants computed once: the same operations
-    # on the same values, so F(a) equals response_curve(a, ...) bit for bit
     w = np.asarray(weights, dtype=np.float64)
     b2 = 2.0 * b
     sw = np.sum(w)
@@ -195,7 +202,12 @@ def invert_F(q_hat, anchor_heights, weights, tol=1e-12, max_iter=200):
     def F(a):
         return float(np.dot(w, b / (b2 + a)) / sw)
 
-    lo, hi = 0.0, 4.0 * float(np.min(b))
+    return F, 4.0 * float(np.min(b))
+
+
+def _bisect(q_hat, F, top, tol, max_iter):
+    """The bisection of ``invert_F`` on the curve ``F`` over [0, top]."""
+    lo, hi = 0.0, top
     f_lo = F(lo)  # = 1/2
     f_hi = F(hi)
     if q_hat >= f_lo:
@@ -213,6 +225,15 @@ def invert_F(q_hat, anchor_heights, weights, tol=1e-12, max_iter=200):
             hi = mid
     mid = 0.5 * (lo + hi)
     return mid, abs(F(mid) - q_hat)
+
+
+def invert_F(q_hat, anchor_heights, weights, tol=1e-12, max_iter=200):
+    """
+    The unique a >= 0 with F(a) = q_hat, by bisection on the strictly
+    decreasing response curve.  Out-of-range targets clamp to the nearest
+    bracket endpoint.  Returns (a, residual).
+    """
+    return _bisect(q_hat, *_curve(anchor_heights, weights), tol, max_iter)
 
 
 def final_correction(h_v, anchor_heights):
@@ -257,26 +278,48 @@ class _WeightDriver:
                          else cfg.pair_cap)
         if set(topology.leaf_labels) != set(oracle.labels):
             raise ValueError("topology and oracle leaf sets differ")
-        # oracle leaf indices under each topology node
-        self.leafset = [None] * topology.n_nodes
-        for v in topology.topo_order()[::-1]:
-            v = int(v)
-            if topology.is_leaf(v):
-                self.leafset[v] = np.array(
-                    [oracle.index_of[topology.labels[v]]], dtype=np.int64
-                )
-            else:
-                c1, c2 = topology.children(v)
-                self.leafset[v] = np.sort(
-                    np.concatenate([self.leafset[c1], self.leafset[c2]])
-                )
+        # one depth-first order of the nodes, child1's subtree first: node
+        # v sits at pre[v] with its subtree in the next 2 nl[v] - 1 places,
+        # and its leaves' oracle indices are order[first[v]:first[v] + nl[v]]
+        self.nl = topology.leaf_counts()
+        c1, c2, nl = (x.tolist() for x in
+                      (topology.child1, topology.child2, self.nl))
+        self.topdown = topology.topo_order().tolist()
+        first, pre = [0] * topology.n_nodes, [0] * topology.n_nodes
+        for v in self.topdown:
+            a, b = c1[v], c2[v]
+            if a != NO_NODE:
+                first[a], pre[a] = first[v], pre[v] + 1
+                first[b], pre[b] = first[v] + nl[a], pre[v] + 2 * nl[a]
+        self.first, self.pre = np.array(first), np.array(pre)
+        self.preorder = np.empty(topology.n_nodes, dtype=np.int64)
+        self.preorder[self.pre] = np.arange(topology.n_nodes)
+        self.order = np.empty(self.n, dtype=np.int64)
+        self.order[self.first[topology.leaf_nodes]] = [
+            oracle.index_of[lab] for lab in topology.leaf_labels]
+        # smallest leaf under each node: the even entries of a reduceat
+        # over the interleaved bounds [first, first + nl) (the appended 0
+        # makes the bound n a valid index)
+        bounds = np.stack([self.first, self.first + self.nl], axis=1).ravel()
+        self.min_leaf = np.minimum.reduceat(np.append(self.order, 0),
+                                            bounds)[::2]
+        self._leafsets = {}
+
+    def leafset(self, v):
+        """Sorted oracle indices of the leaves under node v, built on first read."""
+        s = self._leafsets.get(v)
+        if s is None:
+            f = self.first[v]
+            s = self._leafsets[v] = np.sort(self.order[f:f + self.nl[v]])
+        return s
 
     # -- primitive estimators ------------------------------------------- #
 
-    def _rep_pair(self, v):
-        """Smallest-label leaf in each child subtree of internal v."""
-        c1, c2 = self.topo.children(v)
-        return int(self.leafset[c1][0]), int(self.leafset[c2][0])
+    def _rep_pairs(self, vertices):
+        """Smallest-index leaf in each child subtree of internal vertices."""
+        V = np.asarray(vertices, dtype=np.int64)
+        return (self.min_leaf[self.topo.child1[V]],
+                self.min_leaf[self.topo.child2[V]])
 
     def _responses(self, vertices, witnesses, spans=None):
         """
@@ -285,23 +328,20 @@ class _WeightDriver:
         mean of wins(a, b, c) over c in ``witnesses[lo:hi]`` for the s-th
         ``(lo, hi)`` of ``spans`` (default: one span over all of them).
 
-        The rows (a, b, c) of whole vertices go to ``wins`` in chunks of at
-        most ``_CHUNK_ROWS``.  Each mean is a row-wise ``mean`` over one
-        span of a chunk's (vertices, witnesses) matrix: the same pairwise
-        sum as ``np.mean`` of that vertex's own ``wins`` call, so bit-equal
-        to it.  ``np.add.reduceat`` sums in another order and is not.
+        The pairs of whole vertices go to ``pair_wins`` in chunks of at
+        most ``_CHUNK_ROWS`` rows.  Each mean is a row-wise ``mean`` over
+        one span of a chunk's (vertices, witnesses) matrix: the same
+        pairwise sum as ``np.mean`` of that vertex's own ``wins`` call, so
+        bit-equal to it.  ``np.add.reduceat`` sums in another order and is
+        not.
         """
         C = np.asarray(witnesses, dtype=np.int64)
         L = len(C)
         spans = spans or [(0, L)]
-        pairs = np.array([self._rep_pair(v) for v in vertices],
-                         dtype=np.int64).reshape(-1, 2)
-        out = np.empty((len(pairs), len(spans)))
-        for lo, hi in _chunks([L] * len(pairs)):
-            m = hi - lo
-            W = self.oracle.wins(np.repeat(pairs[lo:hi, 0], L),
-                                 np.repeat(pairs[lo:hi, 1], L),
-                                 np.tile(C, m)).reshape(m, L)
+        X, Y = self._rep_pairs(vertices)
+        out = np.empty((len(X), len(spans)))
+        for lo, hi in _chunks([L] * len(X)):
+            W = self.oracle.pair_wins(X[lo:hi], Y[lo:hi], C)
             for s, (a, e) in enumerate(spans):
                 out[lo:hi, s] = W[:, a:e].mean(axis=1)
         return out
@@ -325,28 +365,29 @@ class _WeightDriver:
     def _cross_count(self, v):
         """How many pairs spanning v's children are asked: at most pair_cap."""
         c1, c2 = self.topo.children(v)
-        return min(len(self.leafset[c1]) * len(self.leafset[c2]), self.pair_cap)
+        return min(int(self.nl[c1] * self.nl[c2]), self.pair_cap)
 
     def _cross_pairs(self, v):
         """The first ``_cross_count(v)`` pairs spanning v's children."""
         c1, c2 = self.topo.children(v)
-        L, R = self.leafset[c1], self.leafset[c2]
+        L, R = self.leafset(c1), self.leafset(c2)
         t = np.arange(self._cross_count(v), dtype=np.int64)
         return L[t // len(R)], R[t % len(R)]
 
     def _cross_responses(self, vertices, witness):
         """
         Mean answer of each vertex's cross pairs against one witness leaf,
-        read in chunks of whole vertices like ``_responses``; each mean is
-        ``np.mean`` over the vertex's slice of its chunk.
+        read through ``pair_wins`` in chunks of whole vertices like
+        ``_responses``; each mean is ``np.mean`` over the vertex's slice of
+        its chunk.
         """
         counts = [self._cross_count(v) for v in vertices]
         out = []
         for lo, hi in _chunks(counts):
             rows = [self._cross_pairs(v) for v in vertices[lo:hi]]
-            A = np.concatenate([a for a, _ in rows])
-            B = np.concatenate([b for _, b in rows])
-            W = self.oracle.wins(A, B, np.full(len(A), witness, dtype=np.int64))
+            W = self.oracle.pair_wins(np.concatenate([a for a, _ in rows]),
+                                      np.concatenate([b for _, b in rows]),
+                                      [witness])[:, 0]
             ends = np.cumsum(counts[lo:hi]).tolist()
             out += [float(np.mean(W[e - k:e]))
                     for k, e in zip(counts[lo:hi], ends)]
@@ -359,7 +400,7 @@ class _WeightDriver:
         Estimates for the internal vertices under ``side``, each inverted
         directly from its response against every leaf under ``far``.
         """
-        wits = self.leafset[far]
+        wits = self.leafset(far)
         verts = self._internal_under(side)
         out = {}
         for v, p in zip(verts, self._responses(verts, wits)[:, 0].tolist()):
@@ -375,7 +416,7 @@ class _WeightDriver:
         leaf of the root's light side.
         """
         light_r, _ = self.topo.ordered_children(self.topo.root)
-        witness = int(self.leafset[light_r][0])
+        witness = int(self.min_leaf[light_r])
         verts = [v for v in info.path[1:info.f + 2] if not self.topo.is_leaf(v)]
         out = {}
         for v, p in zip(verts, self._cross_responses(verts, witness)):
@@ -389,9 +430,8 @@ class _WeightDriver:
     def run(self):
         topo = self.topo
         est = {}
-        for v in range(topo.n_nodes):
-            if topo.is_leaf(v):
-                est[v] = VertexEstimate(0.0, "exact", "leaf")
+        for v in np.flatnonzero(topo.child1 == NO_NODE).tolist():
+            est[v] = VertexEstimate(0.0, "exact", "leaf")
         est[topo.root] = VertexEstimate(1.0, "exact", "root-normalization")
         if self.n == 2:
             return self._finish(est)
@@ -413,7 +453,7 @@ class _WeightDriver:
         # 3) left subtrees hanging off the heavy path above v_f, one block
         # per path index
         for idx in range(1, f + 1):
-            far = self.leafset[path[idx + 1]]
+            far = self.leafset(path[idx + 1])
             h_anchor = est[path[idx]].value
             verts = self._internal_under(info.left_child[idx])
             for v, p in zip(verts, self._responses(verts, far)[:, 0].tolist()):
@@ -441,7 +481,7 @@ class _WeightDriver:
                         continue
                     a_heights.append(est[path[i]].value)
                     a_weights.append(size)
-                    far_sets.append(self.leafset[info.left_child[i]])
+                    far_sets.append(self.leafset(info.left_child[i]))
                 if not a_heights:
                     raise EstimationFailure("anchor heights must be positive")
                 ends = np.cumsum([len(far) for far in far_sets]).tolist()
@@ -449,44 +489,36 @@ class _WeightDriver:
                 short = [w for far in far_sets
                          for w in self._few_witnesses(len(far))]
                 p_hats = self._responses(below, np.concatenate(far_sets), spans)
+                # every bisection starts from the same bracket, so the
+                # vertices share midpoints: evaluate each once
+                F, top = _curve(a_heights, a_weights)
+                F = functools.cache(F)
                 for v, p_v in zip(below, p_hats.tolist()):
                     warns = dropped + short
                     q_hat = aggregate_anchor_probs(p_v, a_weights)
-                    h, resid = invert_F(
-                        q_hat, a_heights, a_weights,
-                        tol=self.cfg.bisect_tol,
-                        max_iter=self.cfg.bisect_max_iter,
-                    )
+                    h, resid = _bisect(q_hat, F, top, self.cfg.bisect_tol,
+                                       self.cfg.bisect_max_iter)
                     h = final_correction(h, a_heights)
                     est[v] = VertexEstimate(h, "coarse", "aggregated-anchors",
                                             warns, residual=resid)
         return self._finish(est)
 
     def _internal_under(self, top):
-        out = []
-        stack = [int(top)]
-        while stack:
-            u = stack.pop()
-            if not self.topo.is_leaf(u):
-                out.append(u)
-                stack.extend(self.topo.children(u))
-        return sorted(out)
+        """The internal nodes under ``top`` (itself included), sorted."""
+        at = self.pre[top]
+        nodes = self.preorder[at:at + 2 * self.nl[top] - 1]
+        return np.sort(nodes[self.topo.child1[nodes] != NO_NODE]).tolist()
 
     def _finish(self, est):
         # top-down monotonicity clamp, then edge weights as differences
-        for v in self.topo.topo_order():
-            v = int(v)
-            p = self.topo.parent[v]
-            if p == NO_NODE:
-                continue
-            if est[v].value > est[p].value:
+        parent = self.topo.parent.tolist()
+        for v in self.topdown:
+            p = parent[v]
+            if p != NO_NODE and est[v].value > est[p].value:
                 est[v].value = est[p].value
                 est[v].warnings.append("clamped-to-parent")
-        edges = {}
-        for v in range(self.topo.n_nodes):
-            p = self.topo.parent[v]
-            if p != NO_NODE:
-                edges[v] = est[p].value - est[v].value
+        edges = {v: est[p].value - est[v].value
+                 for v, p in enumerate(parent) if p != NO_NODE}
         return HeightEstimates(topology=self.topo, by_node=est,
                                edge_weights=edges)
 
@@ -508,21 +540,26 @@ def reconstruct_right_path(oracle, topology, cfg=None):
 
 def anchor_estimate(oracle, topology, v, anchor, cfg=None):
     """
-    Anchored response of internal vertex ``v`` against the path vertex
-    ``anchor`` (an ancestor): the fraction of experiments (a, b, c_i)
-    answering (a, b) with c_i in the anchor's subtree away from v.
-    Returns (p_hat, k).
+    Anchored response of internal vertex ``v`` against ``anchor``, a proper
+    ancestor of v: the fraction of experiments (a, b, c_i) answering (a, b)
+    with c_i in the anchor's subtree away from v.  Returns (p_hat, k).
+    Raises ``ValueError`` unless v is internal and ``anchor`` lies above it.
     """
-    cfg = cfg or WeightConfig()
-    drv = _WeightDriver(oracle, topology, cfg)
+    v, anchor = int(v), int(anchor)
+    if not (0 <= v < topology.n_nodes and 0 <= anchor < topology.n_nodes) \
+            or topology.is_leaf(v):
+        raise ValueError("anchor_estimate takes an internal vertex v")
+    near = v  # ends at the anchor's child on v's side
+    while near != NO_NODE and topology.parent[near] != anchor:
+        near = int(topology.parent[near])
+    if near == NO_NODE:
+        raise ValueError("anchor must be a proper ancestor of v")
     c1, c2 = topology.children(anchor)
-    in1 = np.isin(drv.leafset[v], drv.leafset[c1]).any()
-    far = c2 if in1 else c1
-    if np.isin(drv.leafset[v], drv.leafset[far]).any():
-        raise ValueError("anchor must separate v from its witness side")
+    far = c2 if near == c1 else c1
+    drv = _WeightDriver(oracle, topology, cfg or WeightConfig())
     warns = []
-    p = drv.anchored_response(v, drv.leafset[far], warns)
-    return p, int(len(drv.leafset[far]))
+    p = drv.anchored_response(v, drv.leafset(far), warns)
+    return p, int(drv.nl[far])
 
 
 def reconstruct_weights(oracle, topology, cfg=None):

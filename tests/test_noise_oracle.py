@@ -25,7 +25,8 @@ from tripletree import (
     tree_from_topology,
 )
 import tripletree.noise_oracle as noise_oracle
-from tripletree.noise_oracle import _BLOCK_ROWS, _splitmix64, keyed_uniform
+from tripletree.noise_oracle import (_BLOCK_ROWS, _WIN_BLOCK_ROWS, _splitmix64,
+                                    keyed_uniform)
 
 from conftest import random_tree
 
@@ -351,6 +352,8 @@ def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, op
 def _pass_source(source, tree, seed):
     if source == "expectation-homogeneous":
         return ExpectationOracle(tree, "homogeneous")
+    if source == "expectation-noiseless":
+        return ExpectationOracle(tree, "noiseless")
     if source == "expectation-custom":
         return ExpectationOracle(tree, CustomModel(_linear_p_correct,
                                                    epsilon=1.0 / 13.0))
@@ -533,10 +536,7 @@ def test_tallies_match_the_general_reader(n, source, asked, n_pairs, n_wit,
         np.testing.assert_array_equal(o._store, ref._store)
 
 
-@pytest.mark.parametrize("source", ["noiseless", "homogeneous",
-                                    "expectation-homogeneous",
-                                    "expectation-custom"])
-@pytest.mark.parametrize("X, Y, W", [
+_NOT_EXPERIMENTS = pytest.mark.parametrize("X, Y, W", [
     ([0, -1], [1, 2], [3, 4]),  # a leaf id below 0
     ([0, 1], [1, 8], [3, 4]),  # a leaf id n
     ([0, 1], [1, 2], [3, -1]),
@@ -547,11 +547,15 @@ def test_tallies_match_the_general_reader(n, source, asked, n_pairs, n_wit,
     ([0, 1], [1], [3, 4]),  # more X than Y
 ], ids=["x-below-0", "y-is-n", "w-below-0", "w-is-n", "x-is-y", "w-is-y",
         "w-is-x", "unpaired"])
-@pytest.mark.parametrize("asked", ["one", "all"])
-def test_tallies_reject_rows_that_are_not_experiments(source, X, Y, W, asked):
-    # checked before any row is read: with one triple answered the first
-    # rows name fresh triples, none of which may be asked; with all of
-    # them answered a bad row would read another triple's answer
+
+
+def _assert_rejected(read, source, X, Y, W, asked):
+    """
+    ``read(oracle)(X, Y, W)`` raises ``ValueError`` before any row is read:
+    with one triple answered the first rows name fresh triples, none of
+    which may be asked; with all of them answered a bad row would read
+    another triple's answer.
+    """
     t = generate_random_ultrametric(8, 0.05, seed=0)
     o = _pass_source(source, t, 0)
     if asked == "all":
@@ -562,10 +566,19 @@ def test_tallies_reject_rows_that_are_not_experiments(source, X, Y, W, asked):
     count = o.query_count
     store = o._store.copy() if isinstance(o, OracleState) else None
     with pytest.raises(ValueError):
-        o.tallies(X, Y, W)
+        read(o)(X, Y, W)
     assert o.query_count == count
     if store is not None:
         np.testing.assert_array_equal(o._store, store)
+
+
+@pytest.mark.parametrize("source", ["noiseless", "homogeneous",
+                                    "expectation-homogeneous",
+                                    "expectation-custom"])
+@_NOT_EXPERIMENTS
+@pytest.mark.parametrize("asked", ["one", "all"])
+def test_tallies_reject_rows_that_are_not_experiments(source, X, Y, W, asked):
+    _assert_rejected(lambda o: o.tallies, source, X, Y, W, asked)
 
 
 @pytest.mark.parametrize("model", ["noiseless", "homogeneous"])
@@ -584,6 +597,82 @@ def test_tallies_at_the_edge_of_int32_ranks(n, model):
     for _ in range(2):
         np.testing.assert_array_equal(o.tallies(X, Y, W), want)
         assert o.query_count == ref.query_count == len(X) * 5
+
+
+# ---------------------------------------------------------------------- #
+# Pair wins                                                               #
+# ---------------------------------------------------------------------- #
+
+
+def _reference_probabilities(oracle, A, B, C):
+    """
+    Expectation-mode ``wins`` from canonical rows sorted afresh: the model's
+    slot probabilities of (i, j, k), picked by where C sits.
+    """
+    i, j, k = np.sort(np.stack([A, B, C]), axis=0)
+    D = oracle.tree.distance_matrix()
+    p0, p1, p2 = oracle.model.slot_probs(D[i, j], D[i, k], D[j, k])
+    return np.where(C == k, p0, np.where(C == j, p1, p2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    source=st.sampled_from(["noiseless", "homogeneous",
+                            "expectation-homogeneous", "expectation-noiseless",
+                            "expectation-custom"]),
+    asked=st.sampled_from(["fresh", "some"]),
+    n_pairs=st.integers(0, 30),
+    n_wit=st.integers(0, 12),
+    block=st.sampled_from([1, 7, 64, _WIN_BLOCK_ROWS]),
+    seed=st.integers(0, 2 ** 64 - 1),
+    data_seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(n=20, source="homogeneous", asked="some", n_pairs=30, n_wit=12,
+         block=_WIN_BLOCK_ROWS, seed=0, data_seed=0)
+def test_pair_wins_match_wins_on_repeated_rows(n, source, asked, n_pairs,
+                                               n_wit, block, seed, data_seed):
+    # entry (p, q) is wins(X[p], Y[p], W[q]) bit for bit, and the triples
+    # asked, stored and counted are those of ``wins`` on the repeated rows:
+    # pairs in either order, repeated or sharing leaves, witnesses unsorted
+    # and repeated, on a fresh and a partly answered store, in blocks of
+    # one pair or more.  Both expectation readers share ``_pair_wins``, so
+    # they are also held to probabilities of rows sorted afresh
+    tree = _store_tree(n)
+    rng = np.random.default_rng(data_seed)
+    leaves = rng.permutation(n)
+    k = min(n - 2, int(rng.integers(1, n_wit + 1))) if n_wit else 0
+    W = rng.choice(leaves[:k], size=n_wit) if k else leaves[:0]
+    XY = np.array([rng.choice(leaves[k:], size=2, replace=False)
+                   for _ in range(n_pairs)], dtype=np.int64).reshape(-1, 2)
+    pre = _triple_pool(rng, n, int(rng.integers(1, 4 * n)))
+    o, ref = _pass_source(source, tree, seed), _pass_source(source, tree, seed)
+    if asked == "some":
+        for x in (o, ref):
+            x.codes(pre[:, 0], pre[:, 1], pre[:, 2])
+    with mock.patch.object(noise_oracle, "_WIN_BLOCK_ROWS", block):
+        got = o.pair_wins(XY[:, 0], XY[:, 1], W)
+    rows = (np.repeat(XY[:, 0], n_wit), np.repeat(XY[:, 1], n_wit),
+            np.tile(W, n_pairs))
+    want = ref.wins(*rows).reshape(n_pairs, n_wit)
+    assert got.dtype == np.float64 and got.shape == (n_pairs, n_wit)
+    assert got.tobytes() == want.tobytes()
+    if isinstance(o, ExpectationOracle):
+        assert want.tobytes() == _reference_probabilities(
+            ref, *rows).reshape(n_pairs, n_wit).tobytes()
+    assert o.query_count == ref.query_count
+    if isinstance(o, OracleState):
+        np.testing.assert_array_equal(o._store, ref._store)
+
+
+@pytest.mark.parametrize("source", ["noiseless", "homogeneous",
+                                    "expectation-homogeneous",
+                                    "expectation-custom"])
+@_NOT_EXPERIMENTS
+@pytest.mark.parametrize("asked", ["one", "all"])
+def test_pair_wins_reject_rows_that_are_not_experiments(source, X, Y, W,
+                                                        asked):
+    _assert_rejected(lambda o: o.pair_wins, source, X, Y, W, asked)
 
 
 @pytest.mark.parametrize("model", ["homogeneous", "noiseless"])

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -248,6 +250,29 @@ def test_anchor_unbiasedness_monte_carlo():
     assert abs(float(means.mean()) - p_true) <= 3 * sigma_mean
 
 
+@pytest.mark.parametrize("v, anchor", [
+    (2, 21),  # under the root's other child: not an ancestor
+    (2, 2),  # v itself
+    (4, 2),  # below v
+    (0, 22),  # a leaf v
+    (2, 0),  # a leaf anchor
+    (2, 23),  # past the last node
+    (-1, 22),
+], ids=["other-side", "itself", "below", "leaf-v", "leaf-anchor",
+        "anchor-past-nodes", "v-below-0"])
+def test_anchor_estimate_takes_a_proper_ancestor(v, anchor):
+    # on this tree v=2 lies under the root's child 10 (via 4) and 21 is the
+    # root's other child
+    t = generate_random_ultrametric(12, 0.02, seed=1)
+    assert t.children(t.root) == (10, 21) and t.parent[2] == 4
+    eo = ExpectationOracle(t, "homogeneous")
+    with pytest.raises(ValueError):
+        anchor_estimate(eo, t, v, anchor)
+    for above in (4, 10, t.root):
+        p, k = anchor_estimate(eo, t, 2, above)
+        assert 1.0 / 3.0 - 1e-12 <= p <= 0.5 + 1e-12 and k >= 1
+
+
 # ---------------------------------------------------------------------- #
 # Pipeline pieces                                                         #
 # ---------------------------------------------------------------------- #
@@ -417,7 +442,7 @@ def test_pair_cap_below_one_raises(cap):
 def test_pair_cap_one_asks_one_pair_per_path_vertex():
     t = random_tree(48, w=0.02, seed=5)
     eo = ExpectationOracle(t, "homogeneous")
-    rows = _count_wins(eo)
+    rows = _count_rows(eo, "pair_wins")
     out = reconstruct_right_path(eo, t, WeightConfig(pair_cap=1))
     assert sum(rows) == len(out) - 1  # every estimate but the root's
     for v, est in out.items():
@@ -436,7 +461,7 @@ class _PerRequest(_WeightDriver):
         spans = spans or [(0, len(witnesses))]
         out = np.empty((len(vertices), len(spans)))
         for r, v in enumerate(vertices):
-            a, b = self._rep_pair(v)
+            (a,), (b,) = self._rep_pairs([v])
             for s, (lo, hi) in enumerate(spans):
                 far = np.asarray(witnesses[lo:hi], dtype=np.int64)
                 L = len(far)
@@ -453,16 +478,20 @@ class _PerRequest(_WeightDriver):
         return out
 
 
-def _count_wins(oracle):
-    """Wrap ``oracle.wins``; the returned list gets each call's row count."""
+def _count_rows(oracle, reader):
+    """
+    Wrap the oracle's ``wins`` or ``pair_wins``; the returned list gets
+    each call's row count (pairs times witnesses for ``pair_wins``).
+    """
     rows = []
-    wins = oracle.wins
+    read = getattr(oracle, reader)
 
-    def counted(A, B, C):
-        rows.append(np.broadcast(A, B, C).size)
-        return wins(A, B, C)
+    def counted(*args):
+        rows.append(np.broadcast(*args).size if reader == "wins"
+                    else np.size(args[0]) * np.size(args[2]))
+        return read(*args)
 
-    oracle.wins = counted
+    setattr(oracle, reader, counted)
     return rows
 
 
@@ -483,20 +512,27 @@ def _blocked_and_reference(tree, source, seed):
     """
     Every estimate field of the block-reading driver and of the
     per-request reference, each on a fresh oracle, with their ``query_count``
-    and ``wins`` calls.
+    and the calls of their readers: ``pair_wins`` for the driver (which
+    makes no ``wins`` call), ``wins`` for the reference.
     """
     out = []
-    for cls in (_WeightDriver, _PerRequest):
+    for cls, reader in ((_WeightDriver, "pair_wins"), (_PerRequest, "wins")):
         o = _make_oracle(tree, source, seed)
-        calls = _count_wins(o)
+        calls = _count_rows(o, reader)
+        flat = _count_rows(o, "wins") if reader == "pair_wins" else []
         he = cls(o, tree, WeightConfig()).run()
-        fields = [
-            (v, repr(e.value), e.error_class, e.method, e.warnings,
-             repr(e.residual), repr(he.edge_weights.get(v)))
-            for v, e in sorted(he.by_node.items())
-        ]
-        out.append((fields, o.query_count, len(calls)))
+        assert flat == []
+        out.append((_estimate_fields(he), o.query_count, len(calls)))
     return out
+
+
+def _estimate_fields(he):
+    """Every field of every vertex estimate, with its edge weight."""
+    return [
+        (v, repr(e.value), e.error_class, e.method, e.warnings,
+         repr(e.residual), repr(he.edge_weights.get(v)))
+        for v, e in sorted(he.by_node.items())
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -521,6 +557,42 @@ def test_block_reads_match_per_request_reference(n, shape, tree_seed,
             return
     assert got == want
     assert got_q == want_q
+
+
+def _shuffled_tree(n, seed):
+    """A random topology whose labels are out of depth-first order."""
+    rng = np.random.default_rng(seed)
+    labels = [f"x{i:02d}" for i in rng.permutation(n)]
+
+    def split(part):
+        if len(part) == 1:
+            return part[0]
+        cut = int(rng.integers(1, len(part)))
+        return (split(part[:cut]), split(part[cut:]))
+
+    return tree_from_topology(split(labels))
+
+
+def test_driver_node_sets_match_the_topology():
+    # the driver's leafsets, smallest leaves and internal nodes come from
+    # one depth-first order; on labels out of that order they must still
+    # be the sorted leaf indices, their first entry, and the sorted
+    # internal nodes of each subtree
+    for seed in range(4):
+        t = _shuffled_tree(30, seed)
+        o = ExpectationOracle(t, "homogeneous")
+        drv = _WeightDriver(o, t, WeightConfig())
+        for v in range(t.n_nodes):
+            want = sorted(o.index_of[lab] for lab in t.subtree_leaf_labels(v))
+            assert drv.leafset(v).tolist() == want
+            assert drv.min_leaf[v] == want[0]
+            under, stack = [], [v]
+            while stack:
+                u = stack.pop()
+                if not t.is_leaf(u):
+                    under.append(u)
+                    stack.extend(t.children(u))
+            assert drv._internal_under(v) == sorted(under)
 
 
 def test_block_reads_chunk_in_whole_vertices():
@@ -549,3 +621,43 @@ def test_wins_calls_on_the_sampled_323_tree():
     assert got_q == want_q
     assert calls <= 20
     assert ref_calls > 300
+
+
+def test_expectation_weights_pinned_on_the_2048_leaf_tree():
+    # every estimate field of the benchmark's n=2048 expectation cell, as
+    # the per-row ``wins`` driver gave them
+    t = generate_random_ultrametric(2048, 0.004, seed=0)
+    he = reconstruct_weights(ExpectationOracle(t, "homogeneous"), t)
+    digest = hashlib.sha256(repr(_estimate_fields(he)).encode()).hexdigest()
+    assert digest == \
+        "f82939deb41c370e0df835c0aedbfdd6c7cc61d45785955154cc533f4f23d3bd"
+
+
+def test_aggregated_stage_evaluates_each_midpoint_once(monkeypatch):
+    # every vertex below v_{f+1} bisects from the same bracket; the stage
+    # evaluates the shared curve once per distinct point, and its estimates
+    # are those of a bisection that evaluates every midpoint afresh
+    points = []
+    curve = weights._curve
+
+    def counted(*args):
+        F, top = curve(*args)
+
+        def G(a):
+            points.append(a)
+            return F(a)
+
+        return G, top
+
+    t = random_tree(200, w=0.002, seed=2)
+    monkeypatch.setattr(weights, "_curve", counted)
+    got = reconstruct_weights(ExpectationOracle(t, "homogeneous"), t)
+    coarse = [e for e in got.by_node.values()
+              if e.method == "aggregated-anchors"]
+    assert len(coarse) > 10
+    assert len(points) == len(set(points))
+    once = len(points)
+    monkeypatch.setattr(functools, "cache", lambda F: F)
+    want = reconstruct_weights(ExpectationOracle(t, "homogeneous"), t)
+    assert len(points) - once > once
+    assert _estimate_fields(got) == _estimate_fields(want)
