@@ -18,53 +18,49 @@ triples asked is the number of codes written.  The store takes
 ``ceil(C(n,3)/4)`` bytes (1.4 MB at n=323, 357 MB at n=2048), allocated
 zeroed so that only the pages actually written are resident.
 
-The vectorized readers share one flat reader of canonical rows,
-``_slots``: one loop over blocks of ``_BLOCK_ROWS`` rows for both oracles,
-each block answered by the class's ``_draw_slots`` (the answer store in
-``OracleState``, the most likely slot in ``ExpectationOracle``).  ``codes``
-returns each canonical row's answer slot (0: (i,j), 1: (i,k), 2: (j,k)),
-one gather for all three pairs of a triple; ``answers`` the answer in
-argument order (0: (A,B), 1: (A,C), 2: (B,C)) from one ``_slots`` call on
-its canonical rows; ``tallies`` the three-way answer counts of pairs over
-witnesses, the counts every decision of the topology driver after its
-first pass reads; ``wins`` the indicator of one target pair (in
-expectation mode its probability); and ``pair_wins`` the ``wins`` of
-pairs over witnesses, the values the weight estimators average.  A row
-that does not name three distinct leaves in [0, n) raises ``ValueError``,
-in both oracles.
+Each oracle answers two read shapes, and every reader is a case of one
+of them.  ``pass_slots(S)`` answers every triple of the sorted leaf ids
+``S`` in rank order, one layer at a time, through the class's
+``_layer_reader``: the triples whose top position is c are the first
+C(c,2) pairs (b, a) of ``np.tril_indices(l, -1)``, so each layer reads
+its distances from two per-pass vectors and one row of the distances
+among ``S``, with no per-row index gathers.  Every other reader asks
+masked experiments through the class's ``_pair_codes(lo, hi, w, top,
+mid)``: the experiment on a pair lo < hi and a witness w, whose canonical
+order (lo, hi, w), (lo, w, hi) or (w, lo, hi) is fixed by the masks
+``top = w > hi`` and ``mid = w > lo``, answers with the code slot + 1, so
+the pair (lo, hi) has code 3 - top - mid and the pair (lo, w) code
+1 + top.
 
-``tallies(X, Y, W)`` and ``pair_wins(X, Y, W)`` read the experiments
-(X[p], Y[p], w) with no repeated rows, through one front,
-``_pair_blocks``: it checks the ids once, and each pair's leaves lo < hi
-are broadcast against the witnesses, where two masks give each row's
-canonical order.  For ``tallies``, ``OracleState`` then reads every
-answer with one gather at the ranks, and sends a block that holds a
-never-asked triple through ``_slots``; ``ExpectationOracle`` always reads
-through ``_slots``.  ``pair_wins`` picks each row's value with the
-class's ``_pair_wins``: ``OracleState`` draws through ``_slots`` (the
-weight estimators' triples are mostly never asked), and
-``ExpectationOracle`` gathers d(lo, hi) once per pair, places it with
-d(lo, w) and d(hi, w) in the row's canonical order for the model's
-``slot_probs``, and picks the pair's slot; its ``wins`` is the flat-row
-case of the same ``_pair_wins``.
+``tallies(X, Y, W)`` (the three-way answer counts of pairs over
+witnesses, which every decision of the topology driver after its first
+pass reads) and ``pair_wins(X, Y, W)`` (the ``wins`` of pairs over
+witnesses, which the weight estimators average) read the experiments
+(X[p], Y[p], w) in blocks, through one front, ``_pair_blocks``.  The flat
+readers take one experiment per row, through one front, ``_flat``:
+``codes`` returns the answer slot of canonical rows i < j < k (0: (i,j),
+1: (i,k), 2: (j,k)), the case top = mid = True; ``answers`` the answer
+in argument order (0: (A,B), 1: (A,C), 2: (B,C)); ``wins`` the indicator
+of the pair (A, B) (in expectation mode its probability); and ``query``
+the answer to one labelled triple.  Both fronts check every row once,
+before any is read: a row that does not name three distinct leaves in
+[0, n) raises ``ValueError``, in both oracles.
 
-``pass_slots(S)`` answers every triple of the sorted leaf ids ``S`` in
-rank order, one layer at a time: the triples whose top position is c are
-the first C(c,2) pairs (b, a) of ``np.tril_indices(l, -1)``, so each layer
-reads its distances from two per-pass vectors and one row of the distances
-among ``S``, with no per-row index gathers.  ``OracleState`` checks with
-one masked read per store byte that a layer is all new, decides it with
-the rule ``_decide`` uses, and ORs one value into each byte.  A layer
-that holds an answered triple, or whose ranks are not consecutive (``S``
-does not run 0, 1, 2, ... up to it), goes through ``_draw_slots``, which
-draws only never-asked triples, once each.
+``OracleState`` gathers codes at store ranks with one reader, ``_read``,
+which draws each never-asked triple once.  Its ``_pair_codes`` builds the
+ranks from the masks; its layer reader checks with one masked read per
+store byte that a layer is all new, decides it with the rule ``_decide``
+uses and ORs one value into each byte, and sends a layer that holds an
+answered triple, or whose ranks are not consecutive (``S`` does not run
+0, 1, 2, ... up to it), through ``_read``.  ``ExpectationOracle`` places
+d(lo, hi), d(lo, w) and d(hi, w) by the masks in the canonical order for
+the model's ``slot_probs`` (``_pair_probs``): ``_pair_codes`` is its most
+likely slot + 1, and ``wins`` picks the pair's slot.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .tree_core import CorruptTreeError
 
 _U64 = np.uint64
 _MIX1 = _U64(0x9E3779B97F4A7C15)
@@ -236,17 +232,12 @@ expectation_query = triple_distribution
 # ---------------------------------------------------------------------- #
 
 
-# Rows per block in ``_OracleBase._slots``; bounds its temporaries.
+# Rows per block of ``pass_slots`` and ``tallies``; bounds their temporaries.
 _BLOCK_ROWS = 1 << 16
 # Rows per block of ``pair_wins`` (float64 temporaries of 64 KiB): an
 # n=2048 expectation ``reconstruct_weights`` took 0.084 s with it and
 # 0.119 s with blocks of 16K rows.
 _WIN_BLOCK_ROWS = 1 << 13
-
-
-def _left_out(slot, i, j, k):
-    """The leaf a canonical row's answer slot leaves out: k, j or i."""
-    return np.where(slot == 0, k, np.where(slot == 1, j, i))
 
 
 def _pack(codes):
@@ -255,18 +246,11 @@ def _pack(codes):
     return (v | v >> 6 | v >> 12 | v >> 18).astype(np.uint8)
 
 
-def _check_rows(i, j, k, n):
-    """Raise ``ValueError`` unless every canonical row has 0 <= i < j < k < n."""
-    if not ((i < j) & (j < k) & (i >= 0)).all() or (k.size and k.max() >= n):
-        # in the store, (a, a, c) or (-1, j, k) would rank as another
-        # triple and overwrite its answer, and a flat distance index
-        # i * n + k with k >= n would read another row
-        raise ValueError("oracle rows must name three distinct leaves "
-                         "(codes: in order i < j < k)")
-
-
 class _OracleBase:
-    """Shared leaf indexing / distance plumbing for both oracle flavours."""
+    """
+    Shared leaf indexing, distance plumbing and readers for both oracle
+    flavours; each class answers ``_layer_reader`` and ``_pair_codes``.
+    """
 
     def __init__(self, tree, model):
         self.tree = tree
@@ -308,26 +292,6 @@ class _OracleBase:
     def _dist(self, I, J):
         return self.distances.ravel().take(I * self.n_leaves + J)
 
-    def _probs(self, i, j, k):
-        """The model's probabilities of the slots of canonical rows."""
-        return self.model.slot_probs(
-            self._dist(i, j), self._dist(i, k), self._dist(j, k)
-        )
-
-    def _canonical(self, A, B, C):
-        i = np.minimum(np.minimum(A, B), C)
-        k = np.maximum(np.maximum(A, B), C)
-        j = A + B + C - i - k
-        return i, j, k
-
-    def _slots(self, i, j, k):
-        """Answer slots of flat canonical rows, in blocks of ``_BLOCK_ROWS``."""
-        out = np.empty(i.size, dtype=np.uint8)
-        for lo in range(0, i.size, _BLOCK_ROWS):
-            hi = lo + _BLOCK_ROWS
-            out[lo:hi] = self._draw_slots(i[lo:hi], j[lo:hi], k[lo:hi])
-        return out
-
     def pass_slots(self, S):
         """
         Answer slots of every triple of the sorted leaf ids ``S`` in rank
@@ -359,31 +323,50 @@ class _OracleBase:
                                        row.take(ta[lo:hi]), row.take(tb[lo:hi]))
                 b0 = b1
 
+    def _flat(self, A, B, C):
+        """
+        The front of the flat readers: the experiments (A, B, C) as
+        ``_pair_codes`` reads them.  Returns ``A > B`` and ``(lo, hi, C,
+        top, mid)``, with lo < hi the row's min and max of A and B and the
+        masks ``top = C > hi`` and ``mid = C > lo``, all of the arguments'
+        broadcast shape.  Raises ``ValueError`` unless every row names
+        three distinct leaves in [0, n): checked once, before any row is
+        read, since a bad row would alias another triple.
+        """
+        A, B, C = self._rows(A, B, C)
+        if A.size and not (
+                0 <= min(A.min(), B.min(), C.min())
+                and max(A.max(), B.max(), C.max()) < self.n_leaves
+                and ((A != B) & (A != C) & (B != C)).all()):
+            raise ValueError("oracle rows must name three distinct leaves")
+        lo, hi = np.minimum(A, B), np.maximum(A, B)
+        return A > B, (lo, hi, C, C > hi, C > lo)
+
     def codes(self, I, J, K):
         """
         Answer slot per row, the most likely one in expectation mode: 0 for
         (I, J), 1 for (I, K), 2 for (J, K).  Arguments are leaf indices
         with I < J < K in every row (arrays or scalars); the answers are
-        those ``wins`` and ``query`` give.
+        those ``wins`` and ``query`` give.  Read as the experiments
+        (I, J, K), whose masks top and mid are all True.
         """
         I, J, K = self._rows(I, J, K)
-        return self._slots(*(x.reshape(-1) for x in (I, J, K))).reshape(I.shape)
+        if not ((I < J) & (J < K)).all():
+            raise ValueError("codes takes rows in order I < J < K")
+        return self._pair_codes(*self._flat(I, J, K)[1]) - 1
 
     def answers(self, A, B, C):
         """
         Answer to each experiment (A, B, C), the most likely one in
         expectation mode: 0 (A, B), 1 (A, C), 2 (B, C).  Arguments are leaf
         indices of three distinct leaves per row, in any order (arrays or
-        scalars).  One ``_slots`` call on the canonical rows i < j < k; the
-        leaf its slot leaves out is C, B or A.
+        scalars).  The code of the pair (lo, hi) is 3 - top - mid and that
+        of (lo, C) is 1 + top (see ``tallies``); lo is B where ``A > B``.
         """
-        A, B, C = self._rows(A, B, C)
-        shape = A.shape
-        A, B, C = (x.reshape(-1) for x in (A, B, C))
-        i, j, k = self._canonical(A, B, C)
-        left_out = _left_out(self._slots(i, j, k), i, j, k)
-        code = np.where(left_out == C, 0, np.where(left_out == B, 1, 2))
-        return code.reshape(shape)
+        swap, (lo, hi, C, top, mid) = self._flat(A, B, C)
+        code = self._pair_codes(lo, hi, C, top, mid)
+        return np.where(code + top + mid == 3, 0,
+                        np.where((code - top == 1) != swap, 1, 2))
 
     def _pair_blocks(self, X, Y, W, reader, block, by_pair):
         """
@@ -460,16 +443,6 @@ class _OracleBase:
             out[rows] = self._pair_wins(lo, hi, w, top, mid)
         return out
 
-    def _pair_codes(self, lo, hi, W, top, mid):
-        """
-        Answer slot + 1 of each experiment (lo, hi, w) of the masks' shape,
-        as uint8: one ``_slots`` call on the canonical rows.
-        """
-        i = np.where(mid, lo, W)
-        j = np.where(top, hi, np.where(mid, W, lo))
-        k = np.where(top, W, hi)
-        return (self._slots(i.ravel(), j.ravel(), k.ravel()) + 1).reshape(top.shape)
-
 
 class OracleState(_OracleBase):
     """
@@ -482,9 +455,13 @@ class OracleState(_OracleBase):
     each row's triple is the pair (A, B), ``tallies(X, Y, W)`` the answer
     counts of pairs over witnesses, ``pair_wins(X, Y, W)`` the indicators
     of pairs over witnesses, and ``pass_slots(S)`` the answers to every
-    triple of sorted leaf ids.  All of them read and fill
-    one answer store, a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes
-    holding a 2-bit code per canonical triple (see the module docstring).
+    triple of sorted leaf ids.  All of them read and fill one answer
+    store, a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes holding a 2-bit
+    code per canonical triple (see the module docstring), through two
+    readers: ``_layer_reader`` for the runs of ``pass_slots`` and
+    ``_pair_codes`` for the masked experiments of every other reader.
+    Each gathers codes with ``_read``, which draws each never-asked triple
+    once; only an all-new run of consecutive ranks skips it.
     ``query_count`` is the number of codes written, i.e. of distinct
     triples asked so far.
 
@@ -500,7 +477,7 @@ class OracleState(_OracleBase):
         c2 = m * (m - 1) // 2
         n_triples = n * (n - 1) * (n - 2) // 6
         # C(m, 2) and C(m, 3) in int32 while every rank fits, which halves
-        # the bytes of the rank arithmetic in ``tallies``
+        # the bytes of the rank arithmetic in ``_pair_codes``
         dt = np.int32 if n_triples <= np.iinfo(np.int32).max else np.int64
         self._c2, self._c3 = c2.astype(dt), (c2 * (m - 2) // 3).astype(dt)
         self._store = np.zeros((n_triples + 3) // 4, dtype=np.uint8)
@@ -519,30 +496,33 @@ class OracleState(_OracleBase):
         u = keyed_uniform(self.seed, ids())
         return (u >= p0).astype(np.int64) + (u >= p0 + p1)
 
-    def _draw_slots(self, i, j, k):
+    def _read(self, rank, rows):
         """
-        Answer slots (0: (i,j), 1: (i,k), 2: (j,k)) for canonical rows,
-        drawing and storing only the triples never asked before: the new
-        rows are deduplicated first and the store is read again after the
-        write.
+        Answer codes (slot + 1) of the triples at the store ranks ``rank``
+        (any shape).  Each never-asked triple is drawn and stored once:
+        ``rows(sel)`` gives the canonical rows (i, j, k) at the flat
+        positions ``sel`` of ``rank``, asked only for those triples, whose
+        codes are read again after the write.
         """
-        _check_rows(i, j, k, self.n_leaves)
-        rank = self._c3[k] + self._c2[j] + i
         byte = rank >> 2
         shift = ((rank & 3) << 1).astype(np.uint8)
-        code = (self._store[byte] >> shift) & 3
+        code = (self._store.take(byte) >> shift) & 3
+        if code.all():
+            return code
         new = np.flatnonzero(code == 0)
-        if len(new):
-            fresh, first = np.unique(rank[new], return_index=True)
-            rows = new[first]
-            i, j, k = i[rows], j[rows], k[rows]
-            slot = self._decide(self._probs(i, j, k), lambda: (
-                i * self._n2 + j * self.n_leaves + k).astype(np.uint64))
-            bits = (slot + 1).astype(np.uint8) << shift[rows]
-            np.bitwise_or.at(self._store, fresh >> 2, bits)
-            self._count += len(fresh)
-            code[new] = (self._store[byte[new]] >> shift[new]) & 3
-        return code - 1
+        fresh, first = np.unique(rank.reshape(-1)[new], return_index=True)
+        i, j, k = rows(new[first])
+        slot = self._decide(
+            self.model.slot_probs(self._dist(i, j), self._dist(i, k),
+                                  self._dist(j, k)),
+            lambda: (i * self._n2 + j * self.n_leaves + k).astype(np.uint64))
+        shift = shift.reshape(-1)
+        bits = (slot + 1).astype(np.uint8) << shift[new[first]]
+        np.bitwise_or.at(self._store, fresh >> 2, bits)
+        self._count += len(fresh)
+        code.reshape(-1)[new] = (
+            self._store.take(byte.reshape(-1)[new]) >> shift[new]) & 3
+        return code
 
     def _layer_reader(self, S, tb, ta):
         """
@@ -553,7 +533,7 @@ class OracleState(_OracleBase):
         b-rows, as in a pass over every leaf) the run fills the store
         bytes ``B0:B1`` from the first rank's to the last's: a run with no
         answered triple is decided as given, and each byte is read and
-        written once.  Any other run goes to ``_draw_slots``.
+        written once.  Any other run goes through ``_read``.
         """
         c2, c3 = self._c2, self._c3
         key2 = (S[ta] * self._n2 + S[tb] * self.n_leaves
@@ -578,39 +558,40 @@ class OracleState(_OracleBase):
                     self._store[B0:B1] |= _pack(codes)
                     self._count += hi - lo
                     return slot
-            return self._draw_slots(S[ta[lo:hi]], S[tb[lo:hi]],
-                                    np.full(hi - lo, k))
+            i, j = S[ta[lo:hi]], S[tb[lo:hi]]
+            return self._read(c3[k] + c2[j] + i, lambda sel: (
+                i[sel], j[sel], np.full(len(sel), k))) - 1
 
         return layer
 
     def _pair_codes(self, lo, hi, W, top, mid):
         """
-        ``tallies`` codes read off the store: one gather at the ranks of the
+        Answer slot + 1 of each experiment (lo, hi, w) of the masks' shape,
+        as uint8, read off the store: one ``_read`` at the ranks of the
         three canonical orders, C(hi,3) + C(lo,2) + w below the pair,
         C(hi,3) + C(w,2) + lo between its leaves and C(w,3) + C(hi,2) + lo
-        above it, each built from the one before by the masks.  A block
-        holding a never-asked row takes the general path, which draws each
-        such triple once.
+        above it, each built from the one before by the masks.
         """
         c2, c3 = self._c2, self._c3
         a, b, w = (x.astype(c2.dtype) for x in (lo, hi, W))
         rank = w + (c3[b] + c2[a])
         rank += mid * ((c2[w] - w) + (a - c2[a]))
         rank += top * ((c3[w] - c2[w]) + (c2[b] - c3[b]))
-        shift = ((rank & 3) << 1).astype(np.uint8)
-        code = (self._store.take(rank >> 2) >> shift) & 3
-        if code.all():
-            return code
-        return super()._pair_codes(lo, hi, W, top, mid)
+
+        def rows(sel):
+            i = np.where(mid, lo, W)
+            j = np.where(top, hi, np.where(mid, W, lo))
+            k = np.where(top, W, hi)
+            return [x.reshape(-1)[sel] for x in (i, j, k)]
+
+        return self._read(rank, rows)
 
     def _pair_wins(self, lo, hi, W, top, mid):
         """
-        ``pair_wins`` rows: 1.0 where the experiment (lo, hi, w) answered
-        (lo, hi), whose code is 3 - top - mid.  Drawn through the general
-        ``_pair_codes``, not the store gather above: the weight estimators'
-        triples are mostly never asked, so the gather would rank them twice.
+        1.0 where the experiment (lo, hi, w) answered (lo, hi), whose code
+        is 3 - top - mid.
         """
-        code = super()._pair_codes(lo, hi, W, top, mid)
+        code = self._pair_codes(lo, hi, W, top, mid)
         return (code + top + mid == 3).astype(np.float64)
 
     def wins(self, A, B, C):
@@ -619,7 +600,7 @@ class OracleState(_OracleBase):
         answered with the pair (A, B).  Arguments are leaf indices of three
         distinct leaves per row, in any order (arrays or scalars).
         """
-        return (self.answers(A, B, C) == 0).astype(np.float64)
+        return self._pair_wins(*self._flat(A, B, C)[1])
 
     def query(self, a, b, c):
         """
@@ -627,60 +608,59 @@ class OracleState(_OracleBase):
         as a sorted label pair.  Repeats (in any order) return the same
         answer without counting again.
         """
-        if len({a, b, c}) != 3:
-            raise ValueError("query requires three distinct leaves")
-        key = tuple(sorted((a, b, c)))
-        i, j, k = (np.array([self.index_of[x]], dtype=np.int64) for x in key)
-        slot = int(self._draw_slots(i, j, k)[0])
-        return ((key[0], key[1]), (key[0], key[2]), (key[1], key[2]))[slot]
+        ans = int(self.answers(*(self.index_of[x] for x in (a, b, c)))[0])
+        return tuple(sorted(((a, b), (a, c), (b, c))[ans]))
 
 
 class ExpectationOracle(_OracleBase):
     """
     Drop-in oracle whose ``wins`` and ``pair_wins`` return the exact
-    probability of each target pair instead of a sampled indicator (both
-    through ``_pair_wins``), and whose ``codes`` is each
-    canonical row's most likely slot (the closest pair, under a validated
-    model).  Topology reconstruction and grading read the most likely pair
-    through ``codes`` and ``answers``, computed afresh on every call: an
-    expectation oracle keeps no answer store and its ``query_count`` stays
-    0.  The weight estimators read the probabilities.
+    probability of each target pair instead of a sampled indicator, and
+    whose ``codes``, ``answers`` and ``tallies`` read each triple's most
+    likely slot (the closest pair, under a validated model).  Both read
+    ``_pair_probs``, the model's slot probabilities of the masked
+    experiments; ``pass_slots`` reads the same from its distances.
+    Answers are computed afresh on every call: an expectation oracle keeps
+    no answer store and its ``query_count`` stays 0.
     """
-
-    def _draw_slots(self, i, j, k):
-        """Most likely answer slot of canonical rows; nothing is stored."""
-        _check_rows(i, j, k, self.n_leaves)
-        return np.argmax(np.stack(self._probs(i, j, k)), axis=0)
 
     def _layer_reader(self, S, tb, ta):
         """The most likely slots of a ``pass_slots`` run from its distances."""
         return lambda c, lo, hi, *d: np.argmax(
             np.stack(self.model.slot_probs(*d)), axis=0)
 
-    def wins(self, A, B, C):
+    def _pair_probs(self, lo, hi, W, top, mid):
         """
-        Probability per row that the experiment on (A, B, C) answers the
-        pair (A, B): the flat-row case of ``_pair_wins``, with lo and hi
-        the row's min and max of A and B and C its witness.
-        """
-        A, B, C = self._rows(A, B, C)
-        _check_rows(*self._canonical(A, B, C), self.n_leaves)
-        lo, hi = np.minimum(A, B), np.maximum(A, B)
-        return self._pair_wins(lo, hi, C, C > hi, C > lo)
-
-    def _pair_wins(self, lo, hi, W, top, mid):
-        """
-        Probability that the experiment (lo, hi, w) answers (lo, hi): d(lo,
-        hi), d(lo, w) and d(hi, w) placed by the masks in the canonical
-        order (d01, d02, d12) that ``_probs`` gives the row, then the
-        pair's slot, 0 (top), 1 (mid) or 2, of ``slot_probs``.  In the
+        Slot probabilities of the experiments (lo, hi, w): d(lo, hi),
+        d(lo, w) and d(hi, w) placed by the masks in the canonical order
+        (d01, d02, d12) of the row, for the model's ``slot_probs``.  In the
         blocks of ``pair_wins`` d(lo, hi) is one gather per pair.
         """
         dp, dl, dh = self._dist(lo, hi), self._dist(lo, W), self._dist(hi, W)
-        p0, p1, p2 = self.model.slot_probs(
+        return self.model.slot_probs(
             np.where(top, dp, dl), np.where(top, dl, np.where(mid, dp, dh)),
             np.where(mid, dh, dp))
+
+    def _pair_codes(self, lo, hi, W, top, mid):
+        """The most likely slot + 1 of each experiment (lo, hi, w), as uint8."""
+        slot = np.argmax(np.stack(self._pair_probs(lo, hi, W, top, mid)), axis=0)
+        return slot.astype(np.uint8) + 1
+
+    def _pair_wins(self, lo, hi, W, top, mid):
+        """
+        Probability that the experiment (lo, hi, w) answers (lo, hi): the
+        pair's slot, 0 (top), 1 (mid) or 2, of ``_pair_probs``.
+        """
+        p0, p1, p2 = self._pair_probs(lo, hi, W, top, mid)
         return np.where(top, p0, np.where(mid, p1, p2))
+
+    def wins(self, A, B, C):
+        """
+        Probability per row that the experiment on (A, B, C) answers the
+        pair (A, B).  Arguments are leaf indices of three distinct leaves
+        per row, in any order (arrays or scalars).
+        """
+        return self._pair_wins(*self._flat(A, B, C)[1])
 
     def query(self, a, b, c):
         """Expectation mode has no single answer; exposes the distribution."""

@@ -202,18 +202,6 @@ def _wins_sum_pairs(oracle, A, B, xs, part_of, pa, pb):
     return out
 
 
-def _pair_tallies(oracle, X, Y, W):
-    """
-    Three-way answer counts per pair (X[p], Y[p]) over the witnesses ``W``
-    (leaf ids outside every pair): row 0 counts the experiments
-    (X[p], Y[p], w) that answered (X[p], Y[p]), row 1 those that answered
-    (X[p], w) and row 2 those that answered (Y[p], w); a (3, P) int64
-    array from ``oracle.tallies``, which reads an answered triple off the
-    store by its rank and asks only the triples never asked.
-    """
-    return oracle.tallies(X, Y, W)
-
-
 def _triple_scores(oracle, S):
     """
     Score matrix over the positions of the sorted leaf ids ``S``: ``M[a, b]``
@@ -666,7 +654,7 @@ class _Driver:
                 pos = np.searchsorted(S0, S)
                 M = M0[np.ix_(pos, pos)]
                 ii, jj = np.triu_indices(l, k=1)
-                M[ii, jj] -= _pair_tallies(self.oracle, S[ii], S[jj], drop)[0]
+                M[ii, jj] -= self.oracle.tallies(S[ii], S[jj], drop)[0]
                 return M
         M = _triple_scores(self.oracle, S)
         self._scored = (S, M.copy())
@@ -733,7 +721,7 @@ class _Driver:
         Split candidates into below / same bucket / above the pivot.  Each
         experiment (x, a, b), a in the base and b in the pivot, counts for
         one of the three: answer (x, a) says below, (a, b) above, and (x, b)
-        same bucket.  The counts are ``_pair_tallies`` of the pairs (x, a)
+        same bucket.  The counts are ``oracle.tallies`` of the pairs (x, a)
         over the pivot witnesses, summed per candidate.  A candidate goes
         below or above only when that count beats both others by more than
         the threshold.
@@ -744,8 +732,8 @@ class _Driver:
         if not len(cands):
             return [], [], []
         # pairs candidate-major, so each candidate's pairs are contiguous
-        tally = _pair_tallies(self.oracle, np.repeat(cands, len(base)),
-                              np.tile(base, len(cands)), pivot)
+        tally = self.oracle.tallies(np.repeat(cands, len(base)),
+                                    np.tile(base, len(cands)), pivot)
         xv, zv, yv = tally.reshape(3, len(cands), len(base)).sum(axis=2)
         thr = self.cfg.threshold(self.n)
         below = xv - np.maximum(yv, zv) > thr
@@ -777,8 +765,8 @@ class _Driver:
                                             "no leaves outside the target set")
             ii, jj = np.triu_indices(len(ids), k=1)
             M = np.zeros((len(ids), len(ids)))
-            M[ii, jj] = M[jj, ii] = _pair_tallies(self.oracle, ids[ii],
-                                                  ids[jj], xs)[0]
+            M[ii, jj] = M[jj, ii] = self.oracle.tallies(ids[ii], ids[jj],
+                                                        xs)[0]
         return _assemble_by_scores(members, list(members), M,
                                    _FIRST if self.exact else None, stage)
 
@@ -808,8 +796,7 @@ class _Driver:
         # same[x, y] answers (x, y), i.e. x and y share a bucket
         ii, jj = np.triu_indices(m, k=1)
         ci = np.array(cands, dtype=np.int64)
-        same_v, x_low, y_low = _pair_tallies(self.oracle, ci[ii], ci[jj],
-                                             anchors)
+        same_v, x_low, y_low = self.oracle.tallies(ci[ii], ci[jj], anchors)
         lower = np.zeros((m, m))
         lower[ii, jj] = x_low
         lower[jj, ii] = y_low

@@ -110,39 +110,35 @@ class Tree:
     def depths(self):
         """Edge depth of every node from the root (computed once, cached)."""
         if self._depth is None:
-            d = np.zeros(self.n_nodes, dtype=np.int32)
-            for v in self.topo_order():
-                if v != self.root:
-                    d[v] = d[self.parent[v]] + 1
-            self._depth = d
+            parent = self.parent.tolist()
+            d = [0] * self.n_nodes
+            for v in self.topo_order().tolist()[1:]:
+                d[v] = d[parent[v]] + 1
+            self._depth = np.array(d, dtype=np.int32)
         return self._depth
 
     def topo_order(self):
-        """Node ids ordered root-first (every parent before its children)."""
-        order = np.empty(self.n_nodes, dtype=np.int32)
-        order[0] = self.root
-        k, m = 0, 1
-        while k < m:
-            v = order[k]
-            k += 1
-            if self.child1[v] != NO_NODE:
-                order[m] = self.child1[v]
-                order[m + 1] = self.child2[v]
-                m += 2
-        if m != self.n_nodes:
+        """Node ids in breadth-first order from the root (parents first)."""
+        c1, c2 = self.child1.tolist(), self.child2.tolist()
+        order = [self.root]
+        for v in order:  # visits the children appended while it runs
+            if c1[v] != NO_NODE:
+                if len(order) + 2 > self.n_nodes:
+                    raise CorruptTreeError("a node is reached twice")
+                order += (c1[v], c2[v])
+        if len(order) != self.n_nodes:
             raise CorruptTreeError("disconnected nodes present")
-        return order
+        return np.array(order, dtype=np.int32)
 
     def leaf_counts(self):
         """NL(v): number of leaves in the subtree of every node (cached)."""
         if self._nl is None:
-            nl = np.zeros(self.n_nodes, dtype=np.int64)
-            for v in self.topo_order()[::-1]:
-                if self.is_leaf(v):
-                    nl[v] = 1
-                else:
-                    nl[v] = nl[self.child1[v]] + nl[self.child2[v]]
-            self._nl = nl
+            c1, c2 = self.child1.tolist(), self.child2.tolist()
+            nl = [1] * self.n_nodes
+            for v in reversed(self.topo_order().tolist()):
+                if c1[v] != NO_NODE:
+                    nl[v] = nl[c1[v]] + nl[c2[v]]
+            self._nl = np.array(nl, dtype=np.int64)
         return self._nl
 
     def subtree_leaf_labels(self, v):

@@ -431,14 +431,15 @@ def test_rows_that_are_not_triples_raise_and_leave_the_store_alone():
     with pytest.raises(ValueError):
         o.wins(-1, 2, 5)  # would rank as (0, 1, 5)
     assert o.query_count == 0
-    # a batch whose second block holds (1, 1, 3): the first block's triple
-    # (0, 2, 3) is answered, and answered as a fresh oracle answers it
+    # a long batch whose last row is (1, 1, 3): the rows are checked before
+    # any is read, so the triple (0, 2, 3) of the others is not asked
     A = np.zeros(_BLOCK_ROWS + 5, dtype=np.int64)
     B, C = A + 2, A + 3
     A[-1] = B[-1] = 1
     with pytest.raises(ValueError):
         o.wins(A, B, C)
-    assert o.query_count == 1
+    assert o.query_count == 0
+    assert not o._store.any()
     assert o.query("L00", "L02", "L03") == (
         OracleState(t, "noiseless", seed=0).query("L00", "L02", "L03"))
     # expectation mode has no store, but takes rows as the store does
@@ -477,18 +478,63 @@ def test_rows_past_the_last_leaf_raise(source):
 # ---------------------------------------------------------------------- #
 
 
+def _pair_rows(X, Y, W):
+    """The experiments (X[p], Y[p], w) as flat rows, pair-major."""
+    return np.repeat(X, len(W)), np.repeat(Y, len(W)), np.tile(W, len(X))
+
+
+def _reference_slots_of(oracle, i, j, k):
+    """
+    ``oracle``'s answer slot of canonical rows with no answer store: the
+    draw of ``_reference_slots``, or in expectation mode the most likely.
+    """
+    if isinstance(oracle, ExpectationOracle):
+        D = oracle.tree.distance_matrix()
+        return np.argmax(np.stack(oracle.model.slot_probs(
+            D[i, j], D[i, k], D[j, k])), axis=0)
+    return _reference_slots(oracle.tree, oracle.model, oracle.seed, i, j, k)
+
+
 def _reference_tallies(oracle, X, Y, W):
-    """Pair tallies through the general reader: every experiment
-    (X[p], Y[p], w) asked through ``answers`` on repeated rows."""
+    """
+    Pair tallies from rows sorted afresh, with no answer store: every
+    experiment (X[p], Y[p], w) answered by ``_reference_slots_of``, the
+    leaf its slot leaves out naming the pair.
+    """
     P, m = len(X), len(W)
     out = np.zeros((3, P), dtype=np.int64)
     if P and m:
-        code = oracle.answers(np.repeat(X, m), np.repeat(Y, m),
-                              np.tile(W, P)).reshape(P, m)
+        A, B, C = _pair_rows(X, Y, W)
+        i, j, k = np.sort(np.stack([A, B, C]), axis=0)
+        slot = _reference_slots_of(oracle, i, j, k)
+        left_out = np.where(slot == 0, k, np.where(slot == 1, j, i))
+        code = np.where(left_out == C, 0,
+                        np.where(left_out == B, 1, 2)).reshape(P, m)
         out[0] = np.count_nonzero(code == 0, axis=1)
         out[1] = np.count_nonzero(code == 1, axis=1)
     out[2] = m - out[0] - out[1]
     return out
+
+
+def _assert_asked(o, ref, X, Y, W):
+    """
+    ``o`` holds the store of ``ref`` (asked the same rows before) with the
+    experiments (X[p], Y[p], w) asked on top: each triple's store-free code
+    slot + 1 ORed in at its rank C(k,3) + C(j,2) + i, which leaves an
+    answered triple as it was; ``query_count`` counts the codes written.
+    In expectation mode nothing is stored or counted.
+    """
+    if isinstance(o, ExpectationOracle):
+        assert o.query_count == ref.query_count == 0
+        return
+    i, j, k = np.sort(np.stack(_pair_rows(X, Y, W)), axis=0)
+    rank = k * (k - 1) * (k - 2) // 6 + j * (j - 1) // 2 + i
+    code = _reference_slots_of(ref, i, j, k) + 1
+    store = ref._store.copy()
+    np.bitwise_or.at(store, rank >> 2, (code << 2 * (rank & 3)).astype(np.uint8))
+    np.testing.assert_array_equal(o._store, store)
+    written = (store[:, None] >> np.arange(0, 8, 2, dtype=np.uint8)) & 3
+    assert o.query_count == np.count_nonzero(written)
 
 
 @settings(max_examples=100, deadline=None)
@@ -508,9 +554,10 @@ def _reference_tallies(oracle, X, Y, W):
 def test_tallies_match_the_general_reader(n, source, asked, n_pairs, n_wit,
                                           block, seed, data_seed):
     # the counts, and the triples asked, stored and counted, are those of
-    # ``answers`` on the repeated rows: pairs in either order, repeated or
-    # sharing leaves, witnesses unsorted and repeated, on a fresh, a partly
-    # and a fully answered store, in blocks of one pair or more
+    # a store-free reference on the repeated rows: pairs in either order,
+    # repeated or sharing leaves, witnesses unsorted and repeated, on a
+    # fresh, a partly and a fully answered store, in blocks of one pair or
+    # more
     tree = _store_tree(n)
     rng = np.random.default_rng(data_seed)
     leaves = rng.permutation(n)
@@ -531,9 +578,7 @@ def test_tallies_match_the_general_reader(n, source, asked, n_pairs, n_wit,
     assert got.dtype == np.int64 and got.shape == (3, n_pairs)
     np.testing.assert_array_equal(
         got, _reference_tallies(ref, XY[:, 0], XY[:, 1], W))
-    assert o.query_count == ref.query_count
-    if isinstance(o, OracleState):
-        np.testing.assert_array_equal(o._store, ref._store)
+    _assert_asked(o, ref, XY[:, 0], XY[:, 1], W)
 
 
 _NOT_EXPERIMENTS = pytest.mark.parametrize("X, Y, W", [
@@ -591,12 +636,12 @@ def test_tallies_at_the_edge_of_int32_ranks(n, model):
     X = np.array([n - 1, 0, n - 3, 5, n - 2])
     Y = np.array([n - 2, n - 1, 1, n - 4, 7])
     W = np.array([n - 5, 2, n - 6, 1000, 3, n - 5])
-    o, ref = OracleState(t, model, seed=n), OracleState(t, model, seed=n)
+    o = OracleState(t, model, seed=n)
     assert o._c3.dtype == (np.int32 if n == 2345 else np.int64)
-    want = _reference_tallies(ref, X, Y, W)
+    want = _reference_tallies(o, X, Y, W)
     for _ in range(2):
         np.testing.assert_array_equal(o.tallies(X, Y, W), want)
-        assert o.query_count == ref.query_count == len(X) * 5
+        assert o.query_count == len(X) * 5
 
 
 # ---------------------------------------------------------------------- #
@@ -632,12 +677,12 @@ def _reference_probabilities(oracle, A, B, C):
          block=_WIN_BLOCK_ROWS, seed=0, data_seed=0)
 def test_pair_wins_match_wins_on_repeated_rows(n, source, asked, n_pairs,
                                                n_wit, block, seed, data_seed):
-    # entry (p, q) is wins(X[p], Y[p], W[q]) bit for bit, and the triples
-    # asked, stored and counted are those of ``wins`` on the repeated rows:
-    # pairs in either order, repeated or sharing leaves, witnesses unsorted
-    # and repeated, on a fresh and a partly answered store, in blocks of
-    # one pair or more.  Both expectation readers share ``_pair_wins``, so
-    # they are also held to probabilities of rows sorted afresh
+    # entry (p, q) is the store-free reference's wins(X[p], Y[p], W[q]) bit
+    # for bit (in expectation mode the probability of rows sorted afresh),
+    # and the triples asked, stored and counted are those of the repeated
+    # rows: pairs in either order, repeated or sharing leaves, witnesses
+    # unsorted and repeated, on a fresh and a partly answered store, in
+    # blocks of one pair or more; ``wins`` then reads the same values
     tree = _store_tree(n)
     rng = np.random.default_rng(data_seed)
     leaves = rng.permutation(n)
@@ -652,17 +697,14 @@ def test_pair_wins_match_wins_on_repeated_rows(n, source, asked, n_pairs,
             x.codes(pre[:, 0], pre[:, 1], pre[:, 2])
     with mock.patch.object(noise_oracle, "_WIN_BLOCK_ROWS", block):
         got = o.pair_wins(XY[:, 0], XY[:, 1], W)
-    rows = (np.repeat(XY[:, 0], n_wit), np.repeat(XY[:, 1], n_wit),
-            np.tile(W, n_pairs))
-    want = ref.wins(*rows).reshape(n_pairs, n_wit)
+    rows = _pair_rows(XY[:, 0], XY[:, 1], W)
+    want = (_reference_probabilities(ref, *rows)
+            if isinstance(ref, ExpectationOracle)
+            else _reference_wins(tree, ref.model, seed, *rows))
     assert got.dtype == np.float64 and got.shape == (n_pairs, n_wit)
     assert got.tobytes() == want.tobytes()
-    if isinstance(o, ExpectationOracle):
-        assert want.tobytes() == _reference_probabilities(
-            ref, *rows).reshape(n_pairs, n_wit).tobytes()
-    assert o.query_count == ref.query_count
-    if isinstance(o, OracleState):
-        np.testing.assert_array_equal(o._store, ref._store)
+    _assert_asked(o, ref, XY[:, 0], XY[:, 1], W)
+    assert o.wins(*rows).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("source", ["noiseless", "homogeneous",

@@ -33,7 +33,6 @@ from tripletree import (
 )
 import tripletree.noise_oracle as noise_oracle
 import tripletree.topology as topology_mod
-from tripletree.noise_oracle import _OracleBase
 from tripletree.topology import (
     _FIRST,
     _Driver,
@@ -41,7 +40,6 @@ from tripletree.topology import (
     _find_sibling_pair,
     _key_tie,
     _mean_row,
-    _pair_tallies,
     _plan_codes,
     _position_triples,
     _relabel,
@@ -523,7 +521,7 @@ def test_pair_tallies_count_per_row_query_answers(kind, n, seed, n_pairs,
                    for _ in range(n_pairs)], dtype=np.int64)
     o, ref = OracleState(t, kind, seed=seed), OracleState(t, kind, seed=seed)
     with mock.patch.object(noise_oracle, "_BLOCK_ROWS", block):
-        got = _pair_tallies(o, XY[:, 0], XY[:, 1], W)
+        got = o.tallies(XY[:, 0], XY[:, 1], W)
     lab = t.leaf_labels
     want = np.zeros((3, n_pairs), dtype=np.int64)
     for p, (x, y) in enumerate(XY):
@@ -781,16 +779,23 @@ def test_exact_completions_match_the_walked_reference(kind, n, seed, keep,
     covered = driver()
     covered.build_subtree(range(n))
     kept = covered._scored
-    rows = []
-    slots = _OracleBase._slots
+    reads = []
+    cls = type(covered.oracle)
 
-    def counted(self, i, j, k):
-        rows.append(i.size)
-        return slots(self, i, j, k)
+    def counted(name):
+        read = getattr(cls, name)
 
-    with mock.patch.object(_OracleBase, "_slots", counted):
+        def reader(self, *args):
+            reads.append(name)
+            return read(self, *args)
+        return reader
+
+    # the oracle's two readers: the layers of ``pass_slots`` and the masked
+    # experiments every other reader asks
+    with mock.patch.object(cls, "_pair_codes", counted("_pair_codes")), \
+            mock.patch.object(cls, "_layer_reader", counted("_layer_reader")):
         induced = covered.completion_induced(members)
-    assert rows == []
+    assert reads == []
     assert (induced, covered.completion_quotient(members, rest)) == want
     assert covered._scored is kept
 

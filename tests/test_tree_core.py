@@ -22,7 +22,7 @@ from tripletree import (
     validate_ultrametric,
 )
 from tripletree.topology import graft_plan
-from tripletree.tree_core import map_plan
+from tripletree.tree_core import Tree, map_plan
 
 from conftest import random_tree
 
@@ -118,6 +118,16 @@ def test_closest_pair_degenerate_tree_reports_corrupt():
     t = from_newick("((a:1,b:1):0,(c:1,d:1):0);")
     with pytest.raises(CorruptTreeError):
         closest_pair(t, "a", "c", "d")
+
+
+def test_node_orders_reject_a_node_reached_twice():
+    # node 1's children are the root and node 2, so the walk from the root
+    # would come back to it without end
+    t = Tree([-1, 0, 0], [1, 0, -1], [2, 2, -1], [1.0, 0.5, 0.0],
+             [0.0, 0.5, 1.0], [None, None, "a"])
+    for order in (t.topo_order, t.leaf_counts, t.depths):
+        with pytest.raises(CorruptTreeError):
+            order()
 
 
 def test_distance_matrix_matches_leaf_distance():
