@@ -52,10 +52,14 @@ ranks from the masks; its layer reader checks with one masked read per
 store byte that a layer is all new, decides it with the rule ``_decide``
 uses and ORs one value into each byte, and sends a layer that holds an
 answered triple, or whose ranks are not consecutive (``S`` does not run
-0, 1, 2, ... up to it), through ``_read``.  ``ExpectationOracle`` places
-d(lo, hi), d(lo, w) and d(hi, w) by the masks in the canonical order for
-the model's ``slot_probs`` (``_pair_probs``): ``_pair_codes`` is its most
-likely slot + 1, and ``wins`` picks the pair's slot.
+0, 1, 2, ... up to it), through ``_read``.  ``ExpectationOracle`` reads
+d(lo, hi), d(lo, w) and d(hi, w) of each experiment: ``_pair_codes`` is
+the most likely slot + 1 of the model's ``slot_probs`` at the distances
+placed by the masks in canonical order (``_place``), and ``wins`` is the
+model's ``pair_prob``, that placement and the pair's slot by default.
+``HomogeneousModel`` overrides it with a closed form that gives the same
+bits without the placement, (dl + dh) / (2 (dp + dl + dh)) summed in the
+placement's order.
 """
 
 from __future__ import annotations
@@ -103,11 +107,24 @@ def p_correct_homogeneous(d1, d2):
     return d2 / (d1 + 2.0 * d2)
 
 
+def _place(dp, dl, dh, top, mid):
+    """
+    The distances (d01, d02, d12) of the canonical triple of each
+    experiment on a pair lo < hi and a witness w, from dp = d(lo, hi),
+    dl = d(lo, w) and dh = d(hi, w): the masks ``top = w > hi`` and
+    ``mid = w > lo`` fix the order (lo, hi, w), (lo, w, hi) or (w, lo, hi).
+    """
+    return (np.where(top, dp, dl), np.where(top, dl, np.where(mid, dp, dh)),
+            np.where(mid, dh, dp))
+
+
 class NoiseModel:
     """
     A distance-based noise model.  Subclasses implement ``slot_probs``:
     given the three pairwise distances of a canonical triple (i < j < k),
     return the probabilities of answering (i,j), (i,k), (j,k).
+    ``pair_prob`` reads the probability of one pair of an experiment
+    through it, and a model may override it with a closed form.
     """
 
     kind = "abstract"
@@ -115,6 +132,16 @@ class NoiseModel:
 
     def slot_probs(self, d01, d02, d12):
         raise NotImplementedError
+
+    def pair_prob(self, dp, dl, dh, top, mid):
+        """
+        Probability that the experiment on a pair lo < hi and a witness w
+        answers (lo, hi), from the distances and masks of ``_place``: the
+        pair's slot, 0 (top), 1 (mid) or 2, of ``slot_probs`` at the
+        placed distances.
+        """
+        p0, p1, p2 = self.slot_probs(*_place(dp, dl, dh, top, mid))
+        return np.where(top, p0, np.where(mid, p1, p2))
 
 
 class HomogeneousModel(NoiseModel):
@@ -130,6 +157,19 @@ class HomogeneousModel(NoiseModel):
     def slot_probs(self, d01, d02, d12):
         s = 2.0 * (d01 + d02 + d12)
         return (d02 + d12) / s, (d01 + d12) / s, (d01 + d02) / s
+
+    def pair_prob(self, dp, dl, dh, top, mid):
+        """
+        ``NoiseModel.pair_prob`` in closed form, bit for bit: in every
+        placement the pair's numerator is dl + dh, and the total is
+        (dp + dl) + dh where ``mid`` and (dl + dh) + dp where not (IEEE
+        ``+`` commutes), so ``top`` is not needed.  A subclass that
+        overrides ``slot_probs`` is read through it.
+        """
+        if type(self).slot_probs is not HomogeneousModel.slot_probs:
+            return super().pair_prob(dp, dl, dh, top, mid)
+        num = dl + dh
+        return num / (2.0 * np.where(mid, (dp + dl) + dh, num + dp))
 
 
 class NoiselessModel(NoiseModel):
@@ -618,10 +658,12 @@ class ExpectationOracle(_OracleBase):
     probability of each target pair instead of a sampled indicator, and
     whose ``codes``, ``answers`` and ``tallies`` read each triple's most
     likely slot (the closest pair, under a validated model).  Both read
-    ``_pair_probs``, the model's slot probabilities of the masked
-    experiments; ``pass_slots`` reads the same from its distances.
-    Answers are computed afresh on every call: an expectation oracle keeps
-    no answer store and its ``query_count`` stays 0.
+    the distances of the masked experiments, ``_pair_dists``: the
+    probabilities through the model's ``pair_prob``, the most likely slot
+    through its ``slot_probs`` at the placed distances, which is also what
+    ``pass_slots`` reads from its distances.  Answers are computed afresh
+    on every call: an expectation oracle keeps no answer store and its
+    ``query_count`` stays 0.
     """
 
     def _layer_reader(self, S, tb, ta):
@@ -629,30 +671,29 @@ class ExpectationOracle(_OracleBase):
         return lambda c, lo, hi, *d: np.argmax(
             np.stack(self.model.slot_probs(*d)), axis=0)
 
-    def _pair_probs(self, lo, hi, W, top, mid):
+    def _pair_dists(self, lo, hi, W):
         """
-        Slot probabilities of the experiments (lo, hi, w): d(lo, hi),
-        d(lo, w) and d(hi, w) placed by the masks in the canonical order
-        (d01, d02, d12) of the row, for the model's ``slot_probs``.  In the
-        blocks of ``pair_wins`` d(lo, hi) is one gather per pair.
+        d(lo, hi), d(lo, w) and d(hi, w) of the experiments (lo, hi, w); in
+        the blocks of ``pair_wins`` d(lo, hi) is one gather per pair.
         """
-        dp, dl, dh = self._dist(lo, hi), self._dist(lo, W), self._dist(hi, W)
-        return self.model.slot_probs(
-            np.where(top, dp, dl), np.where(top, dl, np.where(mid, dp, dh)),
-            np.where(mid, dh, dp))
+        return self._dist(lo, hi), self._dist(lo, W), self._dist(hi, W)
 
     def _pair_codes(self, lo, hi, W, top, mid):
-        """The most likely slot + 1 of each experiment (lo, hi, w), as uint8."""
-        slot = np.argmax(np.stack(self._pair_probs(lo, hi, W, top, mid)), axis=0)
+        """
+        The most likely slot + 1 of each experiment (lo, hi, w), as uint8:
+        the argmax of the model's ``slot_probs`` at the distances placed
+        in canonical order by ``_place``.
+        """
+        d = _place(*self._pair_dists(lo, hi, W), top, mid)
+        slot = np.argmax(np.stack(self.model.slot_probs(*d)), axis=0)
         return slot.astype(np.uint8) + 1
 
     def _pair_wins(self, lo, hi, W, top, mid):
         """
-        Probability that the experiment (lo, hi, w) answers (lo, hi): the
-        pair's slot, 0 (top), 1 (mid) or 2, of ``_pair_probs``.
+        Probability that the experiment (lo, hi, w) answers (lo, hi), the
+        model's ``pair_prob``.
         """
-        p0, p1, p2 = self._pair_probs(lo, hi, W, top, mid)
-        return np.where(top, p0, np.where(mid, p1, p2))
+        return self.model.pair_prob(*self._pair_dists(lo, hi, W), top, mid)
 
     def wins(self, A, B, C):
         """

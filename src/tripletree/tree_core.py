@@ -408,6 +408,9 @@ def generate_random_ultrametric(n, min_edge_weight, seed):
             return b.add_internal(kids[0], kids[1], h)
 
         build(0, n, 1.0)
+        # each helper refers to itself through its closure: unbind them, or
+        # the cycles keep this draw's dicts and builder until a collection
+        del split, depth, build
         return b.finish()
 
     raise InfeasibleTreeError(

@@ -34,13 +34,14 @@ instead and changes the low bits of expectation-mode estimates.
 A node's leaves are a slice of one depth-first leaf order; the sorted
 leafset a stage reads is built from it on first read, and each vertex's
 representative pair is the smallest leaf of each child.  Below the heavy
-path every bisection starts from the same bracket, so the stage evaluates
-the shared response curve once per distinct midpoint.
+path every bisection starts from the same bracket, so the stage bisects
+all its vertices together, one level at a time: each level evaluates the
+shared response curve once per distinct midpoint, its rows in one numpy
+operation, and each vertex stops where a bisection of its own would.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,10 +188,12 @@ def response_curve(a, anchor_heights, weights):
 
 def _curve(anchor_heights, weights):
     """
-    The response curve F of ``response_curve`` with its constants computed
-    once (the same operations on the same values, so F(a) equals
-    ``response_curve(a, ...)`` bit for bit), and the top 4 min b of its
-    bisection bracket.
+    The response curve F of ``response_curve`` over an array of points,
+    with its constants computed once, and the top 4 min b of its bisection
+    bracket.  F forms the rows b / (2 b + a) of all points in one
+    operation and takes ``np.dot`` of the weights with each row on its
+    own, so F(a) equals ``response_curve(a, ...)`` bit for bit (one
+    matrix-vector product sums in another order and does not).
     """
     b = np.asarray(anchor_heights, dtype=np.float64)
     if len(b) == 0 or np.any(b <= 0):
@@ -200,40 +203,52 @@ def _curve(anchor_heights, weights):
     sw = np.sum(w)
 
     def F(a):
-        return float(np.dot(w, b / (b2 + a)) / sw)
+        rows = b / (b2 + a[:, None])
+        return np.array([w.dot(row) for row in rows]) / sw
 
     return F, 4.0 * float(np.min(b))
 
 
-def _bisect(q_hat, F, top, tol, max_iter):
-    """The bisection of ``invert_F`` on the curve ``F`` over [0, top]."""
-    lo, hi = 0.0, top
-    f_lo = F(lo)  # = 1/2
-    f_hi = F(hi)
-    if q_hat >= f_lo:
-        return lo, abs(f_lo - q_hat)
-    if q_hat <= f_hi:
-        return hi, abs(f_hi - q_hat)
-    for _ in range(max_iter):
+def _bisect(q_hats, F, top, tol, max_iter):
+    """
+    The bisection of ``invert_F`` for every target of ``q_hats`` at once,
+    on the curve ``F`` of ``_curve`` over [0, top]: a target at or above
+    F(0) clamps to 0 and one at or below F(top) to top.  The others halve
+    their brackets one level at a time, F evaluated once per distinct
+    midpoint of the level; a target stops at the first midpoint within
+    ``tol`` of it, or at the midpoint of level ``max_iter``.  Returns
+    the arrays (a, |F(a) - q|).
+    """
+    q = np.asarray(q_hats, dtype=np.float64).reshape(-1)
+    f_lo, f_hi = F(np.array([0.0, top]))  # F(0) = 1/2
+    a = np.where(q >= f_lo, 0.0, top)
+    fa = np.where(q >= f_lo, f_lo, f_hi)
+    run = np.flatnonzero(~(q >= f_lo) & ~(q <= f_hi))
+    lo, hi = np.zeros(len(run)), np.full(len(run), top)
+    for level in range(max_iter + 1):
+        if not len(run):
+            break
         mid = 0.5 * (lo + hi)
-        f_mid = F(mid)
-        if abs(f_mid - q_hat) <= tol:
-            return mid, abs(f_mid - q_hat)
-        if f_mid > q_hat:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return mid, abs(F(mid) - q_hat)
+        pts, at = np.unique(mid, return_inverse=True)
+        f_mid = F(pts)[at]
+        done = (np.abs(f_mid - q[run]) <= tol) | (level == max_iter)
+        a[run[done]], fa[run[done]] = mid[done], f_mid[done]
+        up = f_mid > q[run]
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        run, lo, hi = run[~done], lo[~done], hi[~done]
+    return a, np.abs(fa - q)
 
 
 def invert_F(q_hat, anchor_heights, weights, tol=1e-12, max_iter=200):
     """
     The unique a >= 0 with F(a) = q_hat, by bisection on the strictly
     decreasing response curve.  Out-of-range targets clamp to the nearest
-    bracket endpoint.  Returns (a, residual).
+    bracket endpoint.  Returns (a, residual).  The one-target case of the
+    batched ``_bisect`` that the aggregated stage runs.
     """
-    return _bisect(q_hat, *_curve(anchor_heights, weights), tol, max_iter)
+    a, resid = _bisect([q_hat], *_curve(anchor_heights, weights), tol,
+                       max_iter)
+    return float(a[0]), float(resid[0])
 
 
 def final_correction(h_v, anchor_heights):
@@ -489,15 +504,13 @@ class _WeightDriver:
                 short = [w for far in far_sets
                          for w in self._few_witnesses(len(far))]
                 p_hats = self._responses(below, np.concatenate(far_sets), spans)
-                # every bisection starts from the same bracket, so the
-                # vertices share midpoints: evaluate each once
-                F, top = _curve(a_heights, a_weights)
-                F = functools.cache(F)
-                for v, p_v in zip(below, p_hats.tolist()):
+                q_hats = [aggregate_anchor_probs(p_v, a_weights)
+                          for p_v in p_hats.tolist()]
+                hs, resids = _bisect(q_hats, *_curve(a_heights, a_weights),
+                                     self.cfg.bisect_tol,
+                                     self.cfg.bisect_max_iter)
+                for v, h, resid in zip(below, hs.tolist(), resids.tolist()):
                     warns = dropped + short
-                    q_hat = aggregate_anchor_probs(p_v, a_weights)
-                    h, resid = _bisect(q_hat, F, top, self.cfg.bisect_tol,
-                                       self.cfg.bisect_max_iter)
                     h = final_correction(h, a_heights)
                     est[v] = VertexEstimate(h, "coarse", "aggregated-anchors",
                                             warns, residual=resid)

@@ -717,6 +717,50 @@ def test_pair_wins_reject_rows_that_are_not_experiments(source, X, Y, W,
     _assert_rejected(lambda o: o.pair_wins, source, X, Y, W, asked)
 
 
+class _HalvedHomogeneous(HomogeneousModel):
+    """A homogeneous model whose slot probabilities are halved."""
+
+    def slot_probs(self, d01, d02, d12):
+        return tuple(0.5 * p for p in super().slot_probs(d01, d02, d12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pool=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=4),
+    n_pairs=st.integers(0, 6),
+    n_wit=st.integers(0, 9),
+    flat=st.booleans(),
+    data_seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_homogeneous_pair_prob_is_the_placement_path(pool, n_pairs, n_wit,
+                                                     flat, data_seed):
+    # the closed form equals the generic placement, ``slot_probs`` and
+    # pick bit for bit: distances from a small pool (so often tied), masks
+    # with top => mid, in the (p, 1) / (p, m) blocks of ``pair_wins`` and
+    # as flat rows; a subclass that overrides ``slot_probs`` is read
+    # through it
+    rng = np.random.default_rng(data_seed)
+    pool = np.array(pool)
+    shape = (n_pairs * n_wit,) if flat else (n_pairs, n_wit)
+    dp = pool[rng.integers(len(pool), size=shape if flat else (n_pairs, 1))]
+    dl, dh = (pool[rng.integers(len(pool), size=shape)] for _ in range(2))
+    mid = rng.random(shape) < 0.6
+    top = mid & (rng.random(shape) < 0.5)
+    for model in (HomogeneousModel(), _HalvedHomogeneous()):
+        want = noise_oracle.NoiseModel.pair_prob(model, dp, dl, dh, top, mid)
+        got = model.pair_prob(dp, dl, dh, top, mid)
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_expectation_pair_wins_read_a_subclass_slot_probs():
+    t = generate_random_ultrametric(12, 0.05, seed=3)
+    X, Y, W = [0, 5, 11], [7, 2, 1], [3, 4, 6, 8, 9, 10]
+    plain = ExpectationOracle(t, "homogeneous").pair_wins(X, Y, W)
+    halved = ExpectationOracle(t, _HalvedHomogeneous()).pair_wins(X, Y, W)
+    assert halved.tobytes() == (0.5 * plain).tobytes()
+
+
 @pytest.mark.parametrize("model", ["homogeneous", "noiseless"])
 def test_expectation_codes_are_the_most_likely_slot(model):
     t = generate_random_ultrametric(30, 0.02, seed=2)

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 
@@ -161,6 +160,82 @@ def test_invert_F_residual_on_random_anchor_sets():
         h, resid = invert_F(q, b, w)
         assert resid <= 1e-12
         assert h == pytest.approx(a_true, abs=1e-9)
+
+
+def _reference_bisect(q_hat, b, w, tol, max_iter):
+    """The scalar bisection of ``invert_F``, one curve value per call."""
+    def F(a):
+        return response_curve(a, b, w)
+
+    lo, hi = 0.0, 4.0 * float(np.min(b))
+    f_lo = F(lo)
+    f_hi = F(hi)
+    if q_hat >= f_lo:
+        return lo, abs(f_lo - q_hat)
+    if q_hat <= f_hi:
+        return hi, abs(f_hi - q_hat)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        f_mid = F(mid)
+        if abs(f_mid - q_hat) <= tol:
+            return mid, abs(f_mid - q_hat)
+        if f_mid > q_hat:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    return mid, abs(F(mid) - q_hat)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+    data=st.data(),
+    picks=st.lists(st.tuples(
+        st.sampled_from(["f0", "above", "ftop", "below", "hit", "inside"]),
+        st.integers(0, 1 << 20), st.floats(0.0, 1.0)), max_size=12),
+    stop=st.sampled_from([(1e-12, 200), (0.0, 0), (0.0, 1), (0.0, 7),
+                          (0.0, 80), (1e-6, 30)]),
+)
+def test_batched_bisection_matches_the_scalar_loop(b, data, picks, stop):
+    # one routine inverts every target of the aggregated stage at once; it
+    # must stop where the scalar loop does, with the same bits: at both
+    # clamps and beyond them, on exact hits of a midpoint, on repeats, with
+    # no targets, and when ``max_iter`` runs out (tol = 0)
+    w = data.draw(st.lists(st.integers(1, 500), min_size=len(b),
+                           max_size=len(b)))
+    tol, max_iter = stop
+    top = 4.0 * min(b)
+    q_hats = []
+    for kind, k, u in picks:
+        if kind == "f0":
+            q = response_curve(0.0, b, w)
+        elif kind == "above":
+            q = response_curve(0.0, b, w) + u
+        elif kind == "ftop":
+            q = response_curve(top, b, w)
+        elif kind == "below":
+            q = response_curve(top, b, w) * u
+        elif kind == "hit":  # the midpoint down the path of k's bits
+            lo, hi = 0.0, top
+            for bit in range(k % 12):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if k >> (4 + bit) & 1 else (lo, mid)
+            q = response_curve(0.5 * (lo + hi), b, w)
+        else:
+            q = response_curve(top * u, b, w)
+        q_hats += [q] * (1 + k % 2)
+    got_a, got_r = weights._bisect(q_hats, *weights._curve(b, w), tol,
+                                   max_iter)
+    want = [_reference_bisect(q, b, w, tol, max_iter) for q in q_hats]
+    assert _bits(got_a) == _bits([a for a, _ in want])
+    assert _bits(got_r) == _bits([r for _, r in want])
+    for q, ref in zip(q_hats[:3], want):
+        assert _bits(invert_F(q, b, w, tol, max_iter)) == _bits(ref)
 
 
 def test_final_correction():
@@ -634,30 +709,46 @@ def test_expectation_weights_pinned_on_the_2048_leaf_tree():
 
 
 def test_aggregated_stage_evaluates_each_midpoint_once(monkeypatch):
-    # every vertex below v_{f+1} bisects from the same bracket; the stage
-    # evaluates the shared curve once per distinct point, and its estimates
-    # are those of a bisection that evaluates every midpoint afresh
-    points = []
-    curve = weights._curve
+    # every vertex below v_{f+1} bisects from the same bracket, all of them
+    # together: each curve call (the bracket, then one per level) evaluates
+    # distinct points, and each vertex gets what ``invert_F`` gives it
+    points, curves, bisects = [], [], []
+    curve, bisect = weights._curve, weights._bisect
 
-    def counted(*args):
-        F, top = curve(*args)
+    def counted_curve(heights, wts):
+        F, top = curve(heights, wts)
+        curves.append((list(heights), list(wts)))
 
         def G(a):
-            points.append(a)
+            points.append(a.copy())
             return F(a)
 
         return G, top
 
+    def recorded_bisect(q_hats, *args):
+        out = bisect(q_hats, *args)
+        bisects.append((list(q_hats), args[2:], out))
+        return out
+
     t = random_tree(200, w=0.002, seed=2)
-    monkeypatch.setattr(weights, "_curve", counted)
-    got = reconstruct_weights(ExpectationOracle(t, "homogeneous"), t)
+    with monkeypatch.context() as mp:
+        mp.setattr(weights, "_curve", counted_curve)
+        mp.setattr(weights, "_bisect", recorded_bisect)
+        got = reconstruct_weights(ExpectationOracle(t, "homogeneous"), t)
     coarse = [e for e in got.by_node.values()
               if e.method == "aggregated-anchors"]
     assert len(coarse) > 10
-    assert len(points) == len(set(points))
-    once = len(points)
-    monkeypatch.setattr(functools, "cache", lambda F: F)
-    want = reconstruct_weights(ExpectationOracle(t, "homogeneous"), t)
-    assert len(points) - once > once
-    assert _estimate_fields(got) == _estimate_fields(want)
+    (heights, wts), = curves
+    (q_hats, (tol, max_iter), (a, resid)), = bisects
+    assert len(q_hats) == len(coarse)
+    # one call for the bracket and one per level, each point once
+    assert len(points) <= 2 + max_iter
+    assert all(len(np.unique(p)) == len(p) for p in points)
+    assert sum(len(p) for p in points) < len(coarse) * (len(points) - 1)
+    want = [invert_F(q, heights, wts, tol, max_iter) for q in q_hats]
+    assert _bits(a) == _bits([h for h, _ in want])
+    assert _bits(resid) == _bits([r for _, r in want])
+    assert [e.residual for e in coarse] == [r for _, r in want]
+    for e, (h, _) in zip(coarse, want):
+        if "clamped-to-parent" not in e.warnings:
+            assert e.value == final_correction(h, heights)
