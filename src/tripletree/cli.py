@@ -226,11 +226,12 @@ def _write_weight_artifacts(path, he):
     _write_text(path, to_newick(he.estimated_tree()) + "\n")
     sidecar = []
     for v, e in sorted(he.by_node.items()):
+        clade = he.topology.subtree_leaf_labels(v)
         sidecar.append(
             {
                 "node": int(v),
-                "clade_rep": he.topology.subtree_leaf_labels(v)[0],
-                "clade_size": len(he.topology.subtree_leaf_labels(v)),
+                "clade_rep": clade[0],
+                "clade_size": len(clade),
                 "height": e.value,
                 "error_class": e.error_class,
                 "method": e.method,

@@ -11,12 +11,24 @@ validator can cross-check both.
 Leaf labels are nonempty strings without any of ``"():,;"``.  The canonical
 leaf order used throughout (distance matrices, oracles) is sorted label
 order.
+
+Each tree also has one cached depth-first layout (``Tree.layout``), child1's
+subtree first: node v sits at preorder place ``pre[v]`` with its subtree in
+the next ``2 NL(v) - 1`` places, and its leaves take the places ``first[v]
+: first[v] + NL(v)`` of the depth-first leaf order.  So every clade is one
+slice, and the leaf distance matrix, whose entries between the two child
+clades of a node all equal twice its height, is two slice writes per
+internal node in layout order.  Generated trees, and trees read from a
+Newick string whose leaves are written in label order, already have their
+labels in depth-first order; any other tree pays one gather to sorted
+label order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +57,22 @@ class NewickParseError(TreeError):
         self.offset = offset
 
 
+class Layout(NamedTuple):
+    """
+    The depth-first layout of a tree, child1's subtree first (int64 arrays).
+
+    pre[v]    preorder place of node v; its subtree fills the places
+              ``pre[v] : pre[v] + 2 NL(v) - 1``.
+    first[v]  offset of v's leaves in the depth-first leaf order, which
+              holds them at ``first[v] : first[v] + NL(v)``.
+    ranks[p]  sorted-label rank of the leaf at place p of that order.
+    """
+
+    pre: np.ndarray
+    first: np.ndarray
+    ranks: np.ndarray
+
+
 class Tree:
     """
     Rooted weighted full binary tree whose leaf metric is an ultrametric.
@@ -57,6 +85,11 @@ class Tree:
     weight : float64[n_nodes]  Weight of the edge to the parent; 0 for root.
     labels : list[str|None]    Leaf label per node, None for internal nodes.
     root : int
+
+    ``depths``, ``leaf_counts`` and the depth-first ``layout`` (which
+    makes every clade one slice of the leaf order) depend on the links
+    only; each is computed once and cached, so the links must not change
+    after the first read.
     """
 
     def __init__(self, parent, child1, child2, height, weight, labels):
@@ -82,6 +115,7 @@ class Tree:
         )
         self._depth = None
         self._nl = None
+        self._layout = None
 
     # ------------------------------------------------------------------ #
     # Basic structure                                                     #
@@ -141,18 +175,36 @@ class Tree:
             self._nl = np.array(nl, dtype=np.int64)
         return self._nl
 
+    def layout(self):
+        """
+        The depth-first ``Layout`` (pre, first, ranks), child1's subtree
+        first (computed once, cached): one top-down pass over
+        ``topo_order`` places child1 right after its parent and child2
+        after child1's subtree.  Raises ``CorruptTreeError`` as
+        ``topo_order`` does.
+        """
+        if self._layout is None:
+            nl = self.leaf_counts().tolist()
+            c1, c2 = self.child1.tolist(), self.child2.tolist()
+            first, pre = [0] * self.n_nodes, [0] * self.n_nodes
+            for v in self.topo_order().tolist():
+                a = c1[v]
+                if a != NO_NODE:
+                    b = c2[v]
+                    first[a], pre[a] = first[v], pre[v] + 1
+                    first[b], pre[b] = first[v] + nl[a], pre[v] + 2 * nl[a]
+            first = np.array(first, dtype=np.int64)
+            ranks = np.empty(self.n_leaves, dtype=np.int64)
+            ranks[first[self.leaf_nodes]] = np.arange(self.n_leaves)
+            self._layout = Layout(np.array(pre, dtype=np.int64), first, ranks)
+        return self._layout
+
     def subtree_leaf_labels(self, v):
         """Sorted labels of the leaves under node v (inclusive)."""
-        out = []
-        stack = [int(v)]
-        while stack:
-            u = stack.pop()
-            if self.is_leaf(u):
-                out.append(self.labels[u])
-            else:
-                stack.append(int(self.child1[u]))
-                stack.append(int(self.child2[u]))
-        return sorted(out)
+        _, first, ranks = self.layout()
+        f = int(first[v])
+        ranks = np.sort(ranks[f:f + int(self.leaf_counts()[v])])
+        return [self.leaf_labels[r] for r in ranks.tolist()]
 
     def ordered_children(self, v):
         """
@@ -195,23 +247,25 @@ class Tree:
         """
         Dense leaf-distance matrix in canonical (sorted label) leaf order.
         D[i, j] = 2 * h(LCA) with zeros on the diagonal.
+
+        Filled in the depth-first leaf order of ``layout``, where the
+        leaves of each internal node's children are the adjacent slices
+        f:m and m:e, so each node writes its two constant blocks.  One
+        gather then takes the matrix to sorted label order, only when the
+        two orders differ.
         """
         n = self.n_leaves
-        pos = np.full(self.n_nodes, -1, dtype=np.int64)
-        pos[self.leaf_nodes] = np.arange(n)
+        first, nl = self.layout().first, self.leaf_counts()
+        inner = np.flatnonzero(self.child1 != NO_NODE)
+        lo = first[inner]
         D = np.zeros((n, n), dtype=np.float64)
-        sets = [None] * self.n_nodes
-        for v in self.topo_order()[::-1]:
-            v = int(v)
-            if self.is_leaf(v):
-                sets[v] = np.array([pos[v]], dtype=np.int64)
-            else:
-                a, b = self.children(v)
-                sa, sb = sets[a], sets[b]
-                D[np.ix_(sa, sb)] = 2.0 * self.height[v]
-                D[np.ix_(sb, sa)] = 2.0 * self.height[v]
-                sets[v] = np.concatenate([sa, sb])
-                sets[a] = sets[b] = None
+        for f, m, e, d in zip(lo.tolist(), (lo + nl[self.child1[inner]]).tolist(),
+                              (lo + nl[inner]).tolist(),
+                              (2.0 * self.height[inner]).tolist()):
+            D[f:m, m:e] = D[m:e, f:m] = d
+        at = first[self.leaf_nodes]  # place of each sorted leaf
+        if (at != np.arange(n)).any():
+            D = D[np.ix_(at, at)]
         return D
 
     def path_length_to_root(self, v):
@@ -518,33 +572,55 @@ def triplet_agreement(tree, other):
     closest pair as ``tree``: a graded score where ``topology_equal`` is
     all or nothing.  ``other`` is a tree on the same leaf labels, or an
     oracle over ``tree``, whose most likely answer to each triple is graded.
+
+    Both are read one layer at a time, the triples (a, b, c) of sorted leaf
+    ranks a < b < c with top c: an oracle through ``pass_slots`` over every
+    leaf, which fills an answer store as ``codes`` would, and a tree from
+    its distances as ``_layer_codes`` reads ``tree``'s.
     """
     n = tree.n_leaves
     if n < 3:
         return 1.0
-    D = tree.distance_matrix()
-    if hasattr(other, "codes"):
-        codes = other.codes
+    tb, ta = np.tril_indices(n, -1)
+    truth = _layer_codes(tree.distance_matrix(), tb, ta)
+    if hasattr(other, "pass_slots"):
+        runs = other.pass_slots(np.arange(n))
     else:
         pos = {lab: p for p, lab in enumerate(other.leaf_labels)}
         perm = np.array([pos[lab] for lab in tree.leaf_labels], dtype=np.int64)
         D2 = other.distance_matrix()[np.ix_(perm, perm)]
-
-        def codes(i, J, K):
-            return _closest_codes(D2, i, J, K)
-
+        theirs = _layer_codes(D2, tb, ta)
+        runs = ((c, 1, c, theirs(c, 0, c * (c - 1) // 2)) for c in range(2, n))
     hits = 0
-    for i in range(n - 2):
-        J, K = np.triu_indices(n - i - 1, k=1)
-        J += i + 1
-        K += i + 1
-        hits += int(np.count_nonzero(_closest_codes(D, i, J, K) == codes(i, J, K)))
+    for c, b0, b1, slot in runs:
+        lo, hi = b0 * (b0 - 1) // 2, b1 * (b1 - 1) // 2
+        hits += int(np.count_nonzero(truth(c, lo, hi) == slot))
     return hits / math.comb(n, 3)
+
+
+def _layer_codes(D, tb, ta):
+    """
+    ``layer(c, lo, hi)``: the closest pair of the triples (a, b, c) of
+    layer c at the places ``lo:hi`` of ``np.tril_indices(n, -1)`` (whose
+    rows and columns are ``tb`` and ``ta``), read from the distance matrix
+    ``D``: 0 (a, b), 1 (a, c), 2 (b, c), the slots of ``pass_slots``.
+    """
+    d01 = D[tb, ta]  # d(a, b); a layer's rows are a prefix
+
+    def layer(c, lo, hi):
+        row = D[c, :c]  # d(a, c) and d(b, c)
+        return _closest_slot(d01[lo:hi], row.take(ta[lo:hi]), row.take(tb[lo:hi]))
+
+    return layer
 
 
 def _closest_codes(D, i, J, K):
     """Closest pair of each triple (i, J, K): 0 (i, J), 1 (i, K), 2 (J, K)."""
-    d01, d02, d12 = D[i, J], D[i, K], D[J, K]
+    return _closest_slot(D[i, J], D[i, K], D[J, K])
+
+
+def _closest_slot(d01, d02, d12):
+    """0 where d01 is the strict minimum, else 1 where d02 < d12, else 2."""
     return np.where((d01 < d02) & (d01 < d12), 0, np.where(d02 < d12, 1, 2))
 
 

@@ -293,25 +293,15 @@ class _WeightDriver:
                          else cfg.pair_cap)
         if set(topology.leaf_labels) != set(oracle.labels):
             raise ValueError("topology and oracle leaf sets differ")
-        # one depth-first order of the nodes, child1's subtree first: node
-        # v sits at pre[v] with its subtree in the next 2 nl[v] - 1 places,
+        # the tree's depth-first layout, child1's subtree first: node v
+        # sits at pre[v] with its subtree in the next 2 nl[v] - 1 places,
         # and its leaves' oracle indices are order[first[v]:first[v] + nl[v]]
+        # (the oracle indexes the same sorted labels as the layout's ranks)
         self.nl = topology.leaf_counts()
-        c1, c2, nl = (x.tolist() for x in
-                      (topology.child1, topology.child2, self.nl))
         self.topdown = topology.topo_order().tolist()
-        first, pre = [0] * topology.n_nodes, [0] * topology.n_nodes
-        for v in self.topdown:
-            a, b = c1[v], c2[v]
-            if a != NO_NODE:
-                first[a], pre[a] = first[v], pre[v] + 1
-                first[b], pre[b] = first[v] + nl[a], pre[v] + 2 * nl[a]
-        self.first, self.pre = np.array(first), np.array(pre)
+        self.pre, self.first, self.order = topology.layout()
         self.preorder = np.empty(topology.n_nodes, dtype=np.int64)
         self.preorder[self.pre] = np.arange(topology.n_nodes)
-        self.order = np.empty(self.n, dtype=np.int64)
-        self.order[self.first[topology.leaf_nodes]] = [
-            oracle.index_of[lab] for lab in topology.leaf_labels]
         # smallest leaf under each node: the even entries of a reduceat
         # over the interleaved bounds [first, first + nl) (the appended 0
         # makes the bound n a valid index)

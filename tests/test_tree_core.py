@@ -1,7 +1,11 @@
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletree import (
     CorruptTreeError,
@@ -21,8 +25,9 @@ from tripletree import (
     triplet_agreement,
     validate_ultrametric,
 )
+from tripletree import noise_oracle
 from tripletree.topology import graft_plan
-from tripletree.tree_core import Tree, map_plan
+from tripletree.tree_core import NO_NODE, Tree, _closest_codes, map_plan
 
 from conftest import random_tree
 
@@ -128,6 +133,117 @@ def test_node_orders_reject_a_node_reached_twice():
     for order in (t.topo_order, t.leaf_counts, t.depths):
         with pytest.raises(CorruptTreeError):
             order()
+
+
+def test_layout_readers_reject_a_corrupt_tree():
+    twice = Tree([-1, 0, 0], [1, 0, -1], [2, 2, -1], [1.0, 0.5, 0.0],
+                 [0.0, 0.5, 1.0], [None, None, "a"])
+    # leaf c names the root as its parent, but the root's children are a, b
+    apart = Tree([-1, 0, 0, 0], [1, -1, -1, -1], [2, -1, -1, -1],
+                 [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0],
+                 [None, "a", "b", "c"])
+    for t in (twice, apart):
+        for read in (t.layout, t.distance_matrix,
+                     lambda: t.subtree_leaf_labels(t.root)):
+            with pytest.raises(CorruptTreeError):
+                read()
+
+
+def _reference_distance_matrix(tree):
+    """The per-node fill: two ``np.ix_`` writes over concatenated leaf sets."""
+    n = tree.n_leaves
+    pos = np.full(tree.n_nodes, -1, dtype=np.int64)
+    pos[tree.leaf_nodes] = np.arange(n)
+    D = np.zeros((n, n), dtype=np.float64)
+    sets = [None] * tree.n_nodes
+    for v in tree.topo_order()[::-1]:
+        v = int(v)
+        if tree.is_leaf(v):
+            sets[v] = np.array([pos[v]], dtype=np.int64)
+        else:
+            a, b = tree.children(v)
+            sa, sb = sets[a], sets[b]
+            D[np.ix_(sa, sb)] = 2.0 * tree.height[v]
+            D[np.ix_(sb, sa)] = 2.0 * tree.height[v]
+            sets[v] = np.concatenate([sa, sb])
+            sets[a] = sets[b] = None
+    return D
+
+
+def _reference_leaf_labels(tree, v):
+    out, stack = [], [int(v)]
+    while stack:
+        u = stack.pop()
+        if tree.is_leaf(u):
+            out.append(tree.labels[u])
+        else:
+            stack += tree.children(u)
+    return sorted(out)
+
+
+def _layout_tree(n, seed, form):
+    """
+    A generated tree (labels in depth-first order), the same tree with its
+    labels permuted away from that order, or the tree with the children of
+    a random set of nodes swapped and read back from its Newick string.
+    """
+    t = generate_random_ultrametric(n, 0.005, seed=seed)
+    rng = np.random.default_rng(seed)
+    if form == "shuffled":
+        perm = rng.permutation(n)
+        if (perm == np.arange(n)).all():
+            perm = perm[::-1]
+        labels = list(t.labels)
+        for u, lab in zip(t.leaf_nodes.tolist(), np.array(t.leaf_labels)[perm]):
+            labels[u] = str(lab)
+        return Tree(t.parent, t.child1, t.child2, t.height, t.weight, labels)
+    if form == "newick-swapped":
+        swap = rng.random(t.n_nodes) < 0.5
+        c1 = np.where(swap, t.child2, t.child1)
+        c2 = np.where(swap, t.child1, t.child2)
+        swapped = Tree(t.parent, c1, c2, t.height, t.weight, t.labels)
+        return from_newick(to_newick(swapped))
+    return t
+
+
+_FORMS = st.sampled_from(["generated", "shuffled", "newick-swapped"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 120), seed=st.integers(0, 2 ** 32 - 1), form=_FORMS)
+def test_distance_matrix_is_byte_equal_to_the_per_node_fill(n, seed, form):
+    t = _layout_tree(n, seed, form)
+    if form == "shuffled":  # the gather to sorted label order runs
+        assert (t.layout().ranks != np.arange(n)).any()
+    D = t.distance_matrix()
+    assert D.dtype == np.float64 and D.shape == (n, n)
+    assert D.tobytes() == _reference_distance_matrix(t).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 120), seed=st.integers(0, 2 ** 32 - 1), form=_FORMS)
+def test_layout_slices_hold_each_clade_in_preorder(n, seed, form):
+    t = _layout_tree(n, seed, form)
+    pre, first, ranks = t.layout()
+    nl = t.leaf_counts()
+    assert sorted(ranks.tolist()) == list(range(n))
+    assert pre[t.root] == 0 and sorted(pre.tolist()) == list(range(t.n_nodes))
+    for v in range(t.n_nodes):
+        below, stack = [], [v]
+        while stack:
+            u = stack.pop()
+            below.append(u)
+            if not t.is_leaf(u):
+                stack += t.children(u)
+        # v comes first and its subtree fills the places after it
+        assert sorted(pre[below].tolist()) == list(range(pre[v], pre[v] + len(below)))
+        if not t.is_leaf(v):
+            a, b = t.children(v)
+            assert pre[a] == pre[v] + 1 and pre[b] == pre[a] + 2 * nl[a] - 1
+        want = sorted(t.leaf_labels.index(t.labels[u]) for u in below
+                      if t.is_leaf(u))
+        assert sorted(ranks[first[v]:first[v] + nl[v]].tolist()) == want
+        assert t.subtree_leaf_labels(v) == _reference_leaf_labels(t, v)
 
 
 def test_distance_matrix_matches_leaf_distance():
@@ -431,6 +547,62 @@ def test_triplet_agreement_grades_an_oracle_by_its_most_likely_answer():
     other = random_tree(24, w=0.05, seed=4)
     assert triplet_agreement(t, ExpectationOracle(other, "homogeneous")) == (
         triplet_agreement(t, other))
+
+
+def _reference_agreement(tree, oracle):
+    """The per-leaf grading loop: one ``codes`` read per leaf i."""
+    n = tree.n_leaves
+    D = tree.distance_matrix()
+    hits = 0
+    for i in range(n - 2):
+        J, K = np.triu_indices(n - i - 1, k=1)
+        J += i + 1
+        K += i + 1
+        hits += int(np.count_nonzero(
+            _closest_codes(D, i, J, K) == oracle.codes(i, J, K)))
+    return hits / math.comb(n, 3)
+
+
+def _graded_source(source, tree, seed):
+    if source.startswith("expectation-"):
+        return ExpectationOracle(tree, source.split("-", 1)[1])
+    return OracleState(tree, source, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    source=st.sampled_from(["noiseless", "homogeneous",
+                            "expectation-homogeneous", "expectation-noiseless"]),
+    store=st.sampled_from(["fresh", "partly answered", "fully answered"]),
+    other=st.booleans(),
+    block=st.sampled_from([1, 7, noise_oracle._BLOCK_ROWS]),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_oracle_grading_matches_the_per_leaf_codes_loop(n, source, store, other,
+                                                        block, seed):
+    # grading reads the oracle's answers one pass_slots layer at a time: the
+    # same value, store bytes and query_count as reading codes per leaf;
+    # small blocks split the layers into runs of b-rows
+    truth = generate_random_ultrametric(n, 0.02, seed=seed % 1000)
+    tree = truth
+    if other:  # an oracle over another tree on the same labels
+        tree = generate_random_ultrametric(n, 0.02, seed=seed % 1000 + 1)
+    o, ref = _graded_source(source, tree, seed), _graded_source(source, tree, seed)
+    rng = np.random.default_rng(seed)
+    T = np.sort(np.stack([rng.choice(n, 3, replace=False) for _ in range(2 * n)]),
+                axis=1)
+    for x in (o, ref):
+        if store == "partly answered":
+            x.codes(T[:, 0], T[:, 1], T[:, 2])
+        elif store == "fully answered":
+            list(x.pass_slots(np.arange(n)))
+    with mock.patch.object(noise_oracle, "_BLOCK_ROWS", block):
+        got = triplet_agreement(truth, o)
+    assert got == _reference_agreement(truth, ref)
+    assert o.query_count == ref.query_count
+    if isinstance(o, OracleState):
+        assert o._store.tobytes() == ref._store.tobytes()
 
 
 # ---------------------------------------------------------------------- #
