@@ -615,21 +615,15 @@ class _Driver:
             chunks.append(arr if arr is not None else np.array([v], dtype=np.int64))
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
-    def exp_size(self, members):
-        return sum(
-            len(self.expansion[int(v)]) if int(v) in self.expansion else 1
-            for v in members
-        )
-
     def outside(self, members):
         mask = np.ones(len(self._all), dtype=bool)
         mask[self.exp_ids(members)] = False
         return self._all[mask]
 
     def collapse(self, members, rep):
-        self.expansion[int(rep)] = self.exp_ids(members)
-        self.stats.collapses.append(self.exp_size([rep]))
-        self.stats.events.append(("collapse", self.exp_size([rep])))
+        ids = self.expansion[int(rep)] = self.exp_ids(members)
+        self.stats.collapses.append(len(ids))
+        self.stats.events.append(("collapse", len(ids)))
 
     # -- build-subtree --------------------------------------------------- #
 
@@ -865,7 +859,7 @@ class _Driver:
             self.stats.stages.append("small-exhaustive")
             self.stats.events.append(("direct", len(V)))
             return self.small_exhaustive(V)
-        if len(xs) > 0 and self.exp_size(V) <= large_cap:
+        if len(xs) > 0 and len(self.exp_ids(V)) <= large_cap:
             self.stats.stages.append("completion-induced")
             self.stats.events.append(("direct", len(V)))
             return self.completion_induced(V)
@@ -883,14 +877,14 @@ class _Driver:
             if not R:
                 result = W_plan
                 break
-            if self.exp_size(R) <= large_cap:
+            if len(self.exp_ids(R)) <= large_cap:
                 qplan, rep = self.completion_quotient(W, R)
                 result = graft_plan(qplan, rep, W_plan)
                 break
             P_set, P_plan = self.build_subtree(R)
             P1, P2, P3 = self.partition(base0, P_set, sorted(set(R) - set(P_set)))
             assert sorted(P1 + P2 + P3) == sorted(set(R) - set(P_set))
-            e1, e2, e3 = (self.exp_size(p) for p in (P1, P2, P3))
+            e1, e2, e3 = (len(self.exp_ids(p)) for p in (P1, P2, P3))
             n_large = sum(e > large_cap for e in (e1, e2, e3))
             if n_large >= 2:
                 raise ReconstructionFailure(

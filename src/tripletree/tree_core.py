@@ -571,25 +571,27 @@ def triplet_agreement(tree, other):
     Fraction of the C(n,3) leaf triples on which ``other`` names the same
     closest pair as ``tree``: a graded score where ``topology_equal`` is
     all or nothing.  ``other`` is a tree on the same leaf labels, or an
-    oracle over ``tree``, whose most likely answer to each triple is graded.
+    oracle over them, whose most likely answer to each triple is graded;
+    other labels raise ``ValueError``.
 
     Both are read one layer at a time, the triples (a, b, c) of sorted leaf
     ranks a < b < c with top c: an oracle through ``pass_slots`` over every
     leaf, which fills an answer store as ``codes`` would, and a tree from
     its distances as ``_layer_codes`` reads ``tree``'s.
     """
+    is_oracle = hasattr(other, "pass_slots")
+    labels = other.labels if is_oracle else other.leaf_labels
+    if list(labels) != tree.leaf_labels:
+        raise ValueError("triplet_agreement requires identical leaf-label sets")
     n = tree.n_leaves
     if n < 3:
         return 1.0
     tb, ta = np.tril_indices(n, -1)
     truth = _layer_codes(tree.distance_matrix(), tb, ta)
-    if hasattr(other, "pass_slots"):
+    if is_oracle:
         runs = other.pass_slots(np.arange(n))
     else:
-        pos = {lab: p for p, lab in enumerate(other.leaf_labels)}
-        perm = np.array([pos[lab] for lab in tree.leaf_labels], dtype=np.int64)
-        D2 = other.distance_matrix()[np.ix_(perm, perm)]
-        theirs = _layer_codes(D2, tb, ta)
+        theirs = _layer_codes(other.distance_matrix(), tb, ta)
         runs = ((c, 1, c, theirs(c, 0, c * (c - 1) // 2)) for c in range(2, n))
     hits = 0
     for c, b0, b1, slot in runs:

@@ -21,15 +21,16 @@ Heights are finally clamped to be monotone along root-leaf paths and edge
 weights read off as height differences.  Leaves sit at height 0 and the
 root at 1 exactly.
 
-Each stage reads its answers in blocks: the pairs of all its vertices
-(against all anchors' witnesses below the heavy path) go to the oracle's
-``pair_wins`` in a few calls, cut into chunks of whole vertices of at most
-``_CHUNK_ROWS`` rows, with no repeated rows built.  Every response is then
-a row-wise ``mean`` over one vertex's (or one anchor's) contiguous slice
-of a chunk: the pairwise sum ``np.mean`` takes over that vertex's own
-``wins`` rows, so the estimates are bit-equal to asking each vertex and
-anchor on its own.  A segmented ``np.add.reduceat`` sums left to right
-instead and changes the low bits of expectation-mode estimates.
+Each stage reads its answers in blocks with no repeated rows built: the
+heavy path's cross pairs in one ``pair_wins`` call, and each other
+stage's representative pairs (against all anchors' witnesses below the
+heavy path) in runs of whole vertices of at most ``_CHUNK_ROWS`` rows.
+Every response is then a row-wise ``mean`` over one vertex's (or one
+anchor's) contiguous slice of a block: the pairwise sum ``np.mean`` takes
+over that vertex's own ``wins`` rows, so the estimates are bit-equal to
+asking each vertex and anchor on its own.  A segmented ``np.add.reduceat``
+sums left to right instead and changes the low bits of expectation-mode
+estimates.
 
 A node's leaves are a slice of one depth-first leaf order; the sorted
 leafset a stage reads is built from it on first read, and each vertex's
@@ -55,12 +56,15 @@ class EstimationFailure(Exception):
 
 @dataclass
 class WeightConfig:
-    alpha: float = 1.0 / 6.0
     pair_cap: int | None = None  # None: max(4n, 64) cross pairs per path vertex
     bisect_tol: float = 1e-12
-    bisect_max_iter: int = 200
-    p_clamp_eps: float = 1e-6
-    anchor_k_min: int = 100
+
+
+# Bisection levels of the aggregated stage; the floor an out-of-range
+# response clamps to; the witness count below which a response warns.
+_BISECT_MAX_ITER = 200
+_P_CLAMP_EPS = 1e-6
+_ANCHOR_K_MIN = 100
 
 
 @dataclass
@@ -77,8 +81,6 @@ class HeavyPath:
     path: list
     f: int
     heavy: np.ndarray
-    nl: np.ndarray
-    alpha: float
     anchors: list
     anchor_sizes: list
     left_child: list  # off-path child per path index (NO_NODE for the leaf)
@@ -150,8 +152,8 @@ def classify_heavy(topology, alpha=1.0 / 6.0):
         if c != NO_NODE and nl[c] >= cutoff:
             anchors.append(i)
             sizes.append(int(nl[c]))
-    return HeavyPath(path=path, f=f, heavy=heavy, nl=nl, alpha=alpha,
-                     anchors=anchors, anchor_sizes=sizes, left_child=left_child)
+    return HeavyPath(path=path, f=f, heavy=heavy, anchors=anchors,
+                     anchor_sizes=sizes, left_child=left_child)
 
 
 def height_from_prob(A):
@@ -261,24 +263,9 @@ def final_correction(h_v, anchor_heights):
 # ---------------------------------------------------------------------- #
 
 
-# Rows per ``wins`` call of the driver, in whole vertices; bounds the
-# oracle's temporaries.  A vertex with more rows goes alone in its chunk.
+# Rows per ``pair_wins`` call of ``_responses``, in whole vertices; bounds
+# the oracle's temporaries.  A vertex with more rows goes alone in its run.
 _CHUNK_ROWS = 1 << 14
-
-
-def _chunks(lengths):
-    """
-    Half-open index ranges ``(lo, hi)`` cutting ``lengths`` into runs whose
-    sum is at most ``_CHUNK_ROWS``; a longer item is a run of its own.
-    """
-    lo, rows = 0, 0
-    for hi, size in enumerate(lengths):
-        if hi > lo and rows + size > _CHUNK_ROWS:
-            yield lo, hi
-            lo, rows = hi, 0
-        rows += size
-    if lo < len(lengths):
-        yield lo, len(lengths)
 
 
 class _WeightDriver:
@@ -333,70 +320,55 @@ class _WeightDriver:
         mean of wins(a, b, c) over c in ``witnesses[lo:hi]`` for the s-th
         ``(lo, hi)`` of ``spans`` (default: one span over all of them).
 
-        The pairs of whole vertices go to ``pair_wins`` in chunks of at
-        most ``_CHUNK_ROWS`` rows.  Each mean is a row-wise ``mean`` over
-        one span of a chunk's (vertices, witnesses) matrix: the same
-        pairwise sum as ``np.mean`` of that vertex's own ``wins`` call, so
-        bit-equal to it.  ``np.add.reduceat`` sums in another order and is
-        not.
+        The pairs go to ``pair_wins`` in runs of whole vertices of at most
+        ``_CHUNK_ROWS`` rows.  Each mean is a row-wise ``mean`` over one
+        span of a run's (vertices, witnesses) matrix: the same pairwise sum
+        as ``np.mean`` of that vertex's own ``wins`` call, so bit-equal to
+        it.  ``np.add.reduceat`` sums in another order and is not.
         """
         C = np.asarray(witnesses, dtype=np.int64)
-        L = len(C)
-        spans = spans or [(0, L)]
+        spans = spans or [(0, len(C))]
         X, Y = self._rep_pairs(vertices)
         out = np.empty((len(X), len(spans)))
-        for lo, hi in _chunks([L] * len(X)):
-            W = self.oracle.pair_wins(X[lo:hi], Y[lo:hi], C)
+        step = max(1, _CHUNK_ROWS // len(C))
+        for lo in range(0, len(X), step):
+            W = self.oracle.pair_wins(X[lo:lo + step], Y[lo:lo + step], C)
             for s, (a, e) in enumerate(spans):
-                out[lo:hi, s] = W[:, a:e].mean(axis=1)
+                out[lo:lo + step, s] = W[:, a:e].mean(axis=1)
         return out
 
     def _few_witnesses(self, k):
         """The warning for an anchored response over ``k`` witnesses."""
-        k_min = self.cfg.anchor_k_min
-        return [f"anchor-witnesses-below-{k_min}"] if k < k_min else []
-
-    def anchored_response(self, v, far_leaves, warnings):
-        warnings.extend(self._few_witnesses(len(far_leaves)))
-        return float(self._responses([v], far_leaves)[0, 0])
+        return ([f"anchor-witnesses-below-{_ANCHOR_K_MIN}"]
+                if k < _ANCHOR_K_MIN else [])
 
     def _safe_height_from_prob(self, p, warnings):
-        eps = self.cfg.p_clamp_eps
         if p <= 0 or p > 0.5:
             warnings.append(f"response-clamped({p:.4g})")
-            p = min(max(p, eps), 0.5)
+            p = min(max(p, _P_CLAMP_EPS), 0.5)
         return height_from_prob(p)
 
-    def _cross_count(self, v):
-        """How many pairs spanning v's children are asked: at most pair_cap."""
-        c1, c2 = self.topo.children(v)
-        return min(int(self.nl[c1] * self.nl[c2]), self.pair_cap)
-
     def _cross_pairs(self, v):
-        """The first ``_cross_count(v)`` pairs spanning v's children."""
-        c1, c2 = self.topo.children(v)
-        L, R = self.leafset(c1), self.leafset(c2)
-        t = np.arange(self._cross_count(v), dtype=np.int64)
+        """The first pairs spanning v's children, at most ``pair_cap``."""
+        L, R = (self.leafset(c) for c in self.topo.children(v))
+        t = np.arange(min(len(L) * len(R), self.pair_cap), dtype=np.int64)
         return L[t // len(R)], R[t % len(R)]
 
     def _cross_responses(self, vertices, witness):
         """
         Mean answer of each vertex's cross pairs against one witness leaf,
-        read through ``pair_wins`` in chunks of whole vertices like
-        ``_responses``; each mean is ``np.mean`` over the vertex's slice of
-        its chunk.
+        all read in one ``pair_wins`` call; each mean is ``np.mean`` over
+        the vertex's slice of it.
         """
-        counts = [self._cross_count(v) for v in vertices]
-        out = []
-        for lo, hi in _chunks(counts):
-            rows = [self._cross_pairs(v) for v in vertices[lo:hi]]
-            W = self.oracle.pair_wins(np.concatenate([a for a, _ in rows]),
-                                      np.concatenate([b for _, b in rows]),
-                                      [witness])[:, 0]
-            ends = np.cumsum(counts[lo:hi]).tolist()
-            out += [float(np.mean(W[e - k:e]))
-                    for k, e in zip(counts[lo:hi], ends)]
-        return out
+        if not vertices:
+            return []
+        rows = [self._cross_pairs(v) for v in vertices]
+        W = self.oracle.pair_wins(np.concatenate([a for a, _ in rows]),
+                                  np.concatenate([b for _, b in rows]),
+                                  [witness])[:, 0]
+        ends = np.cumsum([len(a) for a, _ in rows]).tolist()
+        return [float(np.mean(W[e - len(a):e]))
+                for (a, _), e in zip(rows, ends)]
 
     # -- the stages ------------------------------------------------------ #
 
@@ -441,7 +413,7 @@ class _WeightDriver:
         if self.n == 2:
             return self._finish(est)
 
-        info = classify_heavy(topo, self.cfg.alpha)
+        info = classify_heavy(topo)
         light_r, heavy_r = topo.ordered_children(topo.root)
 
         # 1) light subtree of the root; with two heavy children at the
@@ -466,7 +438,7 @@ class _WeightDriver:
                 if p < 0.25:
                     warns.append(f"anchored-response-below-quarter({p:.4g})")
                     p = 0.25
-                p = min(max(p, self.cfg.p_clamp_eps), 0.5)
+                p = min(max(p, _P_CLAMP_EPS), 0.5)
                 h = reconstruct_left_heavy(p, max(h_anchor, 1e-12))
                 est[v] = VertexEstimate(h, "fine", "anchored-left", warns)
 
@@ -497,8 +469,7 @@ class _WeightDriver:
                 q_hats = [aggregate_anchor_probs(p_v, a_weights)
                           for p_v in p_hats.tolist()]
                 hs, resids = _bisect(q_hats, *_curve(a_heights, a_weights),
-                                     self.cfg.bisect_tol,
-                                     self.cfg.bisect_max_iter)
+                                     self.cfg.bisect_tol, _BISECT_MAX_ITER)
                 for v, h, resid in zip(below, hs.tolist(), resids.tolist()):
                     warns = dropped + short
                     h = final_correction(h, a_heights)
@@ -534,10 +505,9 @@ def compute_light_tree(oracle, topology, cfg=None):
 
 def reconstruct_right_path(oracle, topology, cfg=None):
     """Height estimates for the heavy-path vertices v_1..v_f (+ v_{f+1})."""
-    cfg = cfg or WeightConfig()
-    drv = _WeightDriver(oracle, topology, cfg)
+    drv = _WeightDriver(oracle, topology, cfg or WeightConfig())
     out = {topology.root: VertexEstimate(1.0, "exact", "root-normalization")}
-    out.update(drv.right_path(classify_heavy(topology, cfg.alpha)))
+    out.update(drv.right_path(classify_heavy(topology)))
     return out
 
 
@@ -560,9 +530,7 @@ def anchor_estimate(oracle, topology, v, anchor, cfg=None):
     c1, c2 = topology.children(anchor)
     far = c2 if near == c1 else c1
     drv = _WeightDriver(oracle, topology, cfg or WeightConfig())
-    warns = []
-    p = drv.anchored_response(v, drv.leafset(far), warns)
-    return p, int(drv.nl[far])
+    return float(drv._responses([v], drv.leafset(far))[0, 0]), int(drv.nl[far])
 
 
 def reconstruct_weights(oracle, topology, cfg=None):
@@ -571,5 +539,4 @@ def reconstruct_weights(oracle, topology, cfg=None):
     oracle's experiments.  Returns HeightEstimates; leaves are exactly 0,
     the root exactly 1, and heights are monotone along root-leaf paths.
     """
-    cfg = cfg or WeightConfig()
-    return _WeightDriver(oracle, topology, cfg).run()
+    return _WeightDriver(oracle, topology, cfg or WeightConfig()).run()

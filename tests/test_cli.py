@@ -235,6 +235,12 @@ GOLDEN = {
         dict(mode="weights", n=64, model="homogeneous", expectation=True,
              trials=2, seed=31, min_edge_weight=0.05),
         "7b2ef50913a78935479d5029d61d87dda74d432487f4e208f80fb269289e6a92"),
+    # its sidecar holds response-clamped, anchor-dropped and
+    # anchor-witnesses-below-100 warnings
+    "weights-noiseless-40": (
+        dict(mode="weights", n=40, model="noiseless", trials=3, seed=0,
+             min_edge_weight=0.05),
+        "0ee58214ce7f492b081aa18004b9fbf08988b32eace793bea9856d05499015a0"),
 }
 
 

@@ -549,6 +549,18 @@ def test_triplet_agreement_grades_an_oracle_by_its_most_likely_answer():
         triplet_agreement(t, other))
 
 
+def test_triplet_agreement_rejects_other_leaf_labels():
+    t = tree_from_topology((("a", "b"), ("c", "d")))
+    extra = tree_from_topology((("a", "b"), (("c", "d"), "e")))
+    missing = tree_from_topology((("a", "b"), "c"))
+    relabelled = tree_from_topology((("a", "b"), ("c", "x")))
+    # an extra leaf once graded the shared leaves only (here 1.0), and a
+    # missing one raised KeyError
+    for other in (extra, missing, ExpectationOracle(relabelled, "homogeneous")):
+        with pytest.raises(ValueError, match="leaf-label sets"):
+            triplet_agreement(t, other)
+
+
 def _reference_agreement(tree, oracle):
     """The per-leaf grading loop: one ``codes`` read per leaf i."""
     n = tree.n_leaves

@@ -428,6 +428,8 @@ def test_reconstruct_weights_two_leaves():
     o = OracleState(t, "homogeneous", seed=0)
     he = reconstruct_weights(o, t)
     assert he.max_abs_weight_error(t) == 0.0
+    # the heavy path holds no internal vertex below the root
+    assert list(reconstruct_right_path(o, t)) == [t.root]
     assert o.query_count == 0
 
 
@@ -583,19 +585,19 @@ def _caterpillar(n):
     return tree_from_topology(plan)
 
 
-def _blocked_and_reference(tree, source, seed):
+def _blocked_and_reference(tree, source, seed, cfg=None):
     """
     Every estimate field of the block-reading driver and of the
-    per-request reference, each on a fresh oracle, with their ``query_count``
-    and the calls of their readers: ``pair_wins`` for the driver (which
-    makes no ``wins`` call), ``wins`` for the reference.
+    per-request reference, each on a fresh oracle under ``cfg``, with their
+    ``query_count`` and the calls of their readers: ``pair_wins`` for the
+    driver (which makes no ``wins`` call), ``wins`` for the reference.
     """
     out = []
     for cls, reader in ((_WeightDriver, "pair_wins"), (_PerRequest, "wins")):
         o = _make_oracle(tree, source, seed)
         calls = _count_rows(o, reader)
         flat = _count_rows(o, "wins") if reader == "pair_wins" else []
-        he = cls(o, tree, WeightConfig()).run()
+        he = cls(o, tree, cfg or WeightConfig()).run()
         assert flat == []
         out.append((_estimate_fields(he), o.query_count, len(calls)))
     return out
@@ -617,17 +619,19 @@ def _estimate_fields(he):
     tree_seed=st.integers(0, 10_000),
     source=st.sampled_from(["expectation", "homogeneous", "noiseless"]),
     chunk=st.integers(1, 40),
+    pair_cap=st.sampled_from([1, 7, None]),
 )
 def test_block_reads_match_per_request_reference(n, shape, tree_seed,
-                                                 source, chunk):
-    # a chunk of a few rows splits every stage's block between vertices
+                                                 source, chunk, pair_cap):
+    # a chunk of a few rows splits every stage's block between vertices;
+    # the heavy path's one cross read holds pair_cap pairs a vertex
     tree = random_tree(n, w=0.01, seed=tree_seed) if shape == "random" \
         else _caterpillar(n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_CHUNK_ROWS", chunk)
         try:
             (got, got_q, _), (want, want_q, _) = _blocked_and_reference(
-                tree, source, tree_seed)
+                tree, source, tree_seed, WeightConfig(pair_cap=pair_cap))
         except EstimationFailure:
             return
     assert got == want
@@ -668,16 +672,6 @@ def test_driver_node_sets_match_the_topology():
                     under.append(u)
                     stack.extend(t.children(u))
             assert drv._internal_under(v) == sorted(under)
-
-
-def test_block_reads_chunk_in_whole_vertices():
-    assert list(weights._chunks([])) == []
-    assert list(weights._chunks([3] * 5)) == [(0, 5)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weights, "_CHUNK_ROWS", 6)
-        # 7 rows exceed the chunk but go alone; the rest pack up to 6
-        assert list(weights._chunks([2, 4, 7, 1, 5, 6])) == \
-            [(0, 2), (2, 3), (3, 5), (5, 6)]
 
 
 def test_wins_calls_on_a_400_leaf_caterpillar():
