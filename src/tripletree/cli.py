@@ -39,7 +39,8 @@ import numpy as np
 
 from . import stats as statsmod
 from .noise_oracle import CustomModel, ExpectationOracle, OracleState, make_model
-from .topology import ReconstructionConfig, ReconstructionFailure, reconstruct_topology
+from .topology import (N0_MAX, ReconstructionConfig, ReconstructionFailure,
+                       reconstruct_topology)
 from .tree_core import (
     InfeasibleTreeError,
     Tree,
@@ -84,6 +85,8 @@ class ExperimentConfig:
             problems.append("trials: must be >= 1")
         if self.n < 2:
             problems.append("n: must be >= 2")
+        if self.n0 > N0_MAX:
+            problems.append(f"n0: must be <= {N0_MAX}")
         if not self.tree_in and self.min_edge_weight <= 0:
             problems.append("min_edge_weight: must be positive")
         if self.mode == "calibrate" and not self.sweep_weights:

@@ -35,16 +35,17 @@ the pair (lo, hi) has code 3 - top - mid and the pair (lo, w) code
 ``tallies(X, Y, W)`` (the three-way answer counts of pairs over
 witnesses, which every decision of the topology driver after its first
 pass reads) and ``pair_wins(X, Y, W)`` (the ``wins`` of pairs over
-witnesses, which the weight estimators average) read the experiments
-(X[p], Y[p], w) in blocks, through one front, ``_pair_blocks``.  The flat
-readers take one experiment per row, through one front, ``_flat``:
-``codes`` returns the answer slot of canonical rows i < j < k (0: (i,j),
-1: (i,k), 2: (j,k)), the case top = mid = True; ``answers`` the answer
-in argument order (0: (A,B), 1: (A,C), 2: (B,C)); ``wins`` the indicator
-of the pair (A, B) (in expectation mode its probability); and ``query``
-the answer to one labelled triple.  Both fronts check every row once,
-before any is read: a row that does not name three distinct leaves in
-[0, n) raises ``ValueError``, in both oracles.
+witnesses, which the weight estimators average and ``sibling_scores``
+sums) read the experiments (X[p], Y[p], w) in blocks, through one front,
+``_pair_blocks``.  The flat readers take one experiment per row, through
+one front, ``_flat``: ``codes`` returns the answer slot of canonical rows
+i < j < k (0: (i,j), 1: (i,k), 2: (j,k)), the case top = mid = True;
+``answers`` the answer in argument order (0: (A,B), 1: (A,C), 2: (B,C));
+``wins`` the indicator of the pair (A, B) (its probability in
+expectation mode; no package path reads it); and ``query`` the answer to
+one labelled triple.  Both fronts check every row once, before any is
+read: a bad row (not three distinct leaves in [0, n)) raises
+``ValueError``, in both oracles.
 
 ``OracleState`` gathers codes at store ranks with one reader, ``_read``,
 which draws each never-asked triple once.  Its ``_pair_codes`` builds the

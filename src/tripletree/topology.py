@@ -55,9 +55,12 @@ import numpy as np
 from .noise_oracle import ExpectationOracle
 from .tree_core import _closest_codes, map_plan, tree_from_topology
 
-# Rows per block of ``_wins_sum_pairs``; bounds its temporaries (about 90
-# bytes a row, so some 23 MB a block).
-_CHUNK = 1 << 18
+# Largest ``n0``: ``small_exhaustive`` may enumerate every topology on n0
+# leaves, 135,135 at 8 but 2,027,025 at 9 and 34,459,425 at 10.
+N0_MAX = 8
+# Pair-witness cells per run of ambient leaves in ``sibling_scores``: bounds
+# its ``pair_wins`` output to 2 MB a run.
+_SCORE_CELLS = 1 << 18
 
 
 class ReconstructionFailure(Exception):
@@ -89,7 +92,7 @@ class ReconstructionConfig:
     subtree_band: tuple | None = None  # explicit (lo, hi) leaf-count band
     large_fraction: float = 11.0 / 12.0
     small_fraction: float = 1.0 / 12.0
-    n0: int = 8
+    n0: int = 8  # at most N0_MAX
 
     def threshold(self, n):
         return self.c_thr * math.sqrt(n * math.log(n)) if n > 1 else 0.0
@@ -175,33 +178,6 @@ class RunStats:
 # ---------------------------------------------------------------------- #
 
 
-def _wins_sum_pairs(oracle, A, B, xs, part_of, pa, pb):
-    """
-    For each pair (A[p], B[p]): sum of oracle.wins(A[p], B[p], x) over all
-    x in ``xs`` outside the pair's own parts pa[p] and pb[p] (membership
-    via ``part_of``).
-    """
-    P = len(A)
-    m = len(xs)
-    out = np.zeros(P, dtype=np.float64)
-    if m == 0 or P == 0:
-        return out
-    rows_per = max(1, _CHUNK // m)
-    xs = np.asarray(xs, dtype=np.int64)
-    for lo in range(0, P, rows_per):
-        hi = min(P, lo + rows_per)
-        Ab = np.repeat(A[lo:hi], m)
-        Bb = np.repeat(B[lo:hi], m)
-        Xb = np.tile(xs, hi - lo)
-        mask = (part_of[Xb] != np.repeat(pa[lo:hi], m)) & (
-            part_of[Xb] != np.repeat(pb[lo:hi], m)
-        )
-        w = oracle.wins(Ab[mask], Bb[mask], Xb[mask])
-        rows = np.repeat(np.arange(lo, hi), m)[mask]
-        out += np.bincount(rows, weights=w, minlength=P)
-    return out
-
-
 def _triple_scores(oracle, S):
     """
     Score matrix over the positions of the sorted leaf ids ``S``: ``M[a, b]``
@@ -233,10 +209,14 @@ def _triple_scores(oracle, S):
 
 def sibling_scores(oracle, forest, ambient, n=None, cfg=None):
     """
-    Score matrix over a leaf-disjoint forest: s[i][j] counts, over ambient
-    leaves x outside parts i and j, the experiments (rep_i, rep_j, x) that
-    answered (rep_i, rep_j).  Representatives are each part's
-    lexicographically smallest leaf.  Returns (reps, matrix).
+    Score matrix over a leaf-disjoint forest: s[i][j] sums ``wins`` of the
+    experiments (rep_i, rep_j, x) over the ambient leaves x outside parts i
+    and j.  Representatives are each part's lexicographically smallest
+    leaf.  Returns (reps, matrix); raises ``ValueError`` for an empty part,
+    parts that share a leaf, or fewer than n/12 ambient leaves.  One
+    ``pair_wins`` read per group of ambient leaves (one part's, or those in
+    no part) asks the pairs that leave the group out, and each pair adds its
+    columns in ambient order: the row-by-row sum of ``wins``, bit for bit.
     """
     parts = [sorted(oracle.index_of[lab] for lab in p) for p in forest]
     amb = np.array(sorted(oracle.index_of[lab] for lab in ambient), dtype=np.int64)
@@ -248,16 +228,28 @@ def sibling_scores(oracle, forest, ambient, n=None, cfg=None):
         )
     part_of = np.full(oracle.n_leaves, -1, dtype=np.int64)
     for pid, members in enumerate(parts):
+        if not members or (part_of[members] >= 0).any():
+            raise ValueError(f"forest part {pid} is empty or shares a leaf")
         part_of[members] = pid
     reps = np.array([p[0] for p in parts], dtype=np.int64)
     l = len(parts)
     ii, jj = np.triu_indices(l, k=1)
-    scores = _wins_sum_pairs(oracle, reps[ii], reps[jj], amb, part_of, ii, jj)
-    M = np.zeros((l, l), dtype=np.float64)
-    M[ii, jj] = scores
-    M[jj, ii] = scores
-    rep_labels = [oracle.labels[int(r)] for r in reps]
-    return rep_labels, M
+    scores = np.zeros(len(ii))
+    step = max(1, _SCORE_CELLS // max(1, len(ii)))
+    for lo in range(0, len(amb), step):
+        xs = amb[lo:lo + step]
+        owner = part_of[xs]
+        cols = {}
+        for g in np.unique(owner).tolist():  # g = -1: the leaves in no part
+            keep = np.flatnonzero((ii != g) & (jj != g))
+            wins = oracle.pair_wins(reps[ii[keep]], reps[jj[keep]], xs[owner == g])
+            cols[g] = keep, iter(wins.T)
+        for g in owner.tolist():
+            keep, col = cols[g]
+            scores[keep] += next(col)
+    M = np.zeros((l, l))
+    M[ii, jj] = M[jj, ii] = scores
+    return [oracle.labels[int(r)] for r in reps], M
 
 
 # ---------------------------------------------------------------------- #
@@ -596,6 +588,8 @@ class _Driver:
         self.oracle = oracle
         self.n = n or oracle.n_leaves
         self.cfg = cfg or ReconstructionConfig.for_oracle(oracle)
+        if self.cfg.n0 > N0_MAX:
+            raise ValueError(f"n0 must be at most {N0_MAX}, got {self.cfg.n0}")
         self.expansion = {}  # virtual id -> np.array of physical ids
         self.stats = RunStats(n=self.n, band=self.cfg.band(self.n))
         self._all = np.arange(oracle.n_leaves, dtype=np.int64)
@@ -985,7 +979,7 @@ def reconstruct_topology(oracle, cfg=None, return_stats=False):
     naming the stage, when two parts of a partition are too large to
     coexist, or when a noisy completion is left with no leaf outside its
     members.
-    Raises ValueError for fewer than two leaves.
+    Raises ValueError for fewer than two leaves, or an n0 above N0_MAX.
     """
     if oracle.n_leaves < 2:
         raise ValueError("need at least two leaves")
@@ -1003,7 +997,7 @@ def _topology_tables(m):
     one row per topology of the closest-pair codes of the position triples
     i<j<k in combinations order (0:(i,j), 1:(i,k), 2:(j,k); the row
     ``_plan_codes`` gives the topology).  Cached per size; feasible up to
-    the small-n cutoff (m = 8 gives 135135 topologies).
+    the small-n cutoff ``N0_MAX`` (m = 8 gives 135135 topologies).
     """
     plans = list(_all_plans(list(range(m))))
     P = len(plans)

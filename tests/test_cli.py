@@ -16,6 +16,7 @@ from tripletree import (
     tree_from_topology,
 )
 import tripletree.cli as cli
+import tripletree.topology as topology_mod
 from tripletree.cli import (
     ExperimentConfig,
     calibrate,
@@ -331,6 +332,19 @@ def test_config_validation_lists_fields():
     with pytest.raises(ValueError) as err:
         cfg.validate()
     assert "trials" in str(err.value) and "n" in str(err.value)
+
+
+def test_cli_rejects_n0_above_the_cap(tmp_path, monkeypatch, capsys):
+    # exit 2 before any trial runs: n0 = 9 at n = 9 would enumerate
+    # 2,027,025 topologies
+    def enumerate_all(m):
+        raise AssertionError(f"enumerated every topology on {m} leaves")
+
+    monkeypatch.setattr(topology_mod, "_topology_tables", enumerate_all)
+    assert main(["--mode", "topology", "--n", "9", "--n0", "9", "--trials",
+                 "1", "--jobs", "1", "--out", str(tmp_path)]) == 2
+    assert "n0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------- #

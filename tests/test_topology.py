@@ -46,7 +46,6 @@ from tripletree.topology import (
     _tie_key,
     _topology_tables,
     _triple_scores,
-    _wins_sum_pairs,
 )
 
 from conftest import random_tree
@@ -137,6 +136,125 @@ def test_sibling_scores_rejects_small_ambient():
     labs = t.leaf_labels
     with pytest.raises(ValueError):
         sibling_scores(o, [[labs[0]], [labs[1]]], labs, n=1000)
+
+
+def _reference_wins_sum_pairs(oracle, A, B, xs, part_of, pa, pb):
+    """
+    For each pair (A[p], B[p]): sum of oracle.wins(A[p], B[p], x) over all
+    x in ``xs`` outside the pair's own parts pa[p] and pb[p] (membership
+    via ``part_of``), read as repeated rows, one ``wins`` row per
+    experiment, in blocks of whole pairs.
+    """
+    P = len(A)
+    m = len(xs)
+    out = np.zeros(P, dtype=np.float64)
+    if m == 0 or P == 0:
+        return out
+    rows_per = max(1, (1 << 18) // m)
+    xs = np.asarray(xs, dtype=np.int64)
+    for lo in range(0, P, rows_per):
+        hi = min(P, lo + rows_per)
+        Ab = np.repeat(A[lo:hi], m)
+        Bb = np.repeat(B[lo:hi], m)
+        Xb = np.tile(xs, hi - lo)
+        mask = (part_of[Xb] != np.repeat(pa[lo:hi], m)) & (
+            part_of[Xb] != np.repeat(pb[lo:hi], m)
+        )
+        w = oracle.wins(Ab[mask], Bb[mask], Xb[mask])
+        rows = np.repeat(np.arange(lo, hi), m)[mask]
+        out += np.bincount(rows, weights=w, minlength=P)
+    return out
+
+
+def _reference_sibling_scores(oracle, forest, ambient):
+    """``sibling_scores`` read row by row through ``wins``."""
+    parts = [sorted(oracle.index_of[lab] for lab in p) for p in forest]
+    amb = np.array(sorted(oracle.index_of[lab] for lab in ambient),
+                   dtype=np.int64)
+    part_of = np.full(oracle.n_leaves, -1, dtype=np.int64)
+    for pid, members in enumerate(parts):
+        part_of[members] = pid
+    reps = np.array([p[0] for p in parts], dtype=np.int64)
+    ii, jj = np.triu_indices(len(parts), k=1)
+    M = np.zeros((len(parts), len(parts)))
+    M[ii, jj] = M[jj, ii] = _reference_wins_sum_pairs(
+        oracle, reps[ii], reps[jj], amb, part_of, ii, jj)
+    return [oracle.labels[int(r)] for r in reps], M
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(["noiseless", "homogeneous", "custom"]),
+    expectation=st.booleans(),
+    n=st.integers(4, 48),
+    seed=st.integers(0, 2**16),
+    shape=st.sampled_from(["singletons", "mixed", "one-part"]),
+    covered=st.floats(0.0, 1.0),
+    ambient=st.sampled_from(["all", "some", "no-reps", "outside-parts"]),
+    cells=st.sampled_from([1, 7, 1 << 18]),
+)
+@example(model="homogeneous", expectation=False, n=24, seed=0,
+         shape="singletons", covered=1.0, ambient="all", cells=1 << 18)
+@example(model="homogeneous", expectation=True, n=30, seed=3, shape="mixed",
+         covered=0.5, ambient="no-reps", cells=7)
+def test_sibling_scores_match_the_row_by_row_reference(model, expectation, n,
+                                                       seed, shape, covered,
+                                                       ambient, cells):
+    # one pair_wins read per ambient part, added in ambient order, must give
+    # the row-by-row sums bit for bit and ask exactly the same triples; a
+    # small ``_SCORE_CELLS`` splits the ambient leaves over many runs, and
+    # the custom model is unvalidated and read through the generic pair_prob
+    if model == "custom":
+        model = CustomModel(lambda d1, d2: 0.4 + 0.1 * d2 / (d1 + d2), 0.1,
+                            validate=False)
+    t = random_tree(n, w=0.2 / n, seed=seed)
+    labs = t.leaf_labels
+    rng = np.random.default_rng(seed)
+    members = rng.permutation(n)[: max(1, round(covered * n))]
+    if shape == "singletons":
+        groups = [[int(v)] for v in members]
+    elif shape == "one-part":
+        groups = [members.tolist()]
+    else:
+        cuts = np.sort(rng.choice(np.arange(1, len(members) + 1),
+                                  size=min(len(members) - 1, 4),
+                                  replace=False))
+        groups = [g.tolist() for g in np.split(members, cuts) if len(g)]
+    forest = [[labs[v] for v in g] for g in groups]
+    reps = {min(g) for g in groups}
+    inside = set(members.tolist())
+    pool = {
+        "all": range(n),
+        "some": rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False),
+        "no-reps": [v for v in range(n) if v not in reps],
+        "outside-parts": [v for v in range(n) if v not in inside],
+    }[ambient]
+    amb = [labs[int(v)] for v in pool]
+    runs = []
+    for score in (sibling_scores, _reference_sibling_scores):
+        o = (ExpectationOracle(t, model) if expectation
+             else OracleState(t, model, seed=seed))
+        try:
+            with mock.patch.object(topology_mod, "_SCORE_CELLS", cells):
+                reps_got, M = score(o, forest, amb)
+        except ValueError:
+            # fewer than n/12 ambient leaves: the reference does not check
+            assert score is sibling_scores and len(amb) < n / 12
+            return
+        store = o._store.tobytes() if isinstance(o, OracleState) else b""
+        runs.append((reps_got, M.tobytes(), o.query_count, store))
+    assert runs[0] == runs[1]
+
+
+def test_sibling_scores_rejects_empty_and_overlapping_parts():
+    t = random_tree(12, seed=0)
+    labs = t.leaf_labels
+    for forest in ([labs[0:4], [], labs[4:12]],
+                   [labs[0:4], labs[2:6], labs[6:12]]):
+        o = OracleState(t, "homogeneous", seed=0)
+        with pytest.raises(ValueError, match="part 1"):
+            sibling_scores(o, forest, labs, n=12)
+        assert o.query_count == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -365,7 +483,7 @@ def _reference_build_subtree(drv, members):
     alive = [True] * l
     M = np.full((l, l), -np.inf)
     ii, jj = np.triu_indices(l, k=1)
-    M[ii, jj] = _wins_sum_pairs(oracle, S[ii], S[jj], S, part_of, ii, jj)
+    M[ii, jj] = _reference_wins_sum_pairs(oracle, S[ii], S[jj], S, part_of, ii, jj)
     n_alive = l
     while n_alive > 1 and max(z for z, a in zip(sizes, alive) if a) < lo_band:
         p, q = divmod(int(np.argmax(M)), l)
@@ -387,7 +505,7 @@ def _reference_build_subtree(drv, members):
             break
         others = np.array([t for t in range(l) if alive[t] and t != p])
         if drv.exact:
-            vals = _wins_sum_pairs(
+            vals = _reference_wins_sum_pairs(
                 oracle, np.full(len(others), reps[p]),
                 np.array([reps[t] for t in others]), S, part_of,
                 np.full(len(others), p), others)
@@ -495,7 +613,7 @@ def test_scores_on_a_subset_match_a_fresh_pass(kind, n, seed, keep, sub):
     part_of[S] = np.arange(l)
     ii, jj = np.triu_indices(l, k=1)
     want = np.full((l, l), -np.inf)
-    want[ii, jj] = _wins_sum_pairs(ref, S[ii], S[jj], S, part_of, ii, jj)
+    want[ii, jj] = _reference_wins_sum_pairs(ref, S[ii], S[jj], S, part_of, ii, jj)
     np.testing.assert_array_equal(got, want)
 
 
@@ -1041,6 +1159,23 @@ def test_reconstruct_rerun_same_oracle_identical():
         with pytest.raises(ReconstructionFailure):
             reconstruct_topology(o, cfg)
     assert o.query_count <= math.comb(24, 3)
+
+
+@pytest.mark.parametrize("kind", ["homogeneous", "expectation"])
+def test_n0_above_the_cap_is_rejected_before_any_read(kind, monkeypatch):
+    # n0 = 9 would enumerate 2,027,025 topologies at n = 9: the driver
+    # must refuse it before it reads an answer or builds a table
+    def enumerate_all(m):
+        raise AssertionError(f"enumerated every topology on {m} leaves")
+
+    monkeypatch.setattr(topology_mod, "_topology_tables", enumerate_all)
+    t = random_tree(9, w=0.05, seed=0)
+    o = _oracle(kind, t, 0)
+    for cfg in (ReconstructionConfig(n0=9),
+                ReconstructionConfig.for_oracle(o, n0=topology_mod.N0_MAX + 1)):
+        with pytest.raises(ValueError, match="n0"):
+            reconstruct_topology(o, cfg)
+    assert o.query_count == 0
 
 
 def test_reconstruct_exercises_peel_and_bucket_recursion():
