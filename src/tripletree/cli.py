@@ -17,8 +17,9 @@ Per-trial results go to ``trials.jsonl`` and an aggregate row to
 ``summary.csv`` under ``--out``.  Everything is deterministic given
 ``--seed``: trial i uses seed ``seed + i`` for both the tree and the
 oracle, and wall-clock timings are kept out of the emitted files so
-re-runs are byte-identical.  Flags can be defaulted from the environment
-with the ``TRIPLETREE_`` prefix (e.g. ``TRIPLETREE_TRIALS=50``).
+re-runs are byte-identical.  Every flag except --expectation,
+--allow-zero-inner, --tree-in and --tree-out can be defaulted from the
+environment with the ``TRIPLETREE_`` prefix (e.g. ``TRIPLETREE_TRIALS=50``).
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ def _load_custom_model(path):
     spec = importlib.util.spec_from_file_location("tripletree_custom_model", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    fn = getattr(mod, "p_correct", None) or getattr(mod, "P_CORRECT", None)
-    eps = getattr(mod, "epsilon", None) or getattr(mod, "EPSILON", None)
+    # a defined lower-case name wins, whatever its value (epsilon = 0.0)
+    fn = getattr(mod, "p_correct", getattr(mod, "P_CORRECT", None))
+    eps = getattr(mod, "epsilon", getattr(mod, "EPSILON", None))
     if fn is None or eps is None:
         raise ValueError(f"{path} must define p_correct(d1, d2) and epsilon")
     return CustomModel(fn, eps)

@@ -24,7 +24,10 @@ is the paper's merging on representative rows.  One routine does all the
 average linkage (``_agglomerate``, O(m) a merge on an m-cluster matrix
 updated in place): the base and the pivot stop at the size band with ties
 to the smallest positions, and every assembly runs to one cluster with the
-tie rule of its source (``_assemble_by_scores``).
+tie rule of its source (``_assemble_by_scores``).  A small search decides
+on counts too: ``small_exhaustive`` assembles the members' triple counts
+before it enumerates topologies.  The walk over single answers serves
+only ``assemble_from_triples``, whose input is a closest-pair function.
 
 An exact answer source (the noiseless model, or expectation mode, which
 the driver asks for each triple's most likely pair) selects two things
@@ -144,10 +147,18 @@ class RunStats:
 
     n: int = 0
     band: tuple = (0, 0)  # subtree size band in force during the run
-    bases: list = field(default_factory=list)  # leaf counts of built subtrees
-    collapses: list = field(default_factory=list)  # leaf counts of collapsed pivots
-    events: list = field(default_factory=list)  # ordered ("base"|"collapse", size)
+    events: list = field(default_factory=list)  # ordered (kind, leaf count)
     stages: list = field(default_factory=list)
+
+    @property
+    def bases(self):
+        """Leaf counts of the built subtrees, in order."""
+        return [size for kind, size in self.events if kind == "base"]
+
+    @property
+    def collapses(self):
+        """Leaf counts of the collapsed pivots, in order."""
+        return [size for kind, size in self.events if kind == "collapse"]
 
     def check_accounting(self, n=None):
         """
@@ -264,10 +275,10 @@ def _find_sibling_pair(a, b, reps, closest, stage):
     the answers cycle instead of settling (they admit no tree).
     ``closest(a, b, C)`` gives a code per c in ``C``: 0 keeps (a, b), 1
     names (a, c) and 2 names (b, c).  Only for answers taken as exact and
-    read one triple at a time: ``assemble_from_triples``' closest-pair
-    function, and ``small_exhaustive``'s try of the direct answers.  A
-    noisy answer is right with probability at most 1/2, and the walk would
-    cycle on it.
+    read one triple at a time, ``assemble_from_triples``' closest-pair
+    function: every driver decision, ``small_exhaustive``'s included, is
+    made from counts.  A noisy answer is right with probability at most
+    1/2, and the walk would cycle on it.
     """
     guard = 0
     c = None
@@ -306,8 +317,9 @@ def _agglomerate(M, size, band=None, tie=None):
     The top pair is the first maximum of ``M`` in row-major order, so tied
     pairs go to the smallest positions.  When more than one pair ties and
     ``tie`` is given, ``tie(M, p, q, live)`` names the pair to merge, with
-    (p, q) the smallest top pair and ``live`` the live positions in order
-    (``_key_tie``, or the walk of ``_assemble_by_scores``).
+    (p, q) the smallest top pair and ``live`` the live positions in order:
+    ``_key_tie`` under noise, or, on an all-tie matrix, the walk over
+    single answers of ``assemble_from_triples``.
 
     Each row's best value and first column are kept (``rowmax``,
     ``rowarg``), so the top pair is read in O(m).  A merge changes only
@@ -364,14 +376,9 @@ def _key_tie(M, p, q, live):
     return live[P[t]], live[Q[t]]
 
 
-# ``closest`` of ``_assemble_by_scores`` for an exact source: tied top pairs
-# go to the smallest positions
-_FIRST = "first"
-
-
-def _assemble_by_scores(ids, plans, M, closest, stage):
+def _assemble_by_scores(plans, M, exact):
     """
-    Plan over the ascending leaf ids ``ids`` (``plans`` their leaf plans)
+    Plan over ``plans`` (leaf plans in ascending order of their leaf ids)
     by average linkage on the symmetric scores ``M`` (``_agglomerate`` to
     one cluster): the expected score is strictly decreasing in the pair
     distance against an equidistant witness set, so the best-supported pair
@@ -379,42 +386,27 @@ def _assemble_by_scores(ids, plans, M, closest, stage):
     of its two parts' rows, so each decision draws on every leaf pair
     across two clusters.
 
-    ``closest`` sets the tie rule of the top pairs.  With ``closest`` None
-    they go to ``_tie_key`` (``_key_tie``): under noise a tie is a chance
-    coincidence of counts, and a single direct answer is right with
-    probability at most 1/2.  With ``_FIRST`` they go to the smallest
-    positions; that is for a tree's counts (an exact source's, over any set
-    S that holds ``ids``), on which any tie rule gives the same plan.
-    There the pair (i, j) scores |S| - |S & clade(lca(i, j))|.  A top pair
-    is then a sibling pair of the topology induced on ``ids``: were a
-    member k nearer to i than j is, (i, k) would score higher, since j lies
-    in clade(lca(i, j)) but not in clade(lca(i, k)).  Sibling clusters have
-    equal rows of integer counts, so their mean is that row bit for bit and
-    the merged cluster scores as one leaf.  So every merge is a sibling
-    merge whichever tied pair goes first, and since each merged plan puts
-    its smaller representative's part first, any tie rule gives the same
-    plan.
-
-    Any other ``closest(a, b, C)`` settles tied top pairs by the
-    displacement walk from the smallest tied pair over its answers
-    (``_find_sibling_pair``).  With an all-zero ``M`` every pair ties, so
-    each merge is that walk: a BUILD-style assembly from closest-pair
-    answers alone.
+    ``exact`` sets the tie rule of the top pairs.  Without it they go to
+    ``_tie_key`` (``_key_tie``): under noise a tie is a chance coincidence
+    of counts, and a single direct answer is right with probability at
+    most 1/2.  With it they go to the smallest positions; that is for a
+    tree's counts (an exact source's, or any consistent answers', over any
+    set S that holds the members), on which any tie rule gives the same
+    plan.  There the pair (i, j) scores |S| - |S & clade(lca(i, j))|.  A
+    top pair is then a sibling pair of the topology induced on the members:
+    were a member k nearer to i than j is, (i, k) would score higher, since
+    j lies in clade(lca(i, j)) but not in clade(lca(i, k)).  Sibling
+    clusters have equal rows of integer counts, so their mean is that row
+    bit for bit and the merged cluster scores as one leaf.  So every merge
+    is a sibling merge whichever tied pair goes first, and since each
+    merged plan puts its smaller representative's part first, any tie rule
+    gives the same plan.
     """
-    ids = np.asarray(ids, dtype=np.int64)
     plans = list(plans)
     M = np.array(M, dtype=np.float64)
     np.fill_diagonal(M, -np.inf)
-    if closest is None:
-        tie = _key_tie
-    elif closest is _FIRST:
-        tie = None
-    else:
-        def tie(M, p, q, live):
-            a, b = _find_sibling_pair(int(ids[p]), int(ids[q]), ids[live],
-                                      closest, stage)
-            return np.searchsorted(ids, [a, b])
-    for i, j in _agglomerate(M, np.ones(len(ids)), tie=tie):
+    tie = None if exact else _key_tie
+    for i, j in _agglomerate(M, np.ones(len(plans)), tie=tie):
         plans[i] = (plans[i], plans[j])
     return plans[0]
 
@@ -496,8 +488,15 @@ def assemble_from_triples(closest_pair_fn, leaves, verify=True):
             codes.append(pairs.index(win))
         return np.array(codes, dtype=np.int64)
 
-    plan = _assemble_by_scores(range(m), leaves, np.zeros((m, m)), closest,
-                               "triple-assembly")
+    def walk(M, p, q, live):
+        return _find_sibling_pair(p, q, live, closest, "triple-assembly")
+
+    # all-tie scores: every merge is the walk over single answers
+    M = np.where(np.eye(m, dtype=bool), -np.inf, 0.0)
+    plans = list(leaves)
+    for i, j in _agglomerate(M, np.ones(m), tie=walk):
+        plans[i] = (plans[i], plans[j])
+    plan = plans[0]
     tree = tree_from_topology(plan)
     if verify:
         trips = _position_triples(m)
@@ -616,7 +615,6 @@ class _Driver:
 
     def collapse(self, members, rep):
         ids = self.expansion[int(rep)] = self.exp_ids(members)
-        self.stats.collapses.append(len(ids))
         self.stats.events.append(("collapse", len(ids)))
 
     # -- build-subtree --------------------------------------------------- #
@@ -698,7 +696,6 @@ class _Driver:
             alive[j] = False
         winner = max(np.flatnonzero(alive), key=lambda t: (size[t], -t))
         leaf_ids = sorted(leaves[winner])
-        self.stats.bases.append(len(leaf_ids))
         self.stats.events.append(("base", len(leaf_ids)))
         return leaf_ids, plans[winner]
 
@@ -755,8 +752,7 @@ class _Driver:
             M = np.zeros((len(ids), len(ids)))
             M[ii, jj] = M[jj, ii] = self.oracle.tallies(ids[ii], ids[jj],
                                                         xs)[0]
-        return _assemble_by_scores(members, list(members), M,
-                                   _FIRST if self.exact else None, stage)
+        return _assemble_by_scores(members, M, self.exact)
 
     def completion_quotient(self, inside, candidates):
         """
@@ -800,9 +796,7 @@ class _Driver:
             else:
                 M = (self._exact_scores(np.array(bucket, dtype=np.int64))
                      if self.exact else same[np.ix_(pos, pos)])
-                bplan = _assemble_by_scores(bucket, list(bucket), M,
-                                            _FIRST if self.exact else None,
-                                            "within-bucket")
+                bplan = _assemble_by_scores(bucket, M, self.exact)
             plan = (plan, bplan)
         return plan, rep
 
@@ -812,27 +806,22 @@ class _Driver:
         """
         Maximum-consistency search over all topologies on a handful of
         leaves, scored against the direct answers of their triples.  The
-        direct answers are tried first: when they are mutually consistent
-        the assembled tree agrees with every triple and no enumeration can
-        beat it.
+        assembly on the members' triple counts (``_triple_scores``, which
+        asks no triple the answers did not) is tried first: when the
+        answers are mutually consistent they are a tree's answers, their
+        counts assemble that tree (see ``_assemble_by_scores``), it agrees
+        with every triple and no enumeration can beat it.
         """
         members = sorted(int(v) for v in members)
-        m = len(members)
-        trips = _position_triples(m)
+        trips = _position_triples(len(members))
         ids = np.array(members, dtype=np.int64)
-        direct = self.oracle.answers
-        answers = direct(ids[trips[:, 0]], ids[trips[:, 1]], ids[trips[:, 2]])
-
-        # all-tie scores: every merge walks on the direct answers
-        try:
-            plan = _assemble_by_scores(members, members, np.zeros((m, m)),
-                                       direct, "small-direct")
-            idx = {v: i for i, v in enumerate(members)}
-            if (_plan_codes(plan, idx, trips) == answers).all():
-                return plan
-        except ReconstructionFailure:
-            pass
-        plans, codes = _topology_tables(m)
+        answers = self.oracle.answers(*ids[trips.T])
+        M = _triple_scores(self.oracle, ids)
+        plan = _assemble_by_scores(members, np.maximum(M, M.T), exact=True)
+        idx = {v: i for i, v in enumerate(members)}
+        if (_plan_codes(plan, idx, trips) == answers).all():
+            return plan
+        plans, codes = _topology_tables(len(members))
         scores = np.sum(codes == answers.astype(np.int8), axis=1)
         best = int(np.argmax(scores))  # enumeration order is deterministic
         return _relabel(plans[best], members)

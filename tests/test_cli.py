@@ -455,13 +455,20 @@ def test_env_sweep_weights_reach_calibrate(tmp_path):
     assert [row["min_edge_weight"] for row in table] == [0.05, 0.1]
 
 
-def test_custom_model_file(tmp_path):
-    model_file = tmp_path / "steep.py"
-    model_file.write_text(
-        "def p_correct(d1, d2):\n"
-        "    return 1.0/3.0 + (d2 - d1) / (6.0 * d2)\n"
-        "epsilon = 1.0/13.0\n"
-    )
+@pytest.mark.parametrize("source,epsilon", [
+    ("def p_correct(d1, d2):\n"
+     "    return 1.0/3.0 + (d2 - d1) / (6.0 * d2)\n"
+     "epsilon = 1.0/13.0\n", 1.0 / 13.0),
+    # a zero constant is defined, and the lower-case name comes first
+    ("def p_correct(d1, d2):\n"
+     "    return 0.5\n"
+     "epsilon = 0.0\n"
+     "EPSILON = 0.05\n", 0.0),
+], ids=["steep", "zero-epsilon"])
+def test_custom_model_file(tmp_path, source, epsilon):
+    model_file = tmp_path / "model.py"
+    model_file.write_text(source)
+    assert cli._load_custom_model(str(model_file)).epsilon == epsilon
     cfg = ExperimentConfig(
         mode="topology", n=8, model=f"custom:{model_file}", trials=2,
         seed=0, min_edge_weight=0.1, jobs=1, c_thr=1.0,

@@ -34,7 +34,6 @@ from tripletree import (
 import tripletree.noise_oracle as noise_oracle
 import tripletree.topology as topology_mod
 from tripletree.topology import (
-    _FIRST,
     _Driver,
     _agglomerate,
     _find_sibling_pair,
@@ -395,38 +394,45 @@ def test_agglomerate_matches_the_reference_loops(m, values, seed, rule, banded):
                                            band if banded else sum(sizes) + 1)
 
 
+def _walk_assemble(ids, M, closest):
+    """
+    Average linkage over the ascending leaf ids ``ids`` with tied top pairs
+    settled by the displacement walk from the smallest tied pair over the
+    closest-pair answers ``closest`` (``_find_sibling_pair``): the tie rule
+    exact sources took before they assembled on triple counts.  With an
+    all-zero ``M`` every merge is the walk, as in ``assemble_from_triples``.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    M = np.array(M, dtype=np.float64)
+    np.fill_diagonal(M, -np.inf)
+
+    def walk(M, p, q, live):
+        a, b = _find_sibling_pair(int(ids[p]), int(ids[q]), ids[live],
+                                  closest, "walk")
+        return np.searchsorted(ids, [a, b])
+
+    plans = ids.tolist()
+    for i, j in _agglomerate(M, np.ones(len(ids)), tie=walk):
+        plans[i] = (plans[i], plans[j])
+    return plans[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     m=st.integers(2, 40),
     values=st.integers(1, 4),
     seed=st.integers(0, 2**16),
-    rule=st.sampled_from(["first", "key", "walk"]),
+    rule=st.sampled_from(["first", "key"]),
 )
 def test_assemble_by_scores_wires_each_tie_rule(m, values, seed, rule):
-    # over ascending leaf ids: ``_FIRST`` takes the smallest tied pair, None
-    # keys ties by ``_tie_key``, and a closest-pair function walks on ids
+    # ``exact`` takes the smallest tied pair, and otherwise ties are keyed
+    # by ``_tie_key``
     rng = np.random.default_rng(seed)
     M = np.triu(rng.integers(0, values, size=(m, m)), k=1).astype(np.float64)
     M += M.T
-    ids = np.sort(rng.choice(10 * m, size=m, replace=False))
-    walk = _random_closest(m, rng)
-
-    def closest(a, b, C):
-        return walk(*np.searchsorted(ids, [a, b]).tolist(),
-                    np.searchsorted(ids, C))
-
-    arg = {"first": _FIRST, "key": None, "walk": closest}[rule]
-    names = [f"p{v}" for v in ids]
-    try:
-        got = topology_mod._assemble_by_scores(ids.tolist(), names, M, arg,
-                                               "walk")
-    except ReconstructionFailure as exc:
-        got = exc.stage, exc.witness
-    try:
-        want = _relabel(_reference_assembly_loop(M, [1] * m, rule,
-                                                 closest=walk)[0][0], names)
-    except ReconstructionFailure as exc:
-        want = exc.stage, tuple(int(ids[x]) for x in exc.witness)
+    names = [f"p{v}" for v in range(m)]
+    got = topology_mod._assemble_by_scores(names, M, rule == "first")
+    want = _relabel(_reference_assembly_loop(M, [1] * m, rule)[0][0], names)
     assert got == want
 
 
@@ -784,14 +790,14 @@ def test_completion_quotient_bucket_order_matches_truth():
     assert topology_equal(got, want)
 
 
-def _score_first_assemble(ids, plans, M, closest, stage):
+def _score_first_assemble(plans, M, exact):
     """
-    The assembly exact sources took before average linkage: a merged
-    cluster keeps its smallest member's row, and the walk from a tied top
-    pair reads each triple's three scores first, asking ``closest`` for the
-    direct answer only where the top score ties.
+    The assembly exact sources took before average linkage, over the
+    ascending leaf ids ``plans``: a merged cluster keeps its smallest
+    member's row, and the walk from a tied top pair reads each triple's
+    three scores, whose top never ties on a tree's counts.
     """
-    ids = [int(v) for v in ids]
+    ids = [int(v) for v in plans]
     pos = {v: i for i, v in enumerate(ids)}
     M = np.array(M, dtype=np.float64)
     np.fill_diagonal(M, -np.inf)
@@ -800,13 +806,10 @@ def _score_first_assemble(ids, plans, M, closest, stage):
         ic = np.array([pos[int(c)] for c in C], dtype=np.int64)
         s = np.stack([np.full(len(C), M[pos[a], pos[b]]), M[pos[a], ic],
                       M[pos[b], ic]])
-        best = np.argmax(s, axis=0)
-        tied = np.sum(s == s[best, np.arange(len(C))], axis=0) > 1
-        if np.any(tied):
-            best[tied] = closest(a, b, C[tied])
-        return best
+        assert ((s == s.max(axis=0)).sum(axis=0) == 1).all()
+        return np.argmax(s, axis=0)
 
-    plans = dict(zip(ids, plans))
+    plans = dict(zip(ids, ids))
     reps = sorted(ids)
     while len(reps) > 1:
         live = [pos[r] for r in reps]
@@ -815,7 +818,7 @@ def _score_first_assemble(ids, plans, M, closest, stage):
         tied = np.flatnonzero(sub[iu] == np.max(sub[iu]))
         a, b = reps[iu[0][tied[0]]], reps[iu[1][tied[0]]]
         if len(tied) > 1:
-            a, b = _find_sibling_pair(a, b, reps, score_first, stage)
+            a, b = _find_sibling_pair(a, b, reps, score_first, "score-first")
         lo, hi = min(a, b), max(a, b)
         plans[lo] = (plans[lo], plans.pop(hi))
         reps.remove(hi)
@@ -852,10 +855,8 @@ def _walked_completions(drv, run):
     (over the anchors, within a bucket), with tied top pairs walked on the
     oracle's direct answers.
     """
-    assemble = topology_mod._assemble_by_scores
-
-    def walked(ids, plans, M, closest, stage):
-        return assemble(ids, plans, M, drv.oracle.answers, stage)
+    def walked(plans, M, exact):
+        return _walk_assemble(plans, M, drv.oracle.answers)
 
     drv.exact = False
     with mock.patch.object(topology_mod, "_assemble_by_scores", walked):
@@ -941,10 +942,10 @@ def test_exact_assemblies_need_no_tie_key(kind, n, seed, keep, small_band):
     assemble = topology_mod._assemble_by_scores
     seen = []
 
-    def recorded(ids, plans, M, closest, stage):
-        if closest is _FIRST:
-            seen.append((list(ids), np.array(M)))
-        return assemble(ids, plans, M, closest, stage)
+    def recorded(plans, M, exact):
+        if exact:
+            seen.append((list(plans), np.array(M)))
+        return assemble(plans, M, exact)
 
     def driver():
         o = _oracle(kind, t, seed)
@@ -958,8 +959,7 @@ def test_exact_assemblies_need_no_tie_key(kind, n, seed, keep, small_band):
     for d in (drv, driver()):
         seen.append((members.tolist(), d._exact_scores(members)))
     for ids, M in seen:
-        assert (assemble(ids, ids, M, _FIRST, "first")
-                == assemble(ids, ids, M, None, "key"))
+        assert assemble(ids, M, True) == assemble(ids, M, False)
 
 
 # ---------------------------------------------------------------------- #
@@ -1249,6 +1249,72 @@ def test_reconstruct_small_n_exhaustive_path():
             t = random_tree(n, w=0.05, seed=seed)
             o = OracleState(t, "noiseless", seed=seed)
             assert topology_equal(reconstruct_topology(o), t)
+
+
+def _walk_first_small_exhaustive(drv, members):
+    """
+    ``small_exhaustive`` as it ran before it assembled the triple counts:
+    the walk over the direct answers on all-tie scores first, kept when it
+    agrees with every answer, else the enumeration.
+    """
+    members = sorted(int(v) for v in members)
+    m = len(members)
+    trips = _position_triples(m)
+    ids = np.array(members, dtype=np.int64)
+    answers = drv.oracle.answers(*ids[trips.T])
+    try:
+        plan = _walk_assemble(members, np.zeros((m, m)), drv.oracle.answers)
+        idx = {v: i for i, v in enumerate(members)}
+        if (_plan_codes(plan, idx, trips) == answers).all():
+            return plan
+    except ReconstructionFailure:
+        pass
+    plans, codes = _topology_tables(m)
+    best = int(np.argmax(np.sum(codes == answers.astype(np.int8), axis=1)))
+    return _relabel(plans[best], members)
+
+
+# p_correct below 1/3 for some distance ratios: the most likely answer is
+# then not the closest pair, and the answers may admit no tree
+_SIN = CustomModel(lambda d1, d2: 0.5 + 0.4 * math.sin(9.0 * d1 / d2),
+                   epsilon=0.0, validate=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    source=st.sampled_from(["noiseless", "homogeneous", "sin", "expect",
+                            "expect-steep", "expect-sin"]),
+    m=st.integers(3, 7),
+    extra=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+)
+@example(source="homogeneous", m=8, extra=0, seed=0)
+@example(source="noiseless", m=8, extra=2, seed=1)
+@example(source="expect-sin", m=8, extra=0, seed=2)
+def test_small_exhaustive_matches_the_walk_first_reference(source, m, extra,
+                                                           seed):
+    # consistent answers are a tree's, whose counts assemble the tree the
+    # walk builds, and inconsistent ones fail the check on both paths and
+    # reach one enumeration; the answers read asks every triple the counts
+    # read, so the plan, query_count and store bytes all agree
+    t = random_tree(m + extra, w=0.2 / (m + extra), seed=seed)
+    members = np.random.default_rng(seed).choice(m + extra, size=m,
+                                                 replace=False)
+
+    def oracle():
+        if source.startswith("expect"):
+            model = {"expect": "homogeneous", "expect-steep": _STEEP,
+                     "expect-sin": _SIN}[source]
+            return ExpectationOracle(t, model)
+        return OracleState(t, _SIN if source == "sin" else source, seed=seed)
+
+    runs = []
+    for search in (_Driver.small_exhaustive, _walk_first_small_exhaustive):
+        o = oracle()
+        plan = search(_Driver(o), members)
+        store = o._store.tobytes() if isinstance(o, OracleState) else b""
+        runs.append((plan, o.query_count, store))
+    assert runs[0] == runs[1]
 
 
 def test_exact_source_predicate_is_shared():
