@@ -179,9 +179,7 @@ def run_trial(cfg_dict, trial):
         elif cfg.mode == "weights":
             wcfg = WeightConfig(bisect_tol=cfg.tol)
             he = reconstruct_weights(oracle, tree, wcfg)
-            errors = []
-            for v, w in he.edge_weights.items():
-                errors.append(abs(w - float(tree.weight[v])))
+            errors = he.weight_errors(tree)
             res.max_weight_error = float(max(errors))
             res.mean_weight_error = float(np.mean(errors))
             res.success = True

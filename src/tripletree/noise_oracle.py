@@ -1,36 +1,40 @@
 """
-Distance-based noise models and the permanent-noise experiment source.
+Distance-based noise models and the permanent-noise experiment sources.
 
 An experiment on a leaf triple returns one of the three pairs.  The chance
 of each pair depends only on the pairwise distances; the two pairs that are
 not closest have equal probability.  Answers are *permanent*: the first
-draw for a triple is fixed and every later query (in any argument order)
+answer for a triple is fixed and every later query (in any argument order)
 returns the same pair.
 
-The uniform variate behind a triple's draw comes from an integer hash of
-(oracle seed, canonical triple id ``i*n*n + j*n + k``), so the answer is a
-pure function of those inputs and is reproducible across runs and
-platforms.  ``OracleState`` also keeps every answer it has drawn in one
-packed store: a 2-bit code per canonical triple ``i < j < k`` at rank
-``C(k,3) + C(j,2) + i``, 0 for never asked and ``slot + 1`` for the
-answer.  A repeated triple is one gather, and the number of distinct
-triples asked is the number of codes written.  The store takes
-``ceil(C(n,3)/4)`` bytes (1.4 MB at n=323, 357 MB at n=2048), allocated
-zeroed so that only the pages actually written are resident.
+An oracle is one answer store plus a rule that decides a triple never
+asked before.  The store keeps a 2-bit code per canonical triple
+``i < j < k`` at rank ``C(k,3) + C(j,2) + i``, 0 for never asked and
+``slot + 1`` for the answer.  A repeated triple is one gather, and the
+number of distinct triples asked is the number of codes written.  The
+store takes ``ceil(C(n,3)/4)`` bytes (1 MB at n=256, 1.4 MB at n=323,
+357 MB at n=2048), allocated zeroed on the first read of an answer, so
+that only the pages actually written are resident and an oracle whose
+answers are never read allocates none.  ``OracleState`` decides a new
+triple with a uniform variate from an integer hash of (oracle seed,
+canonical triple id ``i*n*n + j*n + k``), so the answer is a pure
+function of those inputs and is reproducible across runs and platforms;
+under the noiseless model it takes the closest pair.
+``ExpectationOracle`` stands in for infinitely many samples: it decides a
+new triple with its first most likely slot.
 
-Each oracle answers two read shapes, and every reader is a case of one
-of them.  ``pass_slots(S)`` answers every triple of the sorted leaf ids
-``S`` in rank order, one layer at a time, through the class's
-``_layer_reader``: the triples whose top position is c are the first
-C(c,2) pairs (b, a) of ``np.tril_indices(l, -1)``, so each layer reads
-its distances from two per-pass vectors and one row of the distances
-among ``S``, with no per-row index gathers.  Every other reader asks
-masked experiments through the class's ``_pair_codes(lo, hi, w, top,
-mid)``: the experiment on a pair lo < hi and a witness w, whose canonical
-order (lo, hi, w), (lo, w, hi) or (w, lo, hi) is fixed by the masks
-``top = w > hi`` and ``mid = w > lo``, answers with the code slot + 1, so
-the pair (lo, hi) has code 3 - top - mid and the pair (lo, w) code
-1 + top.
+Each oracle answers two read shapes, and every reader is a case of one of
+them.  ``pass_slots(S)`` answers every triple of the sorted leaf ids
+``S`` in rank order, one layer at a time, through ``_layer_reader``: the
+triples whose top position is c are the first C(c,2) pairs (b, a) of
+``np.tril_indices(l, -1)``, so each layer reads its distances from two
+per-pass vectors and one row of the distances among ``S``, with no
+per-row index gathers.  Every other reader asks masked experiments
+through ``_pair_codes(lo, hi, w, top, mid)``: the experiment on a pair
+lo < hi and a witness w, whose canonical order (lo, hi, w), (lo, w, hi)
+or (w, lo, hi) is fixed by the masks ``top = w > hi`` and ``mid = w >
+lo``, answers with the code slot + 1, so the pair (lo, hi) has code 3 -
+top - mid and the pair (lo, w) code 1 + top.
 
 ``tallies(X, Y, W)`` (the three-way answer counts of pairs over
 witnesses, which every decision of the topology driver after its first
@@ -38,32 +42,32 @@ pass reads) and ``pair_wins(X, Y, W)`` (the ``wins`` of pairs over
 witnesses, which the weight estimators average and ``sibling_scores``
 sums) read the experiments (X[p], Y[p], w) in blocks, through one front,
 ``_pair_blocks``.  The flat readers take one experiment per row, through
-one front, ``_flat``: ``codes`` returns the answer slot of canonical rows
-i < j < k (0: (i,j), 1: (i,k), 2: (j,k)), the case top = mid = True;
-``answers`` the answer in argument order (0: (A,B), 1: (A,C), 2: (B,C));
-``wins`` the indicator of the pair (A, B) (its probability in
-expectation mode; no package path reads it); and ``query`` the answer to
-one labelled triple.  Both fronts check every row once, before any is
-read: a bad row (not three distinct leaves in [0, n)) raises
-``ValueError``, in both oracles.
+one front, ``_flat``: ``answers`` the answer in argument order (0:
+(A,B), 1: (A,C), 2: (B,C)); ``wins`` the indicator of the pair (A, B)
+(its probability in expectation mode; no package path reads it); and
+``query`` the answer to one labelled triple.  Both fronts check every row
+once, before any is read: a bad row (not three distinct leaves in [0, n))
+raises ``ValueError``.
 
-``OracleState`` gathers codes at store ranks with one reader, ``_read``,
-which draws each never-asked triple once.  Its ``_pair_codes`` builds the
-ranks from the masks; its layer reader checks with one masked read per
-store byte that a layer is all new, decides it with the rule ``_decide``
-uses and ORs one value into each byte, and sends a layer that holds an
-answered triple, or whose ranks are not consecutive (``S`` does not run
-0, 1, 2, ... up to it), through ``_read``.  ``ExpectationOracle`` reads
-d(lo, hi), d(lo, w) and d(hi, w) of each experiment: ``_pair_codes`` is
-the most likely slot + 1 of the model's ``slot_probs`` at the distances
-placed by the masks in canonical order (``_place``), and ``wins`` is the
-model's ``pair_prob``, that placement and the pair's slot by default.
-``HomogeneousModel`` overrides it with a closed form that gives the same
-bits without the placement, (dl + dh) / (2 (dp + dl + dh)) summed in the
-placement's order.
+``_pair_codes`` builds the store ranks from the masks and gathers codes
+with one reader, ``_read``, which decides each never-asked triple once
+(``_decide``).  The layer reader checks with one masked read per store
+byte that a layer is all new, decides it with the same rule and ORs one
+value into each byte, and sends a layer that holds an answered triple,
+or whose ranks are not consecutive (``S`` does not run 0, 1, 2, ... up to
+it), through ``_read``.  Expectation mode's ``wins`` and ``pair_wins``
+are probabilities, not answers, and read no store: the model's
+``pair_prob`` at d(lo, hi), d(lo, w) and d(hi, w), which by default is
+the pair's slot of ``slot_probs`` at those distances placed in canonical
+order (``_place``).  ``HomogeneousModel`` overrides it with a closed form
+that gives the same bits without the placement, (dl + dh) / (2 (dp + dl
++ dh)) summed in the placement's order.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -289,22 +293,38 @@ def _pack(codes):
 
 class _OracleBase:
     """
-    Shared leaf indexing, distance plumbing and readers for both oracle
-    flavours; each class answers ``_layer_reader`` and ``_pair_codes``.
+    Leaf indexing, distance plumbing, the answer store and its readers,
+    shared by both oracles.  A class differs in how it decides a triple
+    never asked before (``_draws``, see ``_decide``) and in what its
+    ``wins`` and ``pair_wins`` read (``_pair_wins``).
     """
+
+    _draws = False
 
     def __init__(self, tree, model):
         self.tree = tree
         self.model = make_model(model)
         self.labels = tree.leaf_labels
-        self.n_leaves = len(self.labels)
+        self.n_leaves = n = len(self.labels)
         self.index_of = {lab: i for i, lab in enumerate(self.labels)}
         self._D = None
         self._count = 0
+        self._n2 = n * n
+        m = np.arange(n, dtype=np.int64)
+        c2 = m * (m - 1) // 2
+        # C(m, 2) and C(m, 3) in int32 while every rank fits, which halves
+        # the bytes of the rank arithmetic in ``_pair_codes``
+        dt = np.int32 if math.comb(n, 3) <= np.iinfo(np.int32).max else np.int64
+        self._c2, self._c3 = c2.astype(dt), (c2 * (m - 2) // 3).astype(dt)
+
+    @functools.cached_property
+    def _store(self):
+        """The answer store, allocated zeroed on the first read of a triple."""
+        return np.zeros((math.comb(self.n_leaves, 3) + 3) // 4, dtype=np.uint8)
 
     @property
     def query_count(self):
-        """Distinct triples asked so far (0 in expectation mode)."""
+        """Distinct triples asked so far."""
         return self._count
 
     def distribution(self, a, b, c):
@@ -332,6 +352,116 @@ class _OracleBase:
 
     def _dist(self, I, J):
         return self.distances.ravel().take(I * self.n_leaves + J)
+
+    # -- the answer store ----------------------------------------------- #
+
+    def _decide(self, probs, ids):
+        """
+        Fresh answer slot of canonical triples from the model's slot
+        probabilities ``probs``: a keyed draw when the oracle ``_draws``
+        (an ``OracleState`` over a sampled model), whose ids ``i*n*n + j*n
+        + k`` ``ids()`` gives as uint64, else the first most likely slot,
+        as ``np.argmax`` over the three picks it, ties included (under the
+        noiseless model, the one slot of probability 1).  Taken without
+        stacking the three: ``np.argmax`` over a stack took 11 times as
+        long on a 12,720-row layer.
+        """
+        p0, p1, p2 = probs
+        if not self._draws:
+            return np.where(p2 > np.maximum(p0, p1), 2, p1 > p0)
+        u = keyed_uniform(self.seed, ids())
+        return (u >= p0).astype(np.int64) + (u >= p0 + p1)
+
+    def _read(self, rank, rows):
+        """
+        Answer codes (slot + 1) of the triples at the store ranks ``rank``
+        (any shape).  Each never-asked triple is decided and stored once:
+        ``rows(sel)`` gives the canonical rows (i, j, k) at the flat
+        positions ``sel`` of ``rank``, asked only for those triples, whose
+        codes are read again after the write.
+        """
+        byte = rank >> 2
+        shift = ((rank & 3) << 1).astype(np.uint8)
+        code = (self._store.take(byte) >> shift) & 3
+        if code.all():
+            return code
+        new = np.flatnonzero(code == 0)
+        fresh, first = np.unique(rank.reshape(-1)[new], return_index=True)
+        i, j, k = rows(new[first])
+        slot = self._decide(
+            self.model.slot_probs(self._dist(i, j), self._dist(i, k),
+                                  self._dist(j, k)),
+            lambda: (i * self._n2 + j * self.n_leaves + k).astype(np.uint64))
+        shift = shift.reshape(-1)
+        bits = (slot + 1).astype(np.uint8) << shift[new[first]]
+        np.bitwise_or.at(self._store, fresh >> 2, bits)
+        self._count += len(fresh)
+        code.reshape(-1)[new] = (
+            self._store.take(byte.reshape(-1)[new]) >> shift[new]) & 3
+        return code
+
+    def _layer_reader(self, S, tb, ta):
+        """
+        The answers of one run of a ``pass_slots`` layer: ``layer(c, lo,
+        hi, d01, d02, d12)`` for the triples (a, b, c) at tril positions
+        ``lo:hi``, whose ranks C(S[c],3) + C(S[b],2) + S[a] rise strictly.
+        When they are consecutive (``S`` runs 0, 1, 2, ... up to the run's
+        b-rows, as in a pass over every leaf) the run fills the store
+        bytes ``B0:B1`` from the first rank's to the last's: a run with no
+        answered triple is decided as given, and each byte is read and
+        written once.  Any other run goes through ``_read``.
+        """
+        c2, c3 = self._c2, self._c3
+        key2 = S[ta] * self._n2 + S[tb] * self.n_leaves if self._draws else None
+
+        def layer(c, lo, hi, d01, d02, d12):
+            k = S[c]
+            first = c3[k] + c2[S[tb[lo]]] + S[ta[lo]]
+            last = c3[k] + c2[S[tb[hi - 1]]] + S[ta[hi - 1]]
+            if last - first == hi - lo - 1:
+                B0, B1 = first >> 2, (last >> 2) + 1
+                at = slice(first - 4 * B0, last + 1 - 4 * B0)
+                codes = np.zeros(4 * (B1 - B0), dtype=np.uint8)
+                codes[at] = 3
+                # one masked read per byte: the run's own 2-bit codes only
+                if not (self._store[B0:B1] & _pack(codes)).any():
+                    slot = self._decide(
+                        self.model.slot_probs(d01, d02, d12),
+                        lambda: (key2[lo:hi] + k).astype(np.uint64))
+                    codes[at] = slot + 1
+                    # a byte may hold other answers: OR in, never assign
+                    self._store[B0:B1] |= _pack(codes)
+                    self._count += hi - lo
+                    return slot
+            i, j = S[ta[lo:hi]], S[tb[lo:hi]]
+            return self._read(c3[k] + c2[j] + i, lambda sel: (
+                i[sel], j[sel], np.full(len(sel), k))) - 1
+
+        return layer
+
+    def _pair_codes(self, lo, hi, W, top, mid):
+        """
+        Answer slot + 1 of each experiment (lo, hi, w) of the masks' shape,
+        as uint8, read off the store: one ``_read`` at the ranks of the
+        three canonical orders, C(hi,3) + C(lo,2) + w below the pair,
+        C(hi,3) + C(w,2) + lo between its leaves and C(w,3) + C(hi,2) + lo
+        above it, each built from the one before by the masks.
+        """
+        c2, c3 = self._c2, self._c3
+        a, b, w = (x.astype(c2.dtype) for x in (lo, hi, W))
+        rank = w + (c3[b] + c2[a])
+        rank += mid * ((c2[w] - w) + (a - c2[a]))
+        rank += top * ((c3[w] - c2[w]) + (c2[b] - c3[b]))
+
+        def rows(sel):
+            i = np.where(mid, lo, W)
+            j = np.where(top, hi, np.where(mid, W, lo))
+            k = np.where(top, W, hi)
+            return [x.reshape(-1)[sel] for x in (i, j, k)]
+
+        return self._read(rank, rows)
+
+    # -- readers -------------------------------------------------------- #
 
     def pass_slots(self, S):
         """
@@ -382,19 +512,6 @@ class _OracleBase:
             raise ValueError("oracle rows must name three distinct leaves")
         lo, hi = np.minimum(A, B), np.maximum(A, B)
         return A > B, (lo, hi, C, C > hi, C > lo)
-
-    def codes(self, I, J, K):
-        """
-        Answer slot per row, the most likely one in expectation mode: 0 for
-        (I, J), 1 for (I, K), 2 for (J, K).  Arguments are leaf indices
-        with I < J < K in every row (arrays or scalars); the answers are
-        those ``wins`` and ``query`` give.  Read as the experiments
-        (I, J, K), whose masks top and mid are all True.
-        """
-        I, J, K = self._rows(I, J, K)
-        if not ((I < J) & (J < K)).all():
-            raise ValueError("codes takes rows in order I < J < K")
-        return self._pair_codes(*self._flat(I, J, K)[1]) - 1
 
     def answers(self, A, B, C):
         """
@@ -490,21 +607,15 @@ class OracleState(_OracleBase):
     Seeded permanent-noise query source over one tree.
 
     ``query(a, b, c)`` returns the answer pair for three leaf labels;
-    ``codes(I, J, K)`` is the vectorized answer slot of each canonical row
-    I < J < K, ``answers(A, B, C)`` the answer of each row in argument
-    order, ``wins(A, B, C)`` the vectorized indicator that the answer to
-    each row's triple is the pair (A, B), ``tallies(X, Y, W)`` the answer
-    counts of pairs over witnesses, ``pair_wins(X, Y, W)`` the indicators
-    of pairs over witnesses, and ``pass_slots(S)`` the answers to every
-    triple of sorted leaf ids.  All of them read and fill one answer
-    store, a ``uint8`` array of ``ceil(C(n,3)/4)`` bytes holding a 2-bit
-    code per canonical triple (see the module docstring), through two
-    readers: ``_layer_reader`` for the runs of ``pass_slots`` and
-    ``_pair_codes`` for the masked experiments of every other reader.
-    Each gathers codes with ``_read``, which draws each never-asked triple
-    once; only an all-new run of consecutive ranks skips it.
-    ``query_count`` is the number of codes written, i.e. of distinct
-    triples asked so far.
+    ``answers(A, B, C)`` is the vectorized answer of each row in argument
+    order, ``wins(A, B, C)`` the indicator that the answer to each row's
+    triple is the pair (A, B), ``tallies(X, Y, W)`` the answer counts of
+    pairs over witnesses, ``pair_wins(X, Y, W)`` the indicators of pairs
+    over witnesses, and ``pass_slots(S)`` the answers to every triple of
+    sorted leaf ids.  All of them read and fill the answer store (see the
+    module docstring); a never-asked triple gets the keyed draw, or under
+    the noiseless model its closest pair.  ``query_count`` is the number
+    of codes written, i.e. of distinct triples asked so far.
 
     Not safe for concurrent mutation; run one reconstruction per instance.
     """
@@ -512,120 +623,7 @@ class OracleState(_OracleBase):
     def __init__(self, tree, model, seed):
         super().__init__(tree, model)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        n = self.n_leaves
-        self._n2 = n * n
-        m = np.arange(n, dtype=np.int64)
-        c2 = m * (m - 1) // 2
-        n_triples = n * (n - 1) * (n - 2) // 6
-        # C(m, 2) and C(m, 3) in int32 while every rank fits, which halves
-        # the bytes of the rank arithmetic in ``_pair_codes``
-        dt = np.int32 if n_triples <= np.iinfo(np.int32).max else np.int64
-        self._c2, self._c3 = c2.astype(dt), (c2 * (m - 2) // 3).astype(dt)
-        self._store = np.zeros((n_triples + 3) // 4, dtype=np.uint8)
-
-    # -- answers ------------------------------------------------------- #
-
-    def _decide(self, probs, ids):
-        """
-        Fresh answer slot of canonical triples from the model's slot
-        probabilities ``probs``; ``ids()`` gives their keyed ids
-        ``i*n*n + j*n + k`` as uint64, asked only when the model draws.
-        """
-        p0, p1, _ = probs
-        if not self.model.sampled:
-            return np.where(p0 == 1.0, 0, np.where(p1 == 1.0, 1, 2))
-        u = keyed_uniform(self.seed, ids())
-        return (u >= p0).astype(np.int64) + (u >= p0 + p1)
-
-    def _read(self, rank, rows):
-        """
-        Answer codes (slot + 1) of the triples at the store ranks ``rank``
-        (any shape).  Each never-asked triple is drawn and stored once:
-        ``rows(sel)`` gives the canonical rows (i, j, k) at the flat
-        positions ``sel`` of ``rank``, asked only for those triples, whose
-        codes are read again after the write.
-        """
-        byte = rank >> 2
-        shift = ((rank & 3) << 1).astype(np.uint8)
-        code = (self._store.take(byte) >> shift) & 3
-        if code.all():
-            return code
-        new = np.flatnonzero(code == 0)
-        fresh, first = np.unique(rank.reshape(-1)[new], return_index=True)
-        i, j, k = rows(new[first])
-        slot = self._decide(
-            self.model.slot_probs(self._dist(i, j), self._dist(i, k),
-                                  self._dist(j, k)),
-            lambda: (i * self._n2 + j * self.n_leaves + k).astype(np.uint64))
-        shift = shift.reshape(-1)
-        bits = (slot + 1).astype(np.uint8) << shift[new[first]]
-        np.bitwise_or.at(self._store, fresh >> 2, bits)
-        self._count += len(fresh)
-        code.reshape(-1)[new] = (
-            self._store.take(byte.reshape(-1)[new]) >> shift[new]) & 3
-        return code
-
-    def _layer_reader(self, S, tb, ta):
-        """
-        The answers of one run of a ``pass_slots`` layer: ``layer(c, lo,
-        hi, d01, d02, d12)`` for the triples (a, b, c) at tril positions
-        ``lo:hi``, whose ranks C(S[c],3) + C(S[b],2) + S[a] rise strictly.
-        When they are consecutive (``S`` runs 0, 1, 2, ... up to the run's
-        b-rows, as in a pass over every leaf) the run fills the store
-        bytes ``B0:B1`` from the first rank's to the last's: a run with no
-        answered triple is decided as given, and each byte is read and
-        written once.  Any other run goes through ``_read``.
-        """
-        c2, c3 = self._c2, self._c3
-        key2 = (S[ta] * self._n2 + S[tb] * self.n_leaves
-                if self.model.sampled else None)
-
-        def layer(c, lo, hi, d01, d02, d12):
-            k = S[c]
-            first = c3[k] + c2[S[tb[lo]]] + S[ta[lo]]
-            last = c3[k] + c2[S[tb[hi - 1]]] + S[ta[hi - 1]]
-            if last - first == hi - lo - 1:
-                B0, B1 = first >> 2, (last >> 2) + 1
-                at = slice(first - 4 * B0, last + 1 - 4 * B0)
-                codes = np.zeros(4 * (B1 - B0), dtype=np.uint8)
-                codes[at] = 3
-                # one masked read per byte: the run's own 2-bit codes only
-                if not (self._store[B0:B1] & _pack(codes)).any():
-                    slot = self._decide(
-                        self.model.slot_probs(d01, d02, d12),
-                        lambda: (key2[lo:hi] + k).astype(np.uint64))
-                    codes[at] = slot + 1
-                    # a byte may hold other answers: OR in, never assign
-                    self._store[B0:B1] |= _pack(codes)
-                    self._count += hi - lo
-                    return slot
-            i, j = S[ta[lo:hi]], S[tb[lo:hi]]
-            return self._read(c3[k] + c2[j] + i, lambda sel: (
-                i[sel], j[sel], np.full(len(sel), k))) - 1
-
-        return layer
-
-    def _pair_codes(self, lo, hi, W, top, mid):
-        """
-        Answer slot + 1 of each experiment (lo, hi, w) of the masks' shape,
-        as uint8, read off the store: one ``_read`` at the ranks of the
-        three canonical orders, C(hi,3) + C(lo,2) + w below the pair,
-        C(hi,3) + C(w,2) + lo between its leaves and C(w,3) + C(hi,2) + lo
-        above it, each built from the one before by the masks.
-        """
-        c2, c3 = self._c2, self._c3
-        a, b, w = (x.astype(c2.dtype) for x in (lo, hi, W))
-        rank = w + (c3[b] + c2[a])
-        rank += mid * ((c2[w] - w) + (a - c2[a]))
-        rank += top * ((c3[w] - c2[w]) + (c2[b] - c3[b]))
-
-        def rows(sel):
-            i = np.where(mid, lo, W)
-            j = np.where(top, hi, np.where(mid, W, lo))
-            k = np.where(top, W, hi)
-            return [x.reshape(-1)[sel] for x in (i, j, k)]
-
-        return self._read(rank, rows)
+        self._draws = self.model.sampled
 
     def _pair_wins(self, lo, hi, W, top, mid):
         """
@@ -655,46 +653,30 @@ class OracleState(_OracleBase):
 
 class ExpectationOracle(_OracleBase):
     """
-    Drop-in oracle whose ``wins`` and ``pair_wins`` return the exact
-    probability of each target pair instead of a sampled indicator, and
-    whose ``codes``, ``answers`` and ``tallies`` read each triple's most
-    likely slot (the closest pair, under a validated model).  Both read
-    the distances of the masked experiments, ``_pair_dists``: the
-    probabilities through the model's ``pair_prob``, the most likely slot
-    through its ``slot_probs`` at the placed distances, which is also what
-    ``pass_slots`` reads from its distances.  Answers are computed afresh
-    on every call: an expectation oracle keeps no answer store and its
-    ``query_count`` stays 0.
+    Drop-in oracle standing in for infinitely many samples.  Its
+    ``answers``, ``tallies`` and ``pass_slots`` read the answer store,
+    which gives a never-asked triple its first most likely slot (the
+    closest pair, under a validated model); its ``wins`` and ``pair_wins``
+    return the exact probability of each target pair, the model's
+    ``pair_prob``, and read no store.  ``query_count`` stays 0: the
+    infinitely many samples are not counted.
+
+    Not safe for concurrent mutation; run one reconstruction per instance.
     """
 
-    def _layer_reader(self, S, tb, ta):
-        """The most likely slots of a ``pass_slots`` run from its distances."""
-        return lambda c, lo, hi, *d: np.argmax(
-            np.stack(self.model.slot_probs(*d)), axis=0)
-
-    def _pair_dists(self, lo, hi, W):
-        """
-        d(lo, hi), d(lo, w) and d(hi, w) of the experiments (lo, hi, w); in
-        the blocks of ``pair_wins`` d(lo, hi) is one gather per pair.
-        """
-        return self._dist(lo, hi), self._dist(lo, W), self._dist(hi, W)
-
-    def _pair_codes(self, lo, hi, W, top, mid):
-        """
-        The most likely slot + 1 of each experiment (lo, hi, w), as uint8:
-        the argmax of the model's ``slot_probs`` at the distances placed
-        in canonical order by ``_place``.
-        """
-        d = _place(*self._pair_dists(lo, hi, W), top, mid)
-        slot = np.argmax(np.stack(self.model.slot_probs(*d)), axis=0)
-        return slot.astype(np.uint8) + 1
+    @property
+    def query_count(self):
+        """0: expectation mode counts no queries."""
+        return 0
 
     def _pair_wins(self, lo, hi, W, top, mid):
         """
         Probability that the experiment (lo, hi, w) answers (lo, hi), the
-        model's ``pair_prob``.
+        model's ``pair_prob`` at d(lo, hi), d(lo, w) and d(hi, w); in the
+        blocks of ``pair_wins`` d(lo, hi) is one gather per pair.
         """
-        return self.model.pair_prob(*self._pair_dists(lo, hi, W), top, mid)
+        return self.model.pair_prob(self._dist(lo, hi), self._dist(lo, W),
+                                    self._dist(hi, W), top, mid)
 
     def wins(self, A, B, C):
         """

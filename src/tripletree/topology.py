@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise_oracle import ExpectationOracle
 from .tree_core import _closest_codes, map_plan, tree_from_topology
 
 # Largest ``n0``: ``small_exhaustive`` may enumerate every topology on n0
@@ -121,10 +120,10 @@ class ReconstructionConfig:
 
 def _exact_source(oracle):
     """
-    True for answer sources without sampling noise: expectation mode, or a
-    model that draws nothing (the noiseless model).
+    True for answer sources without sampling noise, whose oracle decides a
+    new triple with no draw: expectation mode, or the noiseless model.
     """
-    return isinstance(oracle, ExpectationOracle) or not oracle.model.sampled
+    return not oracle._draws
 
 
 def compare_sums(x, y, n, cfg=None):
@@ -576,10 +575,10 @@ class _Driver:
     One reconstruction over ``oracle``.  ``n`` (default: the oracle's leaf
     count) scales the thresholds, the size band and the large-part cap;
     ``cfg`` defaults to ``ReconstructionConfig.for_oracle(oracle)``.  Every
-    answer is read from ``oracle`` itself: an expectation oracle answers
-    each triple with its most likely pair (the closest, under a validated
-    model), computed on each read, so an expectation run keeps no answer
-    store.  ``exact`` marks an exact source, whose completions assemble on
+    answer is read from the answer store of ``oracle``: an expectation
+    oracle stores each triple's most likely pair (the closest, under a
+    validated model), so one oracle serves one reconstruction under either
+    source.  ``exact`` marks an exact source, whose completions assemble on
     the triple counts (``_exact_scores``) instead of outside witnesses.
     """
 
@@ -721,6 +720,8 @@ class _Driver:
                                     np.tile(base, len(cands)), pivot)
         xv, zv, yv = tally.reshape(3, len(cands), len(base)).sum(axis=2)
         thr = self.cfg.threshold(self.n)
+        # three disjoint masks covering ``cands``: ``above`` and ``same``
+        # exclude what came before them, so every candidate lands in one part
         below = xv - np.maximum(yv, zv) > thr
         above = ~below & (yv - np.maximum(xv, zv) > thr)
         same = ~below & ~above
@@ -866,7 +867,6 @@ class _Driver:
                 break
             P_set, P_plan = self.build_subtree(R)
             P1, P2, P3 = self.partition(base0, P_set, sorted(set(R) - set(P_set)))
-            assert sorted(P1 + P2 + P3) == sorted(set(R) - set(P_set))
             e1, e2, e3 = (len(self.exp_ids(p)) for p in (P1, P2, P3))
             n_large = sum(e > large_cap for e in (e1, e2, e3))
             if n_large >= 2:

@@ -576,7 +576,7 @@ def triplet_agreement(tree, other):
 
     Both are read one layer at a time, the triples (a, b, c) of sorted leaf
     ranks a < b < c with top c: an oracle through ``pass_slots`` over every
-    leaf, which fills an answer store as ``codes`` would, and a tree from
+    leaf, which fills an answer store as ``answers`` would, and a tree from
     its distances as ``_layer_codes`` reads ``tree``'s.
     """
     is_oracle = hasattr(other, "pass_slots")

@@ -103,19 +103,27 @@ class HeightEstimates:
     by_node: dict  # node id -> VertexEstimate
     edge_weights: dict  # node id -> estimated weight of edge to parent
 
-    def max_abs_weight_error(self, truth):
-        worst = 0.0
+    def weight_errors(self, truth):
+        """
+        |estimated - true| weight of each edge, in ``edge_weights`` order,
+        against the edge of ``truth`` above the same clade.  Raises
+        ``ValueError`` when ``truth`` has no such edge.
+        """
         true_w = {}
         for v in range(truth.n_nodes):
             if truth.parent[v] != NO_NODE:
                 key = tuple(truth.subtree_leaf_labels(v))
                 true_w[key] = float(truth.weight[v])
+        errors = []
         for v, w in self.edge_weights.items():
             key = tuple(self.topology.subtree_leaf_labels(v))
             if key not in true_w:
                 raise ValueError("topologies differ; weight errors undefined")
-            worst = max(worst, abs(w - true_w[key]))
-        return worst
+            errors.append(abs(w - true_w[key]))
+        return errors
+
+    def max_abs_weight_error(self, truth):
+        return max(self.weight_errors(truth), default=0.0)
 
     def estimated_tree(self):
         """The topology re-embedded with the estimated heights."""

@@ -21,6 +21,7 @@ from tripletree import (
     make_model,
     p_correct_homogeneous,
     query,
+    reconstruct_weights,
     triple_distribution,
     tree_from_topology,
 )
@@ -245,17 +246,17 @@ def _unrank(rank, n):
 
 
 _OPS = st.one_of(
-    st.tuples(st.sampled_from(["wins", "codes"]),
+    st.tuples(st.sampled_from(["wins", "answers"]),
               st.sampled_from([1, 7, 300, _BLOCK_ROWS - 1, _BLOCK_ROWS + 5,
                                2 * _BLOCK_ROWS + 3]),
               st.sampled_from([1, 5, 60, 4000])),
     st.tuples(st.just("query"), st.just(1), st.just(1)),
-    # a run of consecutive ranks through ``codes`` or ``wins``, which take
-    # the general path of ``_draw_slots`` like any other rows (the scoring
+    # a run of consecutive ranks through ``answers`` or ``wins``, which take
+    # the general path of ``_read`` like any other rows (the scoring
     # pass asks its runs through ``pass_slots``); the pool size is how many
     # ranks are asked beforehand: none, the rank before the run, or that
     # one and four of the run's first block
-    st.tuples(st.sampled_from(["wins-ranks", "codes-ranks"]),
+    st.tuples(st.sampled_from(["wins-ranks", "answers-ranks"]),
               st.sampled_from([1, 7, 300, _BLOCK_ROWS + 5,
                                2 * _BLOCK_ROWS + 3]),
               st.sampled_from([0, 1, 5])),
@@ -273,7 +274,7 @@ _OPS = st.one_of(
 def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, ops):
     # one triple up to 341 leaves, batches longer than one block, repeats
     # inside a block and across blocks and calls, any argument order, runs
-    # of consecutive ranks partly asked before, and codes, wins and query
+    # of consecutive ranks partly asked before, and answers, wins and query
     # mixed in any order on one store
     tree = _store_tree(n)
     model = make_model(model)
@@ -299,7 +300,7 @@ def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, op
                 start + rng.integers(0, min(rows, _BLOCK_ROWS), size=4),
             ])[:pool_size]
             i, j, k = _unrank(np.unique(pre[pre >= 0]), n)
-            o.codes(i, j, k)
+            o.answers(i, j, k)
             asked.update(zip(i.tolist(), j.tolist(), k.tolist()))
             i, j, k = _unrank(np.arange(start, start + rows), n)
             T = np.stack([i, j, k], axis=1)
@@ -314,20 +315,20 @@ def test_answer_store_matches_store_free_reference(n, model, seed, data_seed, op
                     _reference_wins(tree, model, seed, A, B, C))
             else:
                 np.testing.assert_array_equal(
-                    o.codes(i, j, k), _reference_slots(tree, model, seed, i, j, k))
+                    o.answers(i, j, k), _reference_slots(tree, model, seed, i, j, k))
             assert o.query_count == len(asked)
             # read back: every code of the run is in the store
             np.testing.assert_array_equal(
-                o.codes(i, j, k), _reference_slots(tree, model, seed, i, j, k))
+                o.answers(i, j, k), _reference_slots(tree, model, seed, i, j, k))
             assert o.query_count == len(asked)
             continue
         T = _triple_pool(rng, n, pool_size)
         T = T[rng.integers(0, len(T), size=rows)]
         asked.update(map(tuple, T.tolist()))
-        if kind == "codes":
+        if kind == "answers":
             i, j, k = T[:, 0], T[:, 1], T[:, 2]
             np.testing.assert_array_equal(
-                o.codes(i, j, k), _reference_slots(tree, model, seed, i, j, k)
+                o.answers(i, j, k), _reference_slots(tree, model, seed, i, j, k)
             )
             assert o.query_count == len(asked)
             continue
@@ -376,7 +377,7 @@ def _pass_source(source, tree, seed):
          data_seed=0)
 def test_pass_slots_match_row_wise_codes(n, source, subset, block, seed,
                                          data_seed):
-    # the layer pass answers, stores and counts what ``codes`` does on the
+    # the layer pass answers, stores and counts what ``answers`` does on the
     # same rows in rank order.  Asked first: the last triple of some layers,
     # so that those layers hold an answered triple (``_draw_slots``) and
     # the fresh layer after each shares its first store byte with it when
@@ -396,14 +397,13 @@ def test_pass_slots_match_row_wise_codes(n, source, subset, block, seed,
     T = S[trips.reshape(-1, 3)]
     o, ref = _pass_source(source, tree, seed), _pass_source(source, tree, seed)
     for x in (o, ref):
-        x.codes(pre[:, 0], pre[:, 1], pre[:, 2])
+        x.answers(pre[:, 0], pre[:, 1], pre[:, 2])
     with mock.patch.object(noise_oracle, "_BLOCK_ROWS", block):
         blocks = list(o.pass_slots(S))
     got = np.concatenate([slot for *_, slot in blocks] + [np.empty(0)])
-    np.testing.assert_array_equal(got, ref.codes(T[:, 0], T[:, 1], T[:, 2]))
+    np.testing.assert_array_equal(got, ref.answers(T[:, 0], T[:, 1], T[:, 2]))
     assert o.query_count == ref.query_count
-    if isinstance(o, OracleState):
-        np.testing.assert_array_equal(o._store, ref._store)
+    np.testing.assert_array_equal(o._store, ref._store)
 
 
 @pytest.mark.parametrize("source", ["noiseless", "expectation-homogeneous"])
@@ -425,9 +425,7 @@ def test_rows_that_are_not_triples_raise_and_leave_the_store_alone():
         with pytest.raises(ValueError):
             o.wins(*bad)
         with pytest.raises(ValueError):
-            o.codes(*sorted(bad))
-    with pytest.raises(ValueError):
-        o.codes(1, 3, 2)  # codes takes canonical rows only
+            o.answers(*sorted(bad))
     with pytest.raises(ValueError):
         o.wins(-1, 2, 5)  # would rank as (0, 1, 5)
     assert o.query_count == 0
@@ -439,20 +437,18 @@ def test_rows_that_are_not_triples_raise_and_leave_the_store_alone():
     with pytest.raises(ValueError):
         o.wins(A, B, C)
     assert o.query_count == 0
-    assert not o._store.any()
+    assert "_store" not in o.__dict__
     assert o.query("L00", "L02", "L03") == (
         OracleState(t, "noiseless", seed=0).query("L00", "L02", "L03"))
-    # expectation mode has no store, but takes rows as the store does
+    # expectation mode takes rows as the sampled store does, and a bad row
+    # does not even allocate its store
     eo = ExpectationOracle(t, "homogeneous")
     for bad in [(1, 1, 3), (3, 1, 3), (2, 5, 5), (-1, 2, 5)]:
         with pytest.raises(ValueError):
             eo.wins(*bad)
         with pytest.raises(ValueError):
-            eo.codes(*sorted(bad))
-        with pytest.raises(ValueError):
             eo.answers(*bad)
-    with pytest.raises(ValueError):
-        eo.codes(1, 3, 2)
+    assert "_store" not in eo.__dict__
 
 
 @pytest.mark.parametrize("source", ["noiseless", "homogeneous",
@@ -463,14 +459,13 @@ def test_rows_past_the_last_leaf_raise(source):
     t = generate_random_ultrametric(12, 0.02, seed=1)
     o = _pass_source(source, t, 0)
     for read, args in [(o.wins, (1, 2, 12)), (o.wins, (12, 1, 2)),
-                       (o.codes, (1, 2, 12)), (o.answers, (0, 5, 13)),
+                       (o.answers, (1, 2, 12)), (o.answers, (0, 5, 13)),
                        (o.answers, (13, 0, 5)),
-                       (o.codes, ([0, 1], [2, 3], [4, 12]))]:
+                       (o.answers, ([0, 1], [2, 3], [4, 12]))]:
         with pytest.raises(ValueError):
             read(*args)
     assert o.query_count == 0
-    if isinstance(o, OracleState):
-        assert not o._store.any()
+    assert "_store" not in o.__dict__
 
 
 # ---------------------------------------------------------------------- #
@@ -483,15 +478,25 @@ def _pair_rows(X, Y, W):
     return np.repeat(X, len(W)), np.repeat(Y, len(W)), np.tile(W, len(X))
 
 
+def _reference_expectation_slot(oracle, lo, hi, w):
+    """
+    The most likely slot of each experiment (lo, hi, w), lo < hi, read with
+    no answer store: the argmax of the model's ``slot_probs`` at d(lo, hi),
+    d(lo, w) and d(hi, w) placed in canonical order by ``_place``.  On
+    canonical rows (i, j, k) it is the slot of (i, j, k).
+    """
+    D = oracle.tree.distance_matrix()
+    d = noise_oracle._place(D[lo, hi], D[lo, w], D[hi, w], w > hi, w > lo)
+    return np.argmax(np.stack(oracle.model.slot_probs(*d)), axis=0)
+
+
 def _reference_slots_of(oracle, i, j, k):
     """
     ``oracle``'s answer slot of canonical rows with no answer store: the
     draw of ``_reference_slots``, or in expectation mode the most likely.
     """
     if isinstance(oracle, ExpectationOracle):
-        D = oracle.tree.distance_matrix()
-        return np.argmax(np.stack(oracle.model.slot_probs(
-            D[i, j], D[i, k], D[j, k])), axis=0)
+        return _reference_expectation_slot(oracle, i, j, k)
     return _reference_slots(oracle.tree, oracle.model, oracle.seed, i, j, k)
 
 
@@ -521,12 +526,9 @@ def _assert_asked(o, ref, X, Y, W):
     ``o`` holds the store of ``ref`` (asked the same rows before) with the
     experiments (X[p], Y[p], w) asked on top: each triple's store-free code
     slot + 1 ORed in at its rank C(k,3) + C(j,2) + i, which leaves an
-    answered triple as it was; ``query_count`` counts the codes written.
-    In expectation mode nothing is stored or counted.
+    answered triple as it was; ``query_count`` counts the codes written,
+    or stays 0 in expectation mode.
     """
-    if isinstance(o, ExpectationOracle):
-        assert o.query_count == ref.query_count == 0
-        return
     i, j, k = np.sort(np.stack(_pair_rows(X, Y, W)), axis=0)
     rank = k * (k - 1) * (k - 2) // 6 + j * (j - 1) // 2 + i
     code = _reference_slots_of(ref, i, j, k) + 1
@@ -534,7 +536,8 @@ def _assert_asked(o, ref, X, Y, W):
     np.bitwise_or.at(store, rank >> 2, (code << 2 * (rank & 3)).astype(np.uint8))
     np.testing.assert_array_equal(o._store, store)
     written = (store[:, None] >> np.arange(0, 8, 2, dtype=np.uint8)) & 3
-    assert o.query_count == np.count_nonzero(written)
+    assert o.query_count == (0 if isinstance(o, ExpectationOracle)
+                             else np.count_nonzero(written))
 
 
 @settings(max_examples=100, deadline=None)
@@ -572,7 +575,7 @@ def test_tallies_match_the_general_reader(n, source, asked, n_pairs, n_wit,
             for _ in x.pass_slots(np.arange(n)):
                 pass
         elif asked == "some":
-            x.codes(pre[:, 0], pre[:, 1], pre[:, 2])
+            x.answers(pre[:, 0], pre[:, 1], pre[:, 2])
     with mock.patch.object(noise_oracle, "_BLOCK_ROWS", block):
         got = o.tallies(XY[:, 0], XY[:, 1], W)
     assert got.dtype == np.int64 and got.shape == (3, n_pairs)
@@ -607,14 +610,13 @@ def _assert_rejected(read, source, X, Y, W, asked):
         for _ in o.pass_slots(np.arange(8)):
             pass
     else:
-        o.codes(0, 1, 3)
+        o.answers(0, 1, 3)
     count = o.query_count
-    store = o._store.copy() if isinstance(o, OracleState) else None
+    store = o._store.copy()
     with pytest.raises(ValueError):
         read(o)(X, Y, W)
     assert o.query_count == count
-    if store is not None:
-        np.testing.assert_array_equal(o._store, store)
+    np.testing.assert_array_equal(o._store, store)
 
 
 @pytest.mark.parametrize("source", ["noiseless", "homogeneous",
@@ -682,7 +684,9 @@ def test_pair_wins_match_wins_on_repeated_rows(n, source, asked, n_pairs,
     # and the triples asked, stored and counted are those of the repeated
     # rows: pairs in either order, repeated or sharing leaves, witnesses
     # unsorted and repeated, on a fresh and a partly answered store, in
-    # blocks of one pair or more; ``wins`` then reads the same values
+    # blocks of one pair or more; ``wins`` then reads the same values.  An
+    # expectation oracle's probabilities read and write no answer, and a
+    # fresh one allocates no store
     tree = _store_tree(n)
     rng = np.random.default_rng(data_seed)
     leaves = rng.permutation(n)
@@ -694,7 +698,7 @@ def test_pair_wins_match_wins_on_repeated_rows(n, source, asked, n_pairs,
     o, ref = _pass_source(source, tree, seed), _pass_source(source, tree, seed)
     if asked == "some":
         for x in (o, ref):
-            x.codes(pre[:, 0], pre[:, 1], pre[:, 2])
+            x.answers(pre[:, 0], pre[:, 1], pre[:, 2])
     with mock.patch.object(noise_oracle, "_WIN_BLOCK_ROWS", block):
         got = o.pair_wins(XY[:, 0], XY[:, 1], W)
     rows = _pair_rows(XY[:, 0], XY[:, 1], W)
@@ -703,7 +707,12 @@ def test_pair_wins_match_wins_on_repeated_rows(n, source, asked, n_pairs,
             else _reference_wins(tree, ref.model, seed, *rows))
     assert got.dtype == np.float64 and got.shape == (n_pairs, n_wit)
     assert got.tobytes() == want.tobytes()
-    _assert_asked(o, ref, XY[:, 0], XY[:, 1], W)
+    if isinstance(o, ExpectationOracle):
+        assert ("_store" in o.__dict__) == (asked == "some")
+        if asked == "some":
+            np.testing.assert_array_equal(o._store, ref._store)
+    else:
+        _assert_asked(o, ref, XY[:, 0], XY[:, 1], W)
     assert o.wins(*rows).tobytes() == want.tobytes()
 
 
@@ -769,16 +778,117 @@ def test_expectation_codes_are_the_most_likely_slot(model):
     eo = ExpectationOracle(t, model)
     want = np.argmax(np.stack([eo.wins(I, J, K), eo.wins(I, K, J),
                                eo.wins(J, K, I)]), axis=0)
-    np.testing.assert_array_equal(eo.codes(I, J, K), want)
-    # noise-free answers of a tree: the same codes as the noiseless store
+    np.testing.assert_array_equal(eo.answers(I, J, K), want)
+    # noise-free answers of a tree: the same answers as the noiseless store
     np.testing.assert_array_equal(
-        eo.codes(I, J, K), OracleState(t, "noiseless", seed=0).codes(I, J, K))
-    # read in blocks of any size, the answers are those of one block
-    codes, answers = eo.codes(I, J, K), eo.answers(K, I, J)
-    for rows in (1, 7, 64):
-        with mock.patch.object(noise_oracle, "_BLOCK_ROWS", rows):
-            np.testing.assert_array_equal(eo.codes(I, J, K), codes)
-            np.testing.assert_array_equal(eo.answers(K, I, J), answers)
+        eo.answers(I, J, K),
+        OracleState(t, "noiseless", seed=0).answers(I, J, K))
+    # in another order, read off the filled store or decided afresh
+    np.testing.assert_array_equal(
+        eo.answers(K, I, J), ExpectationOracle(t, model).answers(K, I, J))
+
+
+class _Flat(noise_oracle.NoiseModel):
+    """p_correct = 1/3: the three slots of every triple tie exactly."""
+
+    def slot_probs(self, d01, d02, d12):
+        p = np.full(np.shape(d01), 1.0 / 3.0)
+        return p, p.copy(), p.copy()
+
+
+def _expectation_model(name):
+    return {
+        "steep": lambda: CustomModel(_linear_p_correct, epsilon=1.0 / 13.0),
+        # not validated: p_correct dips below 1/3, where the most likely
+        # pair is not the closest
+        "sin": lambda: CustomModel(
+            lambda d1, d2: 0.5 + 0.4 * math.sin(9.0 * d1 / d2),
+            epsilon=0.0, validate=False),
+        "flat": _Flat,
+        # (1 - 1/3) / 2 rounds above 1/3: the two pairs that are not
+        # closest tie as the most likely
+        "flat-custom": lambda: CustomModel(lambda d1, d2: 1.0 / 3.0,
+                                           epsilon=0.0, validate=False),
+    }.get(name, lambda: name)()
+
+
+def test_expectation_decides_the_first_most_likely_slot():
+    # every tie of a small pool: the rule is ``np.argmax`` over the slots
+    eo = ExpectationOracle(tree_from_topology(("a", ("b", "c"))), "homogeneous")
+    probs = np.array(list(itertools.product(
+        [0.0, 0.25, 1.0 / 3.0, 0.5, 1.0], repeat=3))).T
+    np.testing.assert_array_equal(eo._decide(tuple(probs), None),
+                                  np.argmax(probs, axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 30),
+    model=st.sampled_from(["homogeneous", "noiseless", "steep", "sin", "flat",
+                           "flat-custom"]),
+    asked=st.sampled_from(["fresh", "some", "all"]),
+    data_seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(n=12, model="flat", asked="fresh", data_seed=0)
+def test_expectation_store_matches_the_store_free_readers(n, model, asked,
+                                                         data_seed):
+    # the stored most likely slots read what the store-free expectation
+    # readers did on a fresh, a partly and a fully answered oracle, through
+    # every reader; under the flat model slot 0 wins every triple.  Nothing
+    # is counted
+    tree = _store_tree(n)
+    rng = np.random.default_rng(data_seed)
+    eo = ExpectationOracle(tree, _expectation_model(model))
+    if asked == "all":
+        list(eo.pass_slots(np.arange(n)))
+    elif asked == "some":
+        pre = _triple_pool(rng, n, int(rng.integers(1, 4 * n)))
+        eo.answers(pre[:, 0], pre[:, 1], pre[:, 2])
+    assert eo.query_count == 0
+
+    T = _triple_pool(rng, n, 3 * n)
+    i, j, k = T.T
+    slot = _reference_expectation_slot(eo, i, j, k)
+    if model == "flat":
+        assert not slot.any()
+    T = np.take_along_axis(T, _PERMS[rng.integers(0, 6, size=len(T))], axis=1)
+    A, B, C = T.T
+    left_out = np.where(slot == 0, k, np.where(slot == 1, j, i))
+    np.testing.assert_array_equal(
+        eo.answers(A, B, C), np.where(left_out == C, 0,
+                                      np.where(left_out == B, 1, 2)))
+
+    S = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+    trips = np.array(sorted(itertools.combinations(range(len(S)), 3),
+                            key=lambda t: t[::-1]), dtype=np.int64)
+    layers = [s for *_, s in eo.pass_slots(S)]
+    np.testing.assert_array_equal(
+        np.concatenate(layers + [np.empty(0)]),
+        _reference_expectation_slot(eo, *S[trips.reshape(-1, 3)].T))
+
+    leaves = rng.permutation(n)
+    m = int(rng.integers(1, n - 1))
+    W = rng.choice(leaves[:m], size=int(rng.integers(0, 2 * m)))
+    XY = np.array([rng.choice(leaves[m:], size=2, replace=False)
+                   for _ in range(int(rng.integers(0, 12)))],
+                  dtype=np.int64).reshape(-1, 2)
+    np.testing.assert_array_equal(
+        eo.tallies(XY[:, 0], XY[:, 1], W),
+        _reference_tallies(eo, XY[:, 0], XY[:, 1], W))
+    want = _reference_probabilities(eo, *_pair_rows(XY[:, 0], XY[:, 1], W))
+    got = eo.pair_wins(XY[:, 0], XY[:, 1], W)
+    assert got.tobytes() == want.tobytes()
+    assert eo.query_count == 0
+
+
+def test_expectation_weights_allocate_no_store():
+    # the weight estimators read probabilities only: an n=2048 store would
+    # take 357 MB
+    t = generate_random_ultrametric(64, 0.02, seed=4)
+    eo = ExpectationOracle(t, "homogeneous")
+    he = reconstruct_weights(eo, t)
+    assert he.max_abs_weight_error(t) <= 1e-9
+    assert "_store" not in eo.__dict__ and eo.query_count == 0
 
 
 @pytest.mark.parametrize("source", ["noiseless", "homogeneous", "expectation"])
@@ -831,7 +941,7 @@ def test_readers_broadcast_their_arguments(source, args):
         *(np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in args))]
     I, J, K = args
     FI, FJ, FK = full
-    for got, want in ((o.codes(I, J, K), o.codes(FI, FJ, FK)),
+    for got, want in ((o.answers(I, J, K), o.answers(FI, FJ, FK)),
                       (o.answers(K, I, J), o.answers(FK, FI, FJ)),
                       (o.wins(J, K, I), o.wins(FJ, FK, FI))):
         assert got.shape == want.shape == FI.shape

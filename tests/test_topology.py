@@ -562,7 +562,7 @@ def test_build_subtree_incremental_scores_match_rescoring(kind, n, seed, keep,
 def test_triple_blocks_ask_each_triple_once_in_rank_order(l, rows):
     # the blocks of ``pass_slots`` (runs of whole b-rows of a layer c, at
     # most ``_BLOCK_ROWS`` rows unless one b-row is longer) answer every
-    # position triple once, in rank order, as a row-wise ``codes`` does
+    # position triple once, in rank order, as a row-wise ``answers`` does
     t = random_tree(40, w=0.005, seed=l)
     S = np.sort(np.random.default_rng(rows).choice(40, size=l, replace=False))
     o = OracleState(t, "homogeneous", seed=rows)
@@ -583,7 +583,7 @@ def test_triple_blocks_ask_each_triple_once_in_rank_order(l, rows):
     assert o.query_count == len(trips)
     ref = OracleState(t, "homogeneous", seed=rows)
     T = S[np.array(trips, dtype=np.int64).reshape(-1, 3)]
-    np.testing.assert_array_equal(slots, ref.codes(T[:, 0], T[:, 1], T[:, 2]))
+    np.testing.assert_array_equal(slots, ref.answers(T[:, 0], T[:, 1], T[:, 2]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -735,6 +735,33 @@ def test_partition_multibucket_pivot_empties_p1_p2():
     # base {d, e}; buckets: [c], [b], [a]; pivot {b, c} spans buckets 1-2
     got = partition(o, ["d", "e"], ["c", "b"], ["a"], n=5)
     assert got == ([], [], ["a"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sampled_from(["noiseless", "homogeneous", "expectation",
+                            "expectation-sin"]),
+    n=st.integers(3, 60),
+    c_thr=st.sampled_from([0.0, 0.05, 1.0, 24.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_partition_parts_are_disjoint_and_cover_the_candidates(source, n,
+                                                               c_thr, seed):
+    # ``resolve`` relies on it with no check: every candidate lands in
+    # exactly one part, sampled or exact, whatever the threshold
+    t = random_tree(n, w=0.2 / n, seed=seed)
+    o = (ExpectationOracle(t, _SIN) if source == "expectation-sin"
+         else _oracle(source, t, seed))
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n).tolist()
+    a = int(rng.integers(1, n - 1))
+    b = int(rng.integers(a + 1, n))
+    base, pivot, cands = perm[:a], perm[a:b], perm[b:]
+    drv = _Driver(o, ReconstructionConfig.for_oracle(o, c_thr=c_thr))
+    parts = drv.partition(base, pivot, cands)
+    got = [x for part in parts for x in part]
+    assert sorted(got) == sorted(cands)
+    assert len(got) == len(set(got))
 
 
 # ---------------------------------------------------------------------- #

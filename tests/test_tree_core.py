@@ -562,7 +562,7 @@ def test_triplet_agreement_rejects_other_leaf_labels():
 
 
 def _reference_agreement(tree, oracle):
-    """The per-leaf grading loop: one ``codes`` read per leaf i."""
+    """The per-leaf grading loop: one ``answers`` read per leaf i."""
     n = tree.n_leaves
     D = tree.distance_matrix()
     hits = 0
@@ -571,7 +571,7 @@ def _reference_agreement(tree, oracle):
         J += i + 1
         K += i + 1
         hits += int(np.count_nonzero(
-            _closest_codes(D, i, J, K) == oracle.codes(i, J, K)))
+            _closest_codes(D, i, J, K) == oracle.answers(i, J, K)))
     return hits / math.comb(n, 3)
 
 
@@ -594,7 +594,7 @@ def _graded_source(source, tree, seed):
 def test_oracle_grading_matches_the_per_leaf_codes_loop(n, source, store, other,
                                                         block, seed):
     # grading reads the oracle's answers one pass_slots layer at a time: the
-    # same value, store bytes and query_count as reading codes per leaf;
+    # same value, store bytes and query_count as reading answers per leaf;
     # small blocks split the layers into runs of b-rows
     truth = generate_random_ultrametric(n, 0.02, seed=seed % 1000)
     tree = truth
@@ -606,15 +606,14 @@ def test_oracle_grading_matches_the_per_leaf_codes_loop(n, source, store, other,
                 axis=1)
     for x in (o, ref):
         if store == "partly answered":
-            x.codes(T[:, 0], T[:, 1], T[:, 2])
+            x.answers(T[:, 0], T[:, 1], T[:, 2])
         elif store == "fully answered":
             list(x.pass_slots(np.arange(n)))
     with mock.patch.object(noise_oracle, "_BLOCK_ROWS", block):
         got = triplet_agreement(truth, o)
     assert got == _reference_agreement(truth, ref)
     assert o.query_count == ref.query_count
-    if isinstance(o, OracleState):
-        assert o._store.tobytes() == ref._store.tobytes()
+    assert o._store.tobytes() == ref._store.tobytes()
 
 
 # ---------------------------------------------------------------------- #
