@@ -26,8 +26,9 @@ updated in place): the base and the pivot stop at the size band with ties
 to the smallest positions, and every assembly runs to one cluster with the
 tie rule of its source (``_assemble_by_scores``).  A small search decides
 on counts too: ``small_exhaustive`` assembles the members' triple counts
-before it enumerates topologies.  The walk over single answers serves
-only ``assemble_from_triples``, whose input is a closest-pair function.
+before it enumerates topologies.  The walk over single answers is no tie
+rule: it is the merge loop of ``assemble_from_triples`` alone, whose input
+is a closest-pair function.
 
 An exact answer source (the noiseless model, or expectation mode, which
 the driver asks for each triple's most likely pair) selects two things
@@ -60,9 +61,6 @@ from .tree_core import _closest_codes, map_plan, tree_from_topology
 # Largest ``n0``: ``small_exhaustive`` may enumerate every topology on n0
 # leaves, 135,135 at 8 but 2,027,025 at 9 and 34,459,425 at 10.
 N0_MAX = 8
-# Pair-witness cells per run of ambient leaves in ``sibling_scores``: bounds
-# its ``pair_wins`` output to 2 MB a run.
-_SCORE_CELLS = 1 << 18
 
 
 class ReconstructionFailure(Exception):
@@ -224,9 +222,8 @@ def sibling_scores(oracle, forest, ambient, n=None, cfg=None):
     and j.  Representatives are each part's lexicographically smallest
     leaf.  Returns (reps, matrix); raises ``ValueError`` for an empty part,
     parts that share a leaf, or fewer than n/12 ambient leaves.  One
-    ``pair_wins`` read per group of ambient leaves (one part's, or those in
-    no part) asks the pairs that leave the group out, and each pair adds its
-    columns in ambient order: the row-by-row sum of ``wins``, bit for bit.
+    ``pair_wins`` read per ambient leaf x, in ambient order, asks the pairs
+    whose parts leave x out: the row-by-row sum of ``wins``, bit for bit.
     """
     parts = [sorted(oracle.index_of[lab] for lab in p) for p in forest]
     amb = np.array(sorted(oracle.index_of[lab] for lab in ambient), dtype=np.int64)
@@ -245,18 +242,9 @@ def sibling_scores(oracle, forest, ambient, n=None, cfg=None):
     l = len(parts)
     ii, jj = np.triu_indices(l, k=1)
     scores = np.zeros(len(ii))
-    step = max(1, _SCORE_CELLS // max(1, len(ii)))
-    for lo in range(0, len(amb), step):
-        xs = amb[lo:lo + step]
-        owner = part_of[xs]
-        cols = {}
-        for g in np.unique(owner).tolist():  # g = -1: the leaves in no part
-            keep = np.flatnonzero((ii != g) & (jj != g))
-            wins = oracle.pair_wins(reps[ii[keep]], reps[jj[keep]], xs[owner == g])
-            cols[g] = keep, iter(wins.T)
-        for g in owner.tolist():
-            keep, col = cols[g]
-            scores[keep] += next(col)
+    for x in amb.tolist():
+        keep = np.flatnonzero((ii != part_of[x]) & (jj != part_of[x]))
+        scores[keep] += oracle.pair_wins(reps[ii[keep]], reps[jj[keep]], [x])[:, 0]
     M = np.zeros((l, l))
     M[ii, jj] = M[jj, ii] = scores
     return [oracle.labels[int(r)] for r in reps], M
@@ -274,10 +262,10 @@ def _find_sibling_pair(a, b, reps, closest, stage):
     the answers cycle instead of settling (they admit no tree).
     ``closest(a, b, C)`` gives a code per c in ``C``: 0 keeps (a, b), 1
     names (a, c) and 2 names (b, c).  Only for answers taken as exact and
-    read one triple at a time, ``assemble_from_triples``' closest-pair
-    function: every driver decision, ``small_exhaustive``'s included, is
-    made from counts.  A noisy answer is right with probability at most
-    1/2, and the walk would cycle on it.
+    read one triple at a time: the merge step of ``assemble_from_triples``,
+    whose input is a closest-pair function.  Every driver decision,
+    ``small_exhaustive``'s included, is made from counts.  A noisy answer
+    is right with probability at most 1/2, and the walk would cycle on it.
     """
     guard = 0
     c = None
@@ -302,7 +290,7 @@ def _find_sibling_pair(a, b, reps, closest, stage):
             )
 
 
-def _agglomerate(M, size, band=None, tie=None):
+def _agglomerate(M, size, band=None, keyed=False):
     """
     Average linkage in place: merge the top-scoring pair of live clusters
     of the symmetric float64 score matrix ``M`` (-inf on the diagonal)
@@ -314,11 +302,9 @@ def _agglomerate(M, size, band=None, tie=None):
     the two (``_mean_row``), while row and column j become -inf.
 
     The top pair is the first maximum of ``M`` in row-major order, so tied
-    pairs go to the smallest positions.  When more than one pair ties and
-    ``tie`` is given, ``tie(M, p, q, live)`` names the pair to merge, with
-    (p, q) the smallest top pair and ``live`` the live positions in order:
-    ``_key_tie`` under noise, or, on an all-tie matrix, the walk over
-    single answers of ``assemble_from_triples``.
+    pairs go to the smallest positions.  With ``keyed``, when more than one
+    pair ties, ``_key_tie`` names the pair to merge (the tie rule under
+    noise).
 
     Each row's best value and first column are kept (``rowmax``,
     ``rowarg``), so the top pair is read in O(m).  A merge changes only
@@ -337,8 +323,8 @@ def _agglomerate(M, size, band=None, tie=None):
     for _ in range(m - 1):
         p = int(rowmax.argmax())
         i, j = p, int(rowarg[p])
-        if tie is not None and np.count_nonzero(rowmax == rowmax[p]) > 2:
-            i, j = sorted(int(v) for v in tie(M, i, j, np.flatnonzero(alive)))
+        if keyed and np.count_nonzero(rowmax == rowmax[p]) > 2:
+            i, j = _key_tie(M, rowmax[p], np.flatnonzero(alive))
         merges.append((i, j))
         mean = _mean_row(M, size, i, j)  # -inf at i and j
         size[i] += size[j]
@@ -364,15 +350,16 @@ def _mean_row(M, size, i, j):
     return (size[i] * M[i] + size[j] * M[j]) / (size[i] + size[j])
 
 
-def _key_tie(M, p, q, live):
+def _key_tie(M, top, live):
     """
-    Tie rule of ``_agglomerate`` under noise: the tied top pair that
-    ``_tie_key`` picks over the live rows and columns of ``M``.
+    Tie rule of ``_agglomerate`` under noise: the pair (i, j), i < j, of
+    live positions (``live``, ascending) scoring ``top`` in ``M`` that
+    ``_tie_key`` picks over the live rows and columns.
     """
     sub = M[np.ix_(live, live)]
-    P, Q = np.nonzero(np.triu(sub == M[p, q], k=1))  # triu order
+    P, Q = np.nonzero(np.triu(sub == top, k=1))  # triu order, so P < Q
     t = _tie_key(sub, P, Q)
-    return live[P[t]], live[Q[t]]
+    return int(live[P[t]]), int(live[Q[t]])
 
 
 def _assemble_by_scores(plans, M, exact):
@@ -404,8 +391,7 @@ def _assemble_by_scores(plans, M, exact):
     plans = list(plans)
     M = np.array(M, dtype=np.float64)
     np.fill_diagonal(M, -np.inf)
-    tie = None if exact else _key_tie
-    for i, j in _agglomerate(M, np.ones(len(plans)), tie=tie):
+    for i, j in _agglomerate(M, np.ones(len(plans)), keyed=not exact):
         plans[i] = (plans[i], plans[j])
     return plans[0]
 
@@ -463,9 +449,12 @@ def _order_buckets(lower, same, thr):
 def assemble_from_triples(closest_pair_fn, leaves, verify=True):
     """
     Build the unique tree consistent with a total closest-pair function on
-    triples of the given leaf labels.  With ``verify`` (default), every
-    triple of the finished tree is checked against the function and the
-    first disagreement raises ReconstructionFailure with that witness.
+    triples of the given leaf labels.  Each merge walks from the two
+    smallest live positions to a sibling pair over single answers
+    (``_find_sibling_pair``) and merges the larger position into the
+    smaller.  With ``verify`` (default), every triple of the finished tree
+    is checked against the function and the first disagreement raises
+    ReconstructionFailure with that witness.
     """
     leaves = sorted(leaves)
     if len(leaves) < 2:
@@ -487,14 +476,13 @@ def assemble_from_triples(closest_pair_fn, leaves, verify=True):
             codes.append(pairs.index(win))
         return np.array(codes, dtype=np.int64)
 
-    def walk(M, p, q, live):
-        return _find_sibling_pair(p, q, live, closest, "triple-assembly")
-
-    # all-tie scores: every merge is the walk over single answers
-    M = np.where(np.eye(m, dtype=bool), -np.inf, 0.0)
     plans = list(leaves)
-    for i, j in _agglomerate(M, np.ones(m), tie=walk):
+    live = list(range(m))
+    while len(live) > 1:
+        i, j = sorted(_find_sibling_pair(live[0], live[1], live, closest,
+                                         "triple-assembly"))
         plans[i] = (plans[i], plans[j])
+        live.remove(j)
     plan = plans[0]
     tree = tree_from_topology(plan)
     if verify:
@@ -674,7 +662,9 @@ class _Driver:
         The merging is ``_agglomerate`` on the symmetrised matrix with the
         band stop: a merged cluster scores with the size-weighted mean of
         its two parts' rows (average linkage, see ``_assemble_by_scores``),
-        and ties go to the smallest positions, under every source.
+        and ties go to the smallest positions, under every source.  The
+        last merge's cluster is the one that entered the band, or the only
+        one left; with no merge, the first member stands alone.
 
         Under a tree's answers each merge is a sibling merge, and sibling
         clusters p and q have equal rows of integer counts, so the mean is
@@ -686,17 +676,13 @@ class _Driver:
         S = np.array(sorted(int(v) for v in members), dtype=np.int64)
         M = self._scores(S)
         plans = S.tolist()
-        leaves = [[v] for v in plans]
-        size = np.ones(len(S))
-        alive = np.ones(len(S), dtype=bool)
-        for i, j in _agglomerate(np.maximum(M, M.T), size, band=lo_band):
+        merges = _agglomerate(np.maximum(M, M.T), np.ones(len(S)), band=lo_band)
+        for i, j in merges:
             plans[i] = (plans[i], plans[j])
-            leaves[i] += leaves[j]
-            alive[j] = False
-        winner = max(np.flatnonzero(alive), key=lambda t: (size[t], -t))
-        leaf_ids = sorted(leaves[winner])
+        plan = plans[merges[-1][0] if merges else 0]
+        leaf_ids = sorted(map_plan(plan, lambda x: [x], lambda l, r: l + r))
         self.stats.events.append(("base", len(leaf_ids)))
-        return leaf_ids, plans[winner]
+        return leaf_ids, plan
 
     # -- partition -------------------------------------------------------- #
 
@@ -713,8 +699,6 @@ class _Driver:
         base = np.asarray(sorted(base), dtype=np.int64)
         pivot = np.asarray(sorted(pivot), dtype=np.int64)
         cands = np.array(sorted(int(x) for x in candidates), dtype=np.int64)
-        if not len(cands):
-            return [], [], []
         # pairs candidate-major, so each candidate's pairs are contiguous
         tally = self.oracle.tallies(np.repeat(cands, len(base)),
                                     np.tile(base, len(cands)), pivot)
@@ -769,19 +753,15 @@ class _Driver:
         inside = sorted(int(v) for v in inside)
         anchors = np.asarray(inside, dtype=np.int64)
         rep = inside[0]
-        cands = sorted(int(x) for x in candidates)
+        cands = np.array(sorted(int(x) for x in candidates), dtype=np.int64)
         m = len(cands)
-        if m == 0:
-            return rep, rep
-        if m == 1:
-            return (rep, cands[0]), rep
 
         # three-way counts per candidate pair (x, y) over anchors a:
         # lower[x, y] answers (x, a), i.e. x in a lower bucket than y, and
         # same[x, y] answers (x, y), i.e. x and y share a bucket
         ii, jj = np.triu_indices(m, k=1)
-        ci = np.array(cands, dtype=np.int64)
-        same_v, x_low, y_low = self.oracle.tallies(ci[ii], ci[jj], anchors)
+        same_v, x_low, y_low = self.oracle.tallies(cands[ii], cands[jj],
+                                                   anchors)
         lower = np.zeros((m, m))
         lower[ii, jj] = x_low
         lower[jj, ii] = y_low
@@ -791,14 +771,10 @@ class _Driver:
         plan = rep
         for block in _order_buckets(lower, same, self.cfg.threshold(self.n)):
             pos = sorted(block)
-            bucket = [cands[v] for v in pos]
-            if len(bucket) == 1:
-                bplan = bucket[0]
-            else:
-                M = (self._exact_scores(np.array(bucket, dtype=np.int64))
-                     if self.exact else same[np.ix_(pos, pos)])
-                bplan = _assemble_by_scores(bucket, M, self.exact)
-            plan = (plan, bplan)
+            bucket = cands[pos]
+            M = (self._exact_scores(bucket) if self.exact
+                 else same[np.ix_(pos, pos)])
+            plan = (plan, _assemble_by_scores(bucket.tolist(), M, self.exact))
         return plan, rep
 
     # -- small-n exhaustive ------------------------------------------------ #
@@ -856,15 +832,7 @@ class _Driver:
         R = sorted(set(V) - set(W))
         pending = []
 
-        result = None
-        while True:
-            if not R:
-                result = W_plan
-                break
-            if len(self.exp_ids(R)) <= large_cap:
-                qplan, rep = self.completion_quotient(W, R)
-                result = graft_plan(qplan, rep, W_plan)
-                break
+        while len(self.exp_ids(R)) > large_cap:
             P_set, P_plan = self.build_subtree(R)
             P1, P2, P3 = self.partition(base0, P_set, sorted(set(R) - set(P_set)))
             e1, e2, e3 = (len(self.exp_ids(p)) for p in (P1, P2, P3))
@@ -901,15 +869,15 @@ class _Driver:
                 bucket_plan = graft_plan(sub_plan, rep_p, P_plan)
             else:
                 bucket_plan = P_plan
-            mid_plan = (low_plan, bucket_plan)
-            if P3:
-                inside = sorted(set(low_set) | set(P2) | set(P_set))
-                qplan, rep = self.completion_quotient(inside, P3)
-                result = graft_plan(qplan, rep, mid_plan)
-            else:
-                result = mid_plan
+            # the part above is small: its quotient ends the peel
+            W = sorted(set(low_set) | set(P2) | set(P_set))
+            W_plan = (low_plan, bucket_plan)
+            R = P3
             break
 
+        # with no candidates the quotient is the representative alone
+        qplan, rep = self.completion_quotient(W, R)
+        result = graft_plan(qplan, rep, W_plan)
         for qplan, rep in reversed(pending):
             result = graft_plan(qplan, rep, result)
         return result

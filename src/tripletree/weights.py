@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree_core import NO_NODE, Tree, _Builder
+from .tree_core import NO_NODE, Tree
 
 
 class EstimationFailure(Exception):
@@ -126,18 +126,14 @@ class HeightEstimates:
         return max(self.weight_errors(truth), default=0.0)
 
     def estimated_tree(self):
-        """The topology re-embedded with the estimated heights."""
-        b = _Builder()
-        done = {}
-        for v in self.topology.topo_order()[::-1]:
-            v = int(v)
-            if self.topology.is_leaf(v):
-                done[v] = b.add_leaf(self.topology.labels[v])
-            else:
-                c1, c2 = self.topology.children(v)
-                done[v] = b.add_internal(done[c1], done[c2],
-                                         self.by_node[v].value)
-        return b.finish()
+        """
+        The topology with the estimated heights, each edge weighing its
+        parent's height less its own (0 above the root).
+        """
+        topo = self.topology
+        h = np.array([self.by_node[v].value for v in range(topo.n_nodes)])
+        w = np.where(topo.parent == NO_NODE, 0.0, h[topo.parent] - h)
+        return Tree(topo.parent, topo.child1, topo.child2, h, w, topo.labels)
 
 
 def classify_heavy(topology, alpha=1.0 / 6.0):
@@ -418,8 +414,6 @@ class _WeightDriver:
         for v in np.flatnonzero(topo.child1 == NO_NODE).tolist():
             est[v] = VertexEstimate(0.0, "exact", "leaf")
         est[topo.root] = VertexEstimate(1.0, "exact", "root-normalization")
-        if self.n == 2:
-            return self._finish(est)
 
         info = classify_heavy(topo)
         light_r, heavy_r = topo.ordered_children(topo.root)

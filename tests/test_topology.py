@@ -37,7 +37,6 @@ from tripletree.topology import (
     _Driver,
     _agglomerate,
     _find_sibling_pair,
-    _key_tie,
     _mean_row,
     _plan_codes,
     _position_triples,
@@ -190,19 +189,17 @@ def _reference_sibling_scores(oracle, forest, ambient):
     shape=st.sampled_from(["singletons", "mixed", "one-part"]),
     covered=st.floats(0.0, 1.0),
     ambient=st.sampled_from(["all", "some", "no-reps", "outside-parts"]),
-    cells=st.sampled_from([1, 7, 1 << 18]),
 )
 @example(model="homogeneous", expectation=False, n=24, seed=0,
-         shape="singletons", covered=1.0, ambient="all", cells=1 << 18)
+         shape="singletons", covered=1.0, ambient="all")
 @example(model="homogeneous", expectation=True, n=30, seed=3, shape="mixed",
-         covered=0.5, ambient="no-reps", cells=7)
+         covered=0.5, ambient="no-reps")
 def test_sibling_scores_match_the_row_by_row_reference(model, expectation, n,
                                                        seed, shape, covered,
-                                                       ambient, cells):
-    # one pair_wins read per ambient part, added in ambient order, must give
-    # the row-by-row sums bit for bit and ask exactly the same triples; a
-    # small ``_SCORE_CELLS`` splits the ambient leaves over many runs, and
-    # the custom model is unvalidated and read through the generic pair_prob
+                                                       ambient):
+    # one pair_wins read per ambient leaf, added in ambient order, must give
+    # the row-by-row sums bit for bit and ask exactly the same triples; the
+    # custom model is unvalidated and read through the generic pair_prob
     if model == "custom":
         model = CustomModel(lambda d1, d2: 0.4 + 0.1 * d2 / (d1 + d2), 0.1,
                             validate=False)
@@ -234,8 +231,7 @@ def test_sibling_scores_match_the_row_by_row_reference(model, expectation, n,
         o = (ExpectationOracle(t, model) if expectation
              else OracleState(t, model, seed=seed))
         try:
-            with mock.patch.object(topology_mod, "_SCORE_CELLS", cells):
-                reps_got, M = score(o, forest, amb)
+            reps_got, M = score(o, forest, amb)
         except ValueError:
             # fewer than n/12 ambient leaves: the reference does not check
             assert score is sibling_scores and len(amb) < n / 12
@@ -332,12 +328,18 @@ def _reference_assembly_loop(M, sizes, rule, band=None, closest=None):
     return plans, size.tolist(), merges
 
 
-def _random_closest(m, rng):
+def _random_closest(m, rng, plan, flip):
     """
-    A closest-pair function over positions 0..m-1 that names a random pair
-    of each triple (the walk may cycle on it).
+    A closest-pair function over positions 0..m-1 that names, for each
+    triple, the closest pair under the nested plan ``plan`` over the
+    positions, or with probability ``flip`` a random pair of it (the walk
+    may cycle on it).
     """
-    win = {trip: rng.integers(3) for trip in itertools.combinations(range(m), 3)}
+    trips = _position_triples(m)
+    codes = np.where(rng.random(len(trips)) < flip,
+                     rng.integers(3, size=len(trips)),
+                     _plan_codes(plan, range(m), trips))
+    win = dict(zip(map(tuple, trips.tolist()), codes.tolist()))
 
     def closest(a, b, C):
         codes = []
@@ -355,7 +357,7 @@ def _random_closest(m, rng):
     m=st.integers(2, 60),
     values=st.integers(2, 4),
     seed=st.integers(0, 2**16),
-    rule=st.sampled_from(["first", "key", "walk"]),
+    rule=st.sampled_from(["first", "key"]),
     banded=st.booleans(),
 )
 def test_agglomerate_matches_the_reference_loops(m, values, seed, rule, banded):
@@ -367,28 +369,13 @@ def test_agglomerate_matches_the_reference_loops(m, values, seed, rule, banded):
     np.fill_diagonal(M, -np.inf)
     sizes = rng.integers(1, 4, size=m).tolist()
     band = int(rng.integers(2, 2 * m + 2)) if banded else None
-    closest = _random_closest(m, rng) if rule == "walk" else None
-
-    def run(loop):
-        try:
-            return loop()
-        except ReconstructionFailure as exc:
-            return exc.stage, exc.detail, exc.witness
-
-    def new():
-        tie = {"first": None, "key": _key_tie,
-               "walk": lambda M, p, q, live: _find_sibling_pair(
-                   p, q, live, closest, "walk")}[rule]
-        size = np.array(sizes, dtype=np.float64)
-        merges = _agglomerate(M.copy(), size, band=band, tie=tie)
-        plans = list(range(m))
-        for i, j in merges:
-            plans[i] = (plans[i], plans[j])
-        return plans, size.tolist(), merges
-
-    got = run(new)
-    assert got == run(lambda: _reference_assembly_loop(M, sizes, rule, band,
-                                                       closest))
+    size = np.array(sizes, dtype=np.float64)
+    merges = _agglomerate(M.copy(), size, band=band, keyed=rule == "key")
+    plans = list(range(m))
+    for i, j in merges:
+        plans[i] = (plans[i], plans[j])
+    got = plans, size.tolist(), merges
+    assert got == _reference_assembly_loop(M, sizes, rule, band)
     if rule == "first":
         assert got == _reference_band_loop(M, sizes,
                                            band if banded else sum(sizes) + 1)
@@ -403,18 +390,12 @@ def _walk_assemble(ids, M, closest):
     all-zero ``M`` every merge is the walk, as in ``assemble_from_triples``.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    M = np.array(M, dtype=np.float64)
-    np.fill_diagonal(M, -np.inf)
 
-    def walk(M, p, q, live):
-        a, b = _find_sibling_pair(int(ids[p]), int(ids[q]), ids[live],
-                                  closest, "walk")
-        return np.searchsorted(ids, [a, b])
+    def at(a, b, C):
+        return closest(int(ids[a]), int(ids[b]), ids[C])
 
-    plans = ids.tolist()
-    for i, j in _agglomerate(M, np.ones(len(ids)), tie=walk):
-        plans[i] = (plans[i], plans[j])
-    return plans[0]
+    plans = _reference_assembly_loop(M, [1] * len(ids), "walk", closest=at)[0]
+    return _relabel(plans[0], ids.tolist())
 
 
 @settings(max_examples=100, deadline=None)
@@ -817,6 +798,45 @@ def test_completion_quotient_bucket_order_matches_truth():
     assert topology_equal(got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["noiseless", "homogeneous", "expectation"]),
+    n=st.integers(3, 40),
+    seed=st.integers(0, 2**16),
+    keep=st.floats(0.0, 1.0),
+    answered=st.booleans(),
+)
+def test_empty_and_single_candidate_steps_read_no_answer(kind, n, seed, keep,
+                                                         answered):
+    # no candidate leaves the representative alone, one candidate joins it,
+    # a one-leaf bucket is that leaf and no candidate splits into three
+    # empty parts; none of them reads an answer, on a fresh or an answered
+    # oracle
+    t = random_tree(n, w=0.2 / n, seed=seed)
+    o = _oracle(kind, t, seed)
+    drv = _Driver(o)
+    if answered:
+        drv.build_subtree(range(n))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n).tolist()
+    cut = 1 + int(keep * (n - 2))
+    inside, x = sorted(order[:cut]), order[cut]
+    rep = inside[0]
+
+    def state():
+        store = o.__dict__.get("_store")
+        return o.query_count, None if store is None else store.tobytes()
+
+    before = state()
+    assert drv.completion_quotient(inside, []) == (rep, rep)
+    assert drv.completion_quotient(inside, [x]) == ((rep, x), rep)
+    for exact in (True, False):
+        assert topology_mod._assemble_by_scores([x], np.zeros((1, 1)),
+                                                exact) == x
+    assert drv.partition(inside, order[cut:], []) == ([], [], [])
+    assert state() == before
+
+
 def _score_first_assemble(plans, M, exact):
     """
     The assembly exact sources took before average linkage, over the
@@ -1047,6 +1067,53 @@ def test_assemble_flipped_triple_detected_or_reinterpreted(shape):
                 consistent += 1
     assert raised >= 6  # the vast majority of flips are witnessed
     assert raised + consistent == 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(2, 20),
+    seed=st.integers(0, 2**16),
+    flip=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+    verify=st.booleans(),
+)
+@example(m=12, seed=0, flip=1.0, verify=False)  # the answers cycle
+def test_assemble_from_triples_matches_the_all_tie_walk(m, seed, flip, verify):
+    # the walk loop must merge as average linkage on all-tie scores with
+    # every tie walked did, and fail with the same detail and witness when
+    # the answers cycle; ``verify`` then checks every triple of the plan
+    rng = np.random.default_rng(seed)
+    closest = _random_closest(m, rng, _random_plan(range(m), rng), flip)
+    labs = [f"x{v:02d}" for v in range(m)]  # sorted as their positions
+
+    def cp(a, b, c):
+        ia, ib, ic = (labs.index(v) for v in (a, b, c))
+        return ((a, b), (a, c), (b, c))[int(closest(ia, ib, np.array([ic]))[0])]
+
+    def run(assemble):
+        try:
+            return to_newick(assemble())
+        except ReconstructionFailure as exc:
+            return exc.detail, exc.witness
+
+    def reference():
+        plan = _reference_assembly_loop(np.zeros((m, m)), [1] * m, "walk",
+                                        closest=closest)[0][0]
+        if verify:
+            trips = _position_triples(m)
+            got = np.array([closest(i, j, np.array([k]))[0]
+                            for i, j, k in trips.tolist()], dtype=np.int64)
+            bad = np.flatnonzero(_plan_codes(plan, range(m), trips) != got)
+            if len(bad):
+                raise ReconstructionFailure(
+                    "verify", "", tuple(labs[v] for v in trips[bad[0]]))
+        return tree_from_topology(_relabel(plan, labs))
+
+    got = run(lambda: assemble_from_triples(cp, labs[::-1], verify=verify))
+    want = run(reference)
+    if verify and isinstance(want, tuple) and want[0] == "":
+        assert isinstance(got, tuple) and got[1] == want[1]
+    else:
+        assert got == want
 
 
 def _random_plan(leaves, rng):
