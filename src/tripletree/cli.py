@@ -92,6 +92,10 @@ class ExperimentConfig:
             problems.append("min_edge_weight: must be positive")
         if self.mode == "calibrate" and not self.sweep_weights:
             problems.append("sweep_weights: calibrate needs at least one value")
+        try:
+            _resolve_model(self.model)
+        except ValueError as exc:
+            problems.append(f"model: {exc}")
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
 
@@ -119,8 +123,13 @@ class TrialResult:
 
 def _load_custom_model(path):
     spec = importlib.util.spec_from_file_location("tripletree_custom_model", path)
+    if spec is None:
+        raise ValueError(f"custom model {path} is not a .py file")
     mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
+    try:
+        spec.loader.exec_module(mod)
+    except OSError as exc:
+        raise ValueError(f"cannot read custom model {path}: {exc.strerror}") from None
     # a defined lower-case name wins, whatever its value (epsilon = 0.0)
     fn = getattr(mod, "p_correct", getattr(mod, "P_CORRECT", None))
     eps = getattr(mod, "epsilon", getattr(mod, "EPSILON", None))
@@ -227,14 +236,14 @@ def _csv_text(fieldnames, rows):
 
 def _write_weight_artifacts(path, he):
     _write_text(path, to_newick(he.estimated_tree()) + "\n")
-    sidecar = []
+    topo, sidecar = he.topology, []
+    min_leaf, nl = topo.min_leaf(), topo.leaf_counts()
     for v, e in sorted(he.by_node.items()):
-        clade = he.topology.subtree_leaf_labels(v)
         sidecar.append(
             {
                 "node": int(v),
-                "clade_rep": clade[0],
-                "clade_size": len(clade),
+                "clade_rep": topo.leaf_labels[min_leaf[v]],
+                "clade_size": int(nl[v]),
                 "height": e.value,
                 "error_class": e.error_class,
                 "method": e.method,

@@ -86,10 +86,10 @@ class Tree:
     labels : list[str|None]    Leaf label per node, None for internal nodes.
     root : int
 
-    ``depths``, ``leaf_counts`` and the depth-first ``layout`` (which
-    makes every clade one slice of the leaf order) depend on the links
-    only; each is computed once and cached, so the links must not change
-    after the first read.
+    ``depths``, ``leaf_counts``, the depth-first ``layout`` (which makes
+    every clade one slice of the leaf order) and ``min_leaf`` depend on the
+    links only; each is computed once and cached, so the links must not
+    change after the first read.
     """
 
     def __init__(self, parent, child1, child2, height, weight, labels):
@@ -113,9 +113,10 @@ class Tree:
         self.leaf_nodes = np.asarray(
             [self._leaf_nodes[lab] for lab in self.leaf_labels], dtype=np.int32
         )
-        self._depth = None
-        self._nl = None
-        self._layout = None
+        self._cache = {}  # depths, leaf counts, layout and min_leaf
+
+    def __getstate__(self):  # a pickled copy rebuilds the caches on first read
+        return dict(vars(self), _cache={})
 
     # ------------------------------------------------------------------ #
     # Basic structure                                                     #
@@ -143,13 +144,13 @@ class Tree:
 
     def depths(self):
         """Edge depth of every node from the root (computed once, cached)."""
-        if self._depth is None:
+        if "depth" not in self._cache:
             parent = self.parent.tolist()
             d = [0] * self.n_nodes
             for v in self.topo_order().tolist()[1:]:
                 d[v] = d[parent[v]] + 1
-            self._depth = np.array(d, dtype=np.int32)
-        return self._depth
+            self._cache["depth"] = np.array(d, dtype=np.int32)
+        return self._cache["depth"]
 
     def topo_order(self):
         """Node ids in breadth-first order from the root (parents first)."""
@@ -166,14 +167,14 @@ class Tree:
 
     def leaf_counts(self):
         """NL(v): number of leaves in the subtree of every node (cached)."""
-        if self._nl is None:
+        if "nl" not in self._cache:
             c1, c2 = self.child1.tolist(), self.child2.tolist()
             nl = [1] * self.n_nodes
             for v in reversed(self.topo_order().tolist()):
                 if c1[v] != NO_NODE:
                     nl[v] = nl[c1[v]] + nl[c2[v]]
-            self._nl = np.array(nl, dtype=np.int64)
-        return self._nl
+            self._cache["nl"] = np.array(nl, dtype=np.int64)
+        return self._cache["nl"]
 
     def layout(self):
         """
@@ -183,7 +184,7 @@ class Tree:
         after child1's subtree.  Raises ``CorruptTreeError`` as
         ``topo_order`` does.
         """
-        if self._layout is None:
+        if "layout" not in self._cache:
             nl = self.leaf_counts().tolist()
             c1, c2 = self.child1.tolist(), self.child2.tolist()
             first, pre = [0] * self.n_nodes, [0] * self.n_nodes
@@ -196,8 +197,21 @@ class Tree:
             first = np.array(first, dtype=np.int64)
             ranks = np.empty(self.n_leaves, dtype=np.int64)
             ranks[first[self.leaf_nodes]] = np.arange(self.n_leaves)
-            self._layout = Layout(np.array(pre, dtype=np.int64), first, ranks)
-        return self._layout
+            self._cache["layout"] = Layout(np.array(pre, dtype=np.int64), first, ranks)
+        return self._cache["layout"]
+
+    def min_leaf(self):
+        """
+        Sorted-label rank of the smallest leaf under every node (cached):
+        the even entries of a minimum reduceat over the interleaved layout
+        bounds [first, first + NL), with a 0 appended so that n is an index.
+        """
+        if "min_leaf" not in self._cache:
+            _, first, ranks = self.layout()
+            bounds = np.stack([first, first + self.leaf_counts()], axis=1).ravel()
+            low = np.minimum.reduceat(np.append(ranks, 0), bounds)
+            self._cache["min_leaf"] = low[::2]
+        return self._cache["min_leaf"]
 
     def subtree_leaf_labels(self, v):
         """Sorted labels of the leaves under node v (inclusive)."""
@@ -213,27 +227,22 @@ class Tree:
         so that the child containing the smallest leaf label goes left.
         """
         a, b = self.children(v)
-        nl = self.leaf_counts()
-        if nl[a] != nl[b]:
-            return (a, b) if nl[a] < nl[b] else (b, a)
-        if min(self.subtree_leaf_labels(a)) < min(self.subtree_leaf_labels(b)):
-            return a, b
-        return b, a
+        nl, lo = self.leaf_counts(), self.min_leaf()
+        return (a, b) if (nl[a], lo[a]) < (nl[b], lo[b]) else (b, a)
 
     # ------------------------------------------------------------------ #
     # Distances                                                           #
     # ------------------------------------------------------------------ #
 
     def lca(self, u, v):
-        d = self.depths()
-        u, v = int(u), int(v)
-        while d[u] > d[v]:
-            u = self.parent[u]
-        while d[v] > d[u]:
-            v = self.parent[v]
-        while u != v:
-            u = self.parent[u]
-            v = self.parent[v]
+        """
+        Lowest common ancestor of nodes u and v: the first node x from u up
+        whose preorder span ``pre[x] : pre[x] + 2 NL(x) - 1`` holds pre[v].
+        """
+        pre, nl = self.layout().pre, self.leaf_counts()
+        u, at = int(u), pre[int(v)]
+        while not pre[u] <= at < pre[u] + 2 * nl[u] - 1:
+            u = int(self.parent[u])
         return u
 
     def leaf_distance(self, a, b):
@@ -414,34 +423,22 @@ def generate_random_ultrametric(n, min_edge_weight, seed):
     for _ in range(1000):
         # random topology: split sizes drawn uniformly inside the window
         # that keeps every side within its remaining depth budget (the
-        # window is the full 1..k-1 whenever the budget is slack)
+        # window is the full 1..k-1 whenever the budget is slack); splits
+        # maps each internal node's leaf range to (split size, edge depth)
         splits = {}
 
-        def split(lo, hi, b):  # leaves lo..hi-1 under one node
+        def split(lo, hi, b):  # leaves lo..hi-1 under one node; its depth
             k = hi - lo
             if k == 1:
-                return
+                return 0
             cap = 1 << (b - 1)
             j_lo, j_hi = max(1, k - cap), min(k - 1, cap)
             j = int(rng.integers(j_lo, j_hi + 1))
-            splits[(lo, hi)] = j
-            split(lo, lo + j, b - 1)
-            split(lo + j, hi, b - 1)
-
-        split(0, n, budget)
-
-        depth_req = {}
-
-        def depth(lo, hi):
-            if hi - lo == 1:
-                depth_req[(lo, hi)] = 0
-                return 0
-            j = splits[(lo, hi)]
-            d = 1 + max(depth(lo, lo + j), depth(lo + j, hi))
-            depth_req[(lo, hi)] = d
+            d = 1 + max(split(lo, lo + j, b - 1), split(lo + j, hi, b - 1))
+            splits[(lo, hi)] = j, d
             return d
 
-        if w * depth(0, n) > 1.0 + 1e-12:
+        if w * split(0, n, budget) > 1.0 + 1e-12:
             continue
 
         b = _Builder()
@@ -449,13 +446,13 @@ def generate_random_ultrametric(n, min_edge_weight, seed):
         def build(lo, hi, h):
             if hi - lo == 1:
                 return b.add_leaf(leaf_names[lo])
-            j = splits[(lo, hi)]
+            j, _ = splits[(lo, hi)]
             kids = []
             for clo, chi in ((lo, lo + j), (lo + j, hi)):
                 if chi - clo == 1:
                     kids.append(build(clo, chi, 0.0))
                 else:
-                    lo_h = w * depth_req[(clo, chi)]
+                    lo_h = w * splits[(clo, chi)][1]
                     hi_h = h - w
                     hc = float(rng.uniform(lo_h, hi_h)) if hi_h > lo_h else lo_h
                     kids.append(build(clo, chi, hc))
@@ -464,7 +461,7 @@ def generate_random_ultrametric(n, min_edge_weight, seed):
         build(0, n, 1.0)
         # each helper refers to itself through its closure: unbind them, or
         # the cycles keep this draw's dicts and builder until a collection
-        del split, depth, build
+        del split, build
         return b.finish()
 
     raise InfeasibleTreeError(
@@ -637,18 +634,8 @@ def _canonical_shape(tree):
     trees on one label set compare row for row; the rows come back as
     bytes, the (lo, size) keys first and then lo2.
     """
-    order = tree.topo_order()[::-1]
-    inner = order[tree.child1[order] != NO_NODE]
-    c1, c2 = tree.child1.tolist(), tree.child2.tolist()
-    lo = [0] * tree.n_nodes
-    size = [1] * tree.n_nodes
-    for rank, v in enumerate(tree.leaf_nodes.tolist()):
-        lo[v] = rank
-    for v in inner.tolist():
-        a, b = c1[v], c2[v]
-        lo[v] = lo[a] if lo[a] < lo[b] else lo[b]
-        size[v] = size[a] + size[b]
-    lo, size = np.asarray(lo, dtype=np.int64), np.asarray(size, dtype=np.int64)
+    inner = np.flatnonzero(tree.child1 != NO_NODE)
+    lo, size = tree.min_leaf(), tree.leaf_counts()
     lo2 = np.maximum(lo[tree.child1[inner]], lo[tree.child2[inner]])
     key = lo[inner] * (tree.n_leaves + 1) + size[inner]
     idx = np.argsort(key)

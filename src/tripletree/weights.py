@@ -293,12 +293,7 @@ class _WeightDriver:
         self.pre, self.first, self.order = topology.layout()
         self.preorder = np.empty(topology.n_nodes, dtype=np.int64)
         self.preorder[self.pre] = np.arange(topology.n_nodes)
-        # smallest leaf under each node: the even entries of a reduceat
-        # over the interleaved bounds [first, first + nl) (the appended 0
-        # makes the bound n a valid index)
-        bounds = np.stack([self.first, self.first + self.nl], axis=1).ravel()
-        self.min_leaf = np.minimum.reduceat(np.append(self.order, 0),
-                                            bounds)[::2]
+        self.min_leaf = topology.min_leaf()
         self._leafsets = {}
 
     def leafset(self, v):
@@ -446,37 +441,35 @@ class _WeightDriver:
 
         # 4) vertices strictly below v_{f+1}: aggregate anchored estimates,
         # all read in one block whose witnesses are the anchors' far sets
-        if f + 1 < len(path):
-            below = [
-                v for v in self._internal_under(path[f + 1]) if v != path[f + 1]
-            ]
-            if below:
-                # an anchor clamped to height 0 makes h_a / (2 h_a + h)
-                # degenerate: leave it out and say so on every vertex
-                a_heights, a_weights, far_sets, dropped = [], [], [], []
-                for i, size in zip(info.anchors, info.anchor_sizes):
-                    if est[path[i]].value <= 0:
-                        dropped.append(f"anchor-dropped({i})")
-                        continue
-                    a_heights.append(est[path[i]].value)
-                    a_weights.append(size)
-                    far_sets.append(self.leafset(info.left_child[i]))
-                if not a_heights:
-                    raise EstimationFailure("anchor heights must be positive")
-                ends = np.cumsum([len(far) for far in far_sets]).tolist()
-                spans = list(zip([0] + ends[:-1], ends))
-                short = [w for far in far_sets
-                         for w in self._few_witnesses(len(far))]
-                p_hats = self._responses(below, np.concatenate(far_sets), spans)
-                q_hats = [aggregate_anchor_probs(p_v, a_weights)
-                          for p_v in p_hats.tolist()]
-                hs, resids = _bisect(q_hats, *_curve(a_heights, a_weights),
-                                     self.cfg.bisect_tol, _BISECT_MAX_ITER)
-                for v, h, resid in zip(below, hs.tolist(), resids.tolist()):
-                    warns = dropped + short
-                    h = final_correction(h, a_heights)
-                    est[v] = VertexEstimate(h, "coarse", "aggregated-anchors",
-                                            warns, residual=resid)
+        top = path[f + 1]
+        below = [v for v in self._internal_under(top) if v != top]
+        if below:
+            # an anchor clamped to height 0 makes h_a / (2 h_a + h)
+            # degenerate: leave it out and say so on every vertex
+            a_heights, a_weights, far_sets, dropped = [], [], [], []
+            for i, size in zip(info.anchors, info.anchor_sizes):
+                if est[path[i]].value <= 0:
+                    dropped.append(f"anchor-dropped({i})")
+                    continue
+                a_heights.append(est[path[i]].value)
+                a_weights.append(size)
+                far_sets.append(self.leafset(info.left_child[i]))
+            if not a_heights:
+                raise EstimationFailure("anchor heights must be positive")
+            ends = np.cumsum([len(far) for far in far_sets]).tolist()
+            spans = list(zip([0] + ends[:-1], ends))
+            short = [w for far in far_sets
+                     for w in self._few_witnesses(len(far))]
+            p_hats = self._responses(below, np.concatenate(far_sets), spans)
+            q_hats = [aggregate_anchor_probs(p_v, a_weights)
+                      for p_v in p_hats.tolist()]
+            hs, resids = _bisect(q_hats, *_curve(a_heights, a_weights),
+                                 self.cfg.bisect_tol, _BISECT_MAX_ITER)
+            for v, h, resid in zip(below, hs.tolist(), resids.tolist()):
+                warns = dropped + short
+                h = final_correction(h, a_heights)
+                est[v] = VertexEstimate(h, "coarse", "aggregated-anchors",
+                                        warns, residual=resid)
         return self._finish(est)
 
     def _internal_under(self, top):

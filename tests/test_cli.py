@@ -15,6 +15,7 @@ from tripletree import (
     topology_equal,
     tree_from_topology,
 )
+from tripletree.tree_core import Tree
 import tripletree.cli as cli
 import tripletree.topology as topology_mod
 from tripletree.cli import (
@@ -265,6 +266,58 @@ def _digest(out):
     return h.hexdigest()
 
 
+def _against_dfs_order(name):
+    """
+    A tree whose sorted labels run against its depth-first leaf order: the
+    CI step's n=48 tree with its labels reversed, or a perfectly balanced
+    64-leaf tree, where every ``ordered_children`` call is a tie.
+    """
+    if name == "reversed-48":
+        t = random_tree(48, w=0.02, seed=5)
+        labels = [lab and "L%02d" % (47 - int(lab[1:])) for lab in t.labels]
+        return Tree(t.parent, t.child1, t.child2, t.height, t.weight, labels)
+
+    def nest(lo, hi):
+        return f"L{63 - lo:02d}" if hi - lo == 1 else (
+            nest(lo, (lo + hi) // 2), nest((lo + hi) // 2, hi))
+
+    return tree_from_topology(nest(0, 64))
+
+
+AGAINST_DFS_ORDER = {
+    ("reversed-48", "weights-expectation"):
+        "70ac5d33a9e794c640ebb559e4cc98e1e967752b77588ca2bce3d6ad632db865",
+    ("reversed-48", "weights-homogeneous"):
+        "2c4a2225bee4b7d738c39c29fe67c832909f2d46914e034410549052ae5a9fd9",
+    ("reversed-48", "topology-homogeneous"):
+        "9f6809e1729f675feb74bbc4dbcf438913cb6743898e952f147900434a2b74b8",
+    ("balanced-64", "weights-expectation"):
+        "f0f9e6d300edc9846d8db624137c8ba9396c7b12b30adbe45c020534854f0470",
+    ("balanced-64", "weights-homogeneous"):
+        "e8c0c08882a5e3947e47ed3d85726efb077dfdda54508ab642aad7d876ad8e56",
+    ("balanced-64", "topology-homogeneous"):
+        "1508332d9ae0a6234b1b54123fb0fd135a8373c26e447d9d232d2becea957251",
+}
+
+
+@pytest.mark.parametrize("tree,run", sorted(AGAINST_DFS_ORDER))
+def test_tree_in_against_dfs_order_matches_pinned_digest(tmp_path, tree, run):
+    nwk = tmp_path / "in.nwk"
+    nwk.write_text(to_newick(_against_dfs_order(tree)) + "\n")
+    mode, model = run.split("-")
+    kwargs = dict(mode=mode, trials=2, seed=3, jobs=1, tree_in=str(nwk))
+    if model == "expectation":
+        kwargs.update(model="homogeneous", expectation=True)
+    else:
+        kwargs.update(model=model)
+    if mode == "topology":
+        kwargs.update(c_thr=0.5)
+    out = tmp_path / "run"
+    run_experiment(ExperimentConfig(out=str(out), tree_out=str(out / "tree.nwk"),
+                                    **kwargs))
+    assert _digest(out) == AGAINST_DFS_ORDER[tree, run]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_rerun_over_stale_outputs_matches_fresh_run(tmp_path, jobs):
     kwargs, want = GOLDEN["topology-homogeneous-8"]
@@ -345,6 +398,28 @@ def test_cli_rejects_n0_above_the_cap(tmp_path, monkeypatch, capsys):
                  "1", "--jobs", "1", "--out", str(tmp_path)]) == 2
     assert "n0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", ["missing.py", "model.txt"])
+def test_cli_rejects_a_bad_custom_model_path(tmp_path, monkeypatch, capsys,
+                                             jobs, name):
+    # exit 2 before any trial or worker pool starts: a missing file, or a
+    # readable model file without the .py suffix that the import needs
+    def start(*args, **kwargs):
+        raise AssertionError("a trial or a worker pool started")
+
+    monkeypatch.setattr(cli, "run_trial", start)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", start)
+    path = tmp_path / name
+    if name == "model.txt":
+        path.write_text("def p_correct(d1, d2):\n    return 1.0\nepsilon = 0.1\n")
+    out = tmp_path / "run"
+    assert main(["--mode", "topology", "--n", "8", "--trials", "2", "--jobs",
+                 jobs, "--model", f"custom:{path}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model" in err and name in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------- #

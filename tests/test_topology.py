@@ -1308,6 +1308,40 @@ def test_reconstruct_noisy_ends_in_a_tree(n, c_thr):
         assert got.n_nodes == 2 * n - 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 60),
+    w_frac=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2 ** 16),
+    c_thr=st.sampled_from([0.0, 0.05, 0.5, 2.0, 24.0]),
+    n0=st.integers(1, 8),
+    band_lo=st.one_of(st.none(), st.integers(2, 8)),
+    large_fraction=st.floats(0.5, 11.0 / 12.0),
+    small_fraction=st.floats(0.02, 0.2),
+    model=st.sampled_from(["homogeneous", "sin"]),
+    expectation=st.booleans(),
+)
+def test_any_configuration_ends_in_a_tree_or_a_reconstruction_failure(
+        n, w_frac, seed, c_thr, n0, band_lo, large_fraction, small_fraction,
+        model, expectation):
+    # the configuration space of the baseline fuzz, up to the largest
+    # feasible min edge weight; no other exception may leave the driver
+    t = random_tree(n, w=w_frac / math.ceil(math.log2(n)), seed=seed)
+    model = _SIN if model == "sin" else model
+    o = (ExpectationOracle(t, model) if expectation
+         else OracleState(t, model, seed=seed))
+    cfg = ReconstructionConfig(
+        c_thr=c_thr, n0=n0, large_fraction=large_fraction,
+        small_fraction=small_fraction,
+        subtree_band=None if band_lo is None else (band_lo, 2 * band_lo))
+    try:
+        got = reconstruct_topology(o, cfg)
+    except ReconstructionFailure:
+        return
+    assert got.leaf_labels == t.leaf_labels
+    assert got.n_nodes == 2 * n - 1
+
+
 # sha256 of the Newick output, the query count and the stage events of
 # reconstructions at n=160 (w=0.01): every one peels with two subtree
 # builds, a partition and a pivot collapse

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,8 @@ from tripletree import (
 )
 from tripletree import noise_oracle
 from tripletree.topology import graft_plan
-from tripletree.tree_core import NO_NODE, Tree, _closest_codes, map_plan
+from tripletree.tree_core import (NO_NODE, Tree, _canonical_shape,
+                                  _closest_codes, map_plan)
 
 from conftest import random_tree
 
@@ -72,6 +75,29 @@ def test_generator_deterministic_per_seed():
     assert to_newick(a) == to_newick(b)
     c = generate_random_ultrametric(32, 0.02, seed=6)
     assert to_newick(a) != to_newick(c)
+
+
+def test_generator_matches_the_pinned_digest():
+    # the Newick, parent links and heights of every (n, w, seed) cell, or
+    # its error text.  At w = (1 + 5e-11) / k the depth budget is k edges
+    # but a path of k edges weighs more than 1, so draws of depth k are
+    # rejected and retried; at n 15 and 16 with k = 5, and n 33 and 64
+    # with k = 7, almost no draw is shallow enough and 1000 attempts run out.
+    h = hashlib.sha256()
+    ws = (0.001, 0.05, 0.125, 0.25, 0.34, 0.5) + tuple(
+        (1 + 5e-11) / k for k in range(3, 8))
+    for n in list(range(2, 21)) + [33, 64, 100]:
+        for w in ws:
+            for seed in range(3):
+                try:
+                    t = generate_random_ultrametric(n, w, seed)
+                except InfeasibleTreeError as exc:
+                    h.update(str(exc).encode())
+                    continue
+                h.update(to_newick(t).encode())
+                h.update(t.parent.tobytes() + t.height.tobytes())
+    assert h.hexdigest() == (
+        "98d5e126a6d11c6cacec196f0dec41cfda15620ee82ce1f8f2604ef6da75aaeb")
 
 
 # ---------------------------------------------------------------------- #
@@ -244,6 +270,102 @@ def test_layout_slices_hold_each_clade_in_preorder(n, seed, form):
                       if t.is_leaf(u))
         assert sorted(ranks[first[v]:first[v] + nl[v]].tolist()) == want
         assert t.subtree_leaf_labels(v) == _reference_leaf_labels(t, v)
+
+
+def _reference_ordered_children(tree, v):
+    """The label-list tie rule: the child with the smaller first label goes left."""
+    a, b = tree.children(v)
+    nl = tree.leaf_counts()
+    if nl[a] != nl[b]:
+        return (a, b) if nl[a] < nl[b] else (b, a)
+    if min(tree.subtree_leaf_labels(a)) < min(tree.subtree_leaf_labels(b)):
+        return a, b
+    return b, a
+
+
+def _reference_lca(tree, u, v):
+    """Climb by edge depth: the deeper node first, then both together."""
+    d = tree.depths()
+    while d[u] > d[v]:
+        u = tree.parent[u]
+    while d[v] > d[u]:
+        v = tree.parent[v]
+    while u != v:
+        u, v = tree.parent[u], tree.parent[v]
+    return int(u)
+
+
+def _reference_canonical_shape(tree):
+    """The rows of ``_canonical_shape`` from a bottom-up loop over the nodes."""
+    order = tree.topo_order()[::-1]
+    inner = order[tree.child1[order] != NO_NODE]
+    c1, c2 = tree.child1.tolist(), tree.child2.tolist()
+    lo = [0] * tree.n_nodes
+    size = [1] * tree.n_nodes
+    for rank, v in enumerate(tree.leaf_nodes.tolist()):
+        lo[v] = rank
+    for v in inner.tolist():
+        a, b = c1[v], c2[v]
+        lo[v] = lo[a] if lo[a] < lo[b] else lo[b]
+        size[v] = size[a] + size[b]
+    lo, size = np.asarray(lo, dtype=np.int64), np.asarray(size, dtype=np.int64)
+    lo2 = np.maximum(lo[tree.child1[inner]], lo[tree.child2[inner]])
+    key = lo[inner] * (tree.n_leaves + 1) + size[inner]
+    idx = np.argsort(key)
+    return key[idx].tobytes() + lo2[idx].tobytes()
+
+
+def _fact_tree(n, seed, form):
+    """A ``_layout_tree``, or a balanced tree or caterpillar on permuted labels."""
+    if form not in ("balanced", "caterpillar"):
+        return _layout_tree(n, seed, form)
+    names = [f"t{i}" for i in np.random.default_rng(seed).permutation(n)]
+    if form == "caterpillar":
+        return _caterpillar(names, alternate=seed % 2 == 1)
+
+    def nest(labels):
+        if len(labels) == 1:
+            return labels[0]
+        m = len(labels) // 2
+        return (nest(labels[:m]), nest(labels[m:]))
+
+    return tree_from_topology(nest(names))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 120), seed=st.integers(0, 2 ** 32 - 1),
+       form=st.sampled_from(["generated", "shuffled", "newick-swapped",
+                             "balanced", "caterpillar"]))
+def test_per_node_facts_match_the_references(n, seed, form):
+    t = _fact_tree(n, seed, form)
+    rank = {lab: r for r, lab in enumerate(t.leaf_labels)}
+    min_leaf = t.min_leaf()
+    assert min_leaf.dtype == np.int64 and min_leaf.shape == (t.n_nodes,)
+    for v in range(t.n_nodes):
+        assert min_leaf[v] == rank[t.subtree_leaf_labels(v)[0]]
+        if not t.is_leaf(v):
+            assert t.ordered_children(v) == _reference_ordered_children(t, v)
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, t.n_nodes, size=(300, 2)).tolist()
+    pairs += [(v, v) for v in range(0, t.n_nodes, 7)]
+    pairs += [(v, int(t.parent[v])) for v in range(t.n_nodes) if v != t.root]
+    for u, v in pairs:
+        assert t.lca(u, v) == _reference_lca(t, u, v)
+    assert _canonical_shape(t) == _reference_canonical_shape(t)
+
+
+def test_a_pickled_tree_leaves_its_caches_behind():
+    # trees come back from worker processes; their cached tables would
+    # double the payload
+    t = random_tree(40, seed=3)
+    fresh = pickle.dumps(t)
+    tables = (t.depths(), t.leaf_counts(), *t.layout(), t.min_leaf())
+    assert pickle.dumps(t) == fresh
+    copy = pickle.loads(fresh)
+    assert copy._cache == {}
+    again = (copy.depths(), copy.leaf_counts(), *copy.layout(), copy.min_leaf())
+    for a, b in zip(tables, again):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_distance_matrix_matches_leaf_distance():

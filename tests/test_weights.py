@@ -25,6 +25,7 @@ from tripletree import (
     tree_from_topology,
 )
 from tripletree.noise_oracle import _splitmix64
+from tripletree.tree_core import NO_NODE
 from tripletree import weights
 from tripletree.weights import WeightConfig, _WeightDriver, response_curve
 
@@ -79,6 +80,19 @@ def test_classify_heavy_caterpillar_spine():
     # anchors: spine vertices whose left subtree (a single leaf) passes the
     # n/(4(f+1)) cutoff; with n=12, f=9 the cutoff is 0.3, so all qualify
     assert all(size == 1 for size in info.anchor_sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2 ** 16),
+       balanced=st.booleans())
+def test_no_leaf_is_heavy_and_the_path_passes_its_last_heavy_vertex(
+        n, seed, balanced):
+    # a leaf has nl = 1 < n/6 + 1, so path[f] is internal and the stage
+    # below v_{f+1} always has a v_{f+1} to start from
+    t = balanced_tree(n) if balanced else random_tree(n, w=0.001, seed=seed)
+    info = classify_heavy(t)
+    assert not info.heavy[t.child1 == NO_NODE].any()
+    assert info.f + 1 < len(info.path)
 
 
 def test_heavy_path_follows_big_child():
