@@ -88,6 +88,10 @@ class ExperimentConfig:
             problems.append("n: must be >= 2")
         if self.n0 > N0_MAX:
             problems.append(f"n0: must be <= {N0_MAX}")
+        if self.jobs < 0:
+            problems.append("jobs: must be >= 0 (0: auto)")
+        if not 0.0 <= self.target <= 1.0:
+            problems.append("target: must lie in [0, 1]")
         if not self.tree_in and self.min_edge_weight <= 0:
             problems.append("min_edge_weight: must be positive")
         if self.mode == "calibrate" and not self.sweep_weights:

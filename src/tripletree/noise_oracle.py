@@ -17,9 +17,10 @@ store takes ``ceil(C(n,3)/4)`` bytes (1 MB at n=256, 1.4 MB at n=323,
 that only the pages actually written are resident and an oracle whose
 answers are never read allocates none.  ``OracleState`` decides a new
 triple with a uniform variate from an integer hash of (oracle seed,
-canonical triple id ``i*n*n + j*n + k``), so the answer is a pure
-function of those inputs and is reproducible across runs and platforms;
-under the noiseless model it takes the closest pair.
+canonical triple id ``i*n*n + j*n + k``), ``keyed_uniform``, so the
+answer is a pure function of those inputs and is reproducible across
+runs and platforms; the seed's own hash, the hash base, is taken once per
+oracle.  Under the noiseless model it takes the closest pair.
 ``ExpectationOracle`` stands in for infinitely many samples: it decides a
 new triple with its first most likely slot.
 
@@ -51,21 +52,26 @@ raises ``ValueError``.
 
 ``_pair_codes`` builds the store ranks from the masks and gathers codes
 with one reader, ``_read``, which decides each never-asked triple once
-(``_decide``).  The layer reader checks with one masked read per store
-byte that a layer is all new, decides it with the same rule and ORs one
-value into each byte, and sends a layer that holds an answered triple,
-or whose ranks are not consecutive (``S`` does not run 0, 1, 2, ... up to
-it), through ``_read``.  Expectation mode's ``wins`` and ``pair_wins``
-are probabilities, not answers, and read no store: the model's
-``pair_prob`` at d(lo, hi), d(lo, w) and d(hi, w), which by default is
-the pair's slot of ``slot_probs`` at those distances placed in canonical
-order (``_place``).  ``HomogeneousModel`` overrides it with a closed form
+(``_decide``).  A run of a layer whose ranks are consecutive (``S`` runs
+0, 1, 2, ... up to it) spans whole store bytes but for its two end
+bytes, which it may share with other triples.  The layer reader takes it
+as fresh when its interior bytes are zero and its own codes in the end
+bytes are clear under a mask, decides it with the same rule and ORs one
+value into each byte; a run that holds an answered triple, or whose
+ranks are not consecutive, goes through ``_read``.  The pass builds its
+draw keys once, as uint64, and adds each layer's top leaf to them.
+Expectation mode's ``wins`` and ``pair_wins`` are probabilities, not
+answers, and read no store: the model's ``pair_prob`` at d(lo, hi),
+d(lo, w) and d(hi, w), which by default is the pair's slot of
+``slot_probs`` at those distances placed in canonical order
+(``_place``).  ``HomogeneousModel`` overrides it with a closed form
 that gives the same bits without the placement, (dl + dh) / (2 (dp + dl
 + dh)) summed in the placement's order.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -78,20 +84,33 @@ _MIX3 = _U64(0x94D049BB133111EB)
 _INV_2_53 = float(2.0 ** -53)
 
 
-def _splitmix64(x):
-    """Vectorized splitmix64 finalizer over uint64 arrays (wrapping)."""
+def _splitmix64(z):
+    """
+    The splitmix64 finalizer over uint64 (wrapping), in place on an array
+    (a scalar is rebound); returns ``z``.
+    """
     with np.errstate(over="ignore"):
-        z = x + _MIX1
-        z = (z ^ (z >> _U64(30))) * _MIX2
-        z = (z ^ (z >> _U64(27))) * _MIX3
-        return z ^ (z >> _U64(31))
+        z += _MIX1
+        z ^= z >> _U64(30)
+        z *= _MIX2
+        z ^= z >> _U64(27)
+        z *= _MIX3
+        z ^= z >> _U64(31)
+    return z
 
 
-def keyed_uniform(seed, triple_ids):
-    """Deterministic uniforms in [0, 1) keyed by (seed, canonical triple id)."""
-    base = _splitmix64(np.asarray(seed, dtype=np.uint64))
-    h = _splitmix64(np.asarray(triple_ids, dtype=np.uint64) ^ base)
-    return (h >> _U64(11)).astype(np.float64) * _INV_2_53
+def keyed_uniform(base, triple_ids):
+    """
+    Deterministic uniforms in [0, 1) keyed by (seed, canonical triple id):
+    the top 53 bits of ``_splitmix64(id ^ base)``, with ``base`` the seed's
+    hash ``_splitmix64(np.uint64(seed))``, which an ``OracleState`` takes
+    once.  Hashes the uint64 array ``triple_ids`` in place.
+    """
+    h = _splitmix64(np.bitwise_xor(triple_ids, base, out=triple_ids))
+    h >>= _U64(11)
+    u = h.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 # ---------------------------------------------------------------------- #
@@ -200,10 +219,26 @@ class CustomModel(NoiseModel):
     kind = "custom"
 
     def __init__(self, p_correct, epsilon, d_max=2.0, validate=True):
-        self.p_correct = np.vectorize(p_correct, otypes=[np.float64])
+        self._fn = p_correct
+        self._per_element = np.vectorize(p_correct, otypes=[np.float64])
         self.epsilon = float(epsilon)
         if validate:
             self._validate(d_max)
+
+    def p_correct(self, d1, d2):
+        """
+        The user's p_correct over float64 arrays d1 and d2 of one shape:
+        one call on the arrays when the function takes them and returns a
+        float64 array of their shape, else one call per element.
+        """
+        try:
+            p = self._fn(d1, d2)
+        except Exception:  # a function of scalars only: read per element
+            p = None
+        if (isinstance(p, np.ndarray) and p.dtype == np.float64
+                and p.shape == np.shape(d1)):
+            return p
+        return self._per_element(d1, d2)
 
     def _validate(self, d_max):
         eps = self.epsilon
@@ -288,7 +323,8 @@ _WIN_BLOCK_ROWS = 1 << 13
 def _pack(codes):
     """Store bytes of 2-bit codes laid out four to a byte, lowest first."""
     v = codes.view("<u4")
-    return (v | v >> 6 | v >> 12 | v >> 18).astype(np.uint8)
+    v = v | v >> 6
+    return (v | v >> 12).astype(np.uint8)
 
 
 class _OracleBase:
@@ -358,19 +394,22 @@ class _OracleBase:
     def _decide(self, probs, ids):
         """
         Fresh answer slot of canonical triples from the model's slot
-        probabilities ``probs``: a keyed draw when the oracle ``_draws``
-        (an ``OracleState`` over a sampled model), whose ids ``i*n*n + j*n
-        + k`` ``ids()`` gives as uint64, else the first most likely slot,
-        as ``np.argmax`` over the three picks it, ties included (under the
-        noiseless model, the one slot of probability 1).  Taken without
-        stacking the three: ``np.argmax`` over a stack took 11 times as
-        long on a 12,720-row layer.
+        probabilities ``probs``, as uint8: a keyed draw when the oracle
+        ``_draws`` (an ``OracleState`` over a sampled model), whose ids
+        ``i*n*n + j*n + k`` ``ids()`` gives as a uint64 array that the hash
+        may overwrite, else the first most likely slot, as ``np.argmax``
+        over the three picks it, ties included (under the noiseless model,
+        the one slot of probability 1).  Taken without stacking the three:
+        ``np.argmax`` over a stack took 11 times as long on a 12,720-row
+        layer.
         """
         p0, p1, p2 = probs
         if not self._draws:
-            return np.where(p2 > np.maximum(p0, p1), 2, p1 > p0)
-        u = keyed_uniform(self.seed, ids())
-        return (u >= p0).astype(np.int64) + (u >= p0 + p1)
+            return np.where(p2 > np.maximum(p0, p1), np.uint8(2), p1 > p0)
+        u = keyed_uniform(self._base, ids())
+        slot = (u >= p0).view(np.uint8)
+        slot += u >= p0 + p1
+        return slot
 
     def _read(self, rank, rows):
         """
@@ -393,7 +432,7 @@ class _OracleBase:
                                   self._dist(j, k)),
             lambda: (i * self._n2 + j * self.n_leaves + k).astype(np.uint64))
         shift = shift.reshape(-1)
-        bits = (slot + 1).astype(np.uint8) << shift[new[first]]
+        bits = (slot + 1) << shift[new[first]]
         np.bitwise_or.at(self._store, fresh >> 2, bits)
         self._count += len(fresh)
         code.reshape(-1)[new] = (
@@ -402,35 +441,46 @@ class _OracleBase:
 
     def _layer_reader(self, S, tb, ta):
         """
-        The answers of one run of a ``pass_slots`` layer: ``layer(c, lo,
-        hi, d01, d02, d12)`` for the triples (a, b, c) at tril positions
-        ``lo:hi``, whose ranks C(S[c],3) + C(S[b],2) + S[a] rise strictly.
-        When they are consecutive (``S`` runs 0, 1, 2, ... up to the run's
-        b-rows, as in a pass over every leaf) the run fills the store
-        bytes ``B0:B1`` from the first rank's to the last's: a run with no
-        answered triple is decided as given, and each byte is read and
-        written once.  Any other run goes through ``_read``.
+        The answers of one run of a ``pass_slots`` layer: ``layer(c, b0,
+        b1, lo, hi, d01, d02, d12)`` for the triples (a, b, c) with b0 <= b
+        < b1 at tril positions ``lo:hi``, whose ranks C(S[c],3) + C(S[b],2)
+        + S[a] rise strictly.  When they are consecutive (``S`` runs 0, 1,
+        2, ... up to the run's b-rows, as in a pass over every leaf) the
+        run fills the store bytes ``B0:B1`` from the first rank's to the
+        last's.  The run is fresh when its interior bytes are zero and its
+        own 2-bit codes in the two end bytes are clear; a fresh run is
+        decided as given, and each byte is read and written once.  Any
+        other run goes through ``_read``.  A drawing oracle hashes the keys
+        ``S[a]*n*n + S[b]*n``, built as uint64 once per pass, plus S[c].
         """
         c2, c3 = self._c2, self._c3
-        key2 = S[ta] * self._n2 + S[tb] * self.n_leaves if self._draws else None
+        leaf = S.tolist()
+        key2 = None
+        if self._draws:
+            key2 = (S[ta] * self._n2 + S[tb] * self.n_leaves).astype(np.uint64)
 
-        def layer(c, lo, hi, d01, d02, d12):
-            k = S[c]
-            first = c3[k] + c2[S[tb[lo]]] + S[ta[lo]]
-            last = c3[k] + c2[S[tb[hi - 1]]] + S[ta[hi - 1]]
+        def layer(c, b0, b1, lo, hi, d01, d02, d12):
+            k = leaf[c]
+            k3 = k * (k - 1) * (k - 2) // 6
+            jf, jl = leaf[b0], leaf[b1 - 1]  # b of the first and last rows
+            first = k3 + jf * (jf - 1) // 2 + leaf[0]
+            last = k3 + jl * (jl - 1) // 2 + leaf[b1 - 2]
             if last - first == hi - lo - 1:
                 B0, B1 = first >> 2, (last >> 2) + 1
-                at = slice(first - 4 * B0, last + 1 - 4 * B0)
-                codes = np.zeros(4 * (B1 - B0), dtype=np.uint8)
-                codes[at] = 3
-                # one masked read per byte: the run's own 2-bit codes only
-                if not (self._store[B0:B1] & _pack(codes)).any():
-                    slot = self._decide(
-                        self.model.slot_probs(d01, d02, d12),
-                        lambda: (key2[lo:hi] + k).astype(np.uint64))
-                    codes[at] = slot + 1
+                # the run's own codes in the end bytes B0 and B1 - 1
+                m0 = (0xFF << 2 * (first & 3)) & 0xFF
+                m1 = 0xFF >> 6 - 2 * (last & 3)
+                if B1 - B0 == 1:
+                    m0 = m1 = m0 & m1
+                store = self._store
+                if not (int(store[B0]) & m0 or int(store[B1 - 1]) & m1
+                        or store[B0 + 1:B1 - 1].any()):
+                    slot = self._decide(self.model.slot_probs(d01, d02, d12),
+                                        lambda: key2[lo:hi] + _U64(k))
+                    codes = np.zeros(4 * (B1 - B0), dtype=np.uint8)
+                    codes[first - 4 * B0:last + 1 - 4 * B0] = slot + 1
                     # a byte may hold other answers: OR in, never assign
-                    self._store[B0:B1] |= _pack(codes)
+                    store[B0:B1] |= _pack(codes)
                     self._count += hi - lo
                     return slot
             i, j = S[ta[lo:hi]], S[tb[lo:hi]]
@@ -482,15 +532,17 @@ class _OracleBase:
         DS = self.distances[np.ix_(S, S)]
         d01 = DS[tb, ta]  # d(a, b); a layer's rows are a prefix
         layer = self._layer_reader(S, tb, ta)
-        c2 = np.arange(l + 1) * np.arange(-1, l) // 2  # C(b, 2)
+        c2 = [b * (b - 1) // 2 for b in range(l + 1)]  # C(b, 2)
         for c in range(2, l):
             row = DS[c, :c]  # d(a, c) and d(b, c)
             b0 = 1
             while b0 < c:
-                cut = int(np.searchsorted(c2, c2[b0] + _BLOCK_ROWS, side="right"))
-                b1 = min(c, max(b0 + 1, cut - 1))
-                lo, hi = int(c2[b0]), int(c2[b1])
-                yield c, b0, b1, layer(c, lo, hi, d01[lo:hi],
+                b1 = c
+                if c2[c] - c2[b0] > _BLOCK_ROWS:
+                    cut = bisect.bisect_right(c2, c2[b0] + _BLOCK_ROWS)
+                    b1 = max(b0 + 1, cut - 1)
+                lo, hi = c2[b0], c2[b1]
+                yield c, b0, b1, layer(c, b0, b1, lo, hi, d01[lo:hi],
                                        row.take(ta[lo:hi]), row.take(tb[lo:hi]))
                 b0 = b1
 
@@ -623,6 +675,7 @@ class OracleState(_OracleBase):
     def __init__(self, tree, model, seed):
         super().__init__(tree, model)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self._base = _splitmix64(_U64(self.seed))  # the hash of the seed
         self._draws = self.model.sampled
 
     def _pair_wins(self, lo, hi, W, top, mid):

@@ -204,11 +204,12 @@ def _triple_scores(oracle, S):
     same = np.zeros(len(tb), dtype=np.int64)  # answers (a, b) at (b, a)
     c2 = np.arange(l) * np.arange(-1, l - 1) // 2  # C(b, 2): b-row starts
     for c, b0, b1, slot in oracle.pass_slots(S):
-        lo = c2[b0]
+        lo = b0 * (b0 - 1) // 2
         hi = lo + len(slot)
         same[lo:hi] += slot == 0
         M[:c, c] += np.bincount(ta[lo:hi][slot == 1], minlength=c)
-        M[b0:b1, c] += np.add.reduceat(slot == 2, c2[b0:b1] - lo,
+        starts = c2[b0:b1]  # a run from b0 = 1 starts at position 0
+        M[b0:b1, c] += np.add.reduceat(slot == 2, starts - lo if lo else starts,
                                        dtype=np.int64)
     M[ta, tb] += same
     M[np.tril_indices(l)] = -np.inf

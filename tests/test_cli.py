@@ -422,6 +422,35 @@ def test_cli_rejects_a_bad_custom_model_path(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("mode,field,value", [
+    ("topology", "jobs", "-2"),
+    ("calibrate", "target", "2"),
+    ("calibrate", "target", "-0.5"),
+])
+def test_cli_rejects_negative_jobs_and_a_target_outside_0_1(
+        tmp_path, monkeypatch, capsys, via, mode, field, value):
+    # exit 2 before any trial or worker pool starts, set by the flag or by
+    # its environment variable: ``--jobs -2`` is not auto, and no success
+    # rate can reach a target of 2
+    def start(*args, **kwargs):
+        raise AssertionError("a trial or a worker pool started")
+
+    monkeypatch.setattr(cli, "run_trial", start)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", start)
+    out = tmp_path / "run"
+    argv = ["--mode", mode, "--n", "8", "--trials", "2", "--sweep-weights",
+            "0.05", "--out", str(out)]
+    if via == "flag":
+        argv += [f"--{field}", value]
+    else:
+        monkeypatch.setenv(f"TRIPLETREE_{field.upper()}", value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and f"{field}: " in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- #
 # calibrate                                                               #
 # ---------------------------------------------------------------------- #

@@ -156,8 +156,9 @@ def test_query_deterministic_across_instances():
 
 
 def test_keyed_uniform_reference_values():
-    # pinned outputs guard the cross-platform determinism contract
-    u = keyed_uniform(0, np.arange(4, dtype=np.uint64))
+    # pinned outputs guard the cross-platform determinism contract; the
+    # hash takes the seed's own hash as its base
+    u = keyed_uniform(_splitmix64(np.uint64(0)), np.arange(4, dtype=np.uint64))
     assert np.allclose(
         u,
         [0.6524484863740322, 0.03401170130434639,
@@ -216,7 +217,8 @@ def _reference_slots(tree, model, seed, i, j, k):
     p0, p1, _ = model.slot_probs(D[i, j], D[i, k], D[j, k])
     if not model.sampled:
         return np.where(p0 == 1.0, 0, np.where(p1 == 1.0, 1, 2))
-    u = keyed_uniform(seed, (i * n * n + j * n + k).astype(np.uint64))
+    u = keyed_uniform(_splitmix64(np.uint64(seed)),
+                      (i * n * n + j * n + k).astype(np.uint64))
     return (u >= p0).astype(np.int64) + (u >= p0 + p1)
 
 
@@ -402,6 +404,10 @@ def test_pass_slots_match_row_wise_codes(n, source, subset, block, seed,
         blocks = list(o.pass_slots(S))
     got = np.concatenate([slot for *_, slot in blocks] + [np.empty(0)])
     np.testing.assert_array_equal(got, ref.answers(T[:, 0], T[:, 1], T[:, 2]))
+    # the layer's own keys and distances give the store-free answer, and a
+    # fresh run and a run read through ``_read`` both yield uint8 slots
+    np.testing.assert_array_equal(got, _reference_slots_of(o, *T.T))
+    assert all(slot.dtype == np.uint8 for *_, slot in blocks)
     assert o.query_count == ref.query_count
     np.testing.assert_array_equal(o._store, ref._store)
 
@@ -1027,6 +1033,41 @@ def test_triple_distribution_argmax_is_closest_pair(model):
             p = triple_distribution(t, model, a, b, c)
             top = ((a, b), (b, c), (c, a))[int(np.argmax(p))]
             assert tuple(sorted(top)) == closest_pair(t, a, b, c)
+
+
+# the p_correct functions of the package's custom models: this file's, the
+# other test files', the CI step's zero_epsilon.py and the sin-shaped model
+# of the topology fuzz; ``math.sin`` takes no array
+_P_CORRECTS = {
+    "linear": _linear_p_correct,
+    "zero-epsilon": lambda d1, d2: 1/3 + (d2 - d1) / (6 * d2),
+    "sin": lambda d1, d2: 0.5 + 0.4 * math.sin(9.0 * d1 / d2),
+    "ratio": lambda d1, d2: 0.4 + 0.1 * d2 / (d1 + d2),
+    "shifted": lambda d1, d2: 0.2 + (d2 - d1) / (6 * d2),
+    "third": lambda d1, d2: 1.0 / 3.0,
+    "constant": lambda d1, d2: 0.4,
+    "half": lambda d1, d2: 0.5,
+    "one": lambda d1, d2: 1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_P_CORRECTS))
+def test_custom_p_correct_on_arrays_matches_the_per_element_calls(name):
+    # ``CustomModel.p_correct`` calls the function once on the arrays when
+    # it can; its bits must be those of one call per element, on the
+    # closest and common distances of every triple of a tree, ties included
+    fn = _P_CORRECTS[name]
+    D = _store_tree(24).distance_matrix()
+    i, j, k = np.array(list(itertools.combinations(range(24), 3))).T
+    d = np.stack([D[i, j], D[i, k], D[j, k]])
+    d1, d2 = d.min(axis=0), d.max(axis=0)
+    d1[:5] = d2[:5]
+    for shape in [d1.shape, (len(d1) // 4, 4)]:
+        a, b = d1[:np.prod(shape)].reshape(shape), d2[:np.prod(shape)].reshape(shape)
+        got = CustomModel(fn, 0.0, validate=False).p_correct(a, b)
+        want = np.vectorize(fn, otypes=[np.float64])(a, b)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_custom_model_rejects_insensitive():
