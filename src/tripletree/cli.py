@@ -54,6 +54,7 @@ from .weights import EstimationFailure, WeightConfig, reconstruct_weights
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "TRIPLETREE_"
+MODES = ("topology", "weights", "lower-bound", "calibrate")
 
 
 @dataclasses.dataclass
@@ -80,7 +81,7 @@ class ExperimentConfig:
 
     def validate(self):
         problems = []
-        if self.mode not in ("topology", "weights", "lower-bound", "calibrate"):
+        if self.mode not in MODES:
             problems.append(f"mode: unknown mode {self.mode!r}")
         if self.trials < 1:
             problems.append("trials: must be >= 1")
@@ -405,11 +406,13 @@ def lower_bound_report(n, rho, allow_zero_inner=False):
 # ---------------------------------------------------------------------- #
 
 
-def _env_default(name, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return cast(raw)
+def _env_default(name, fallback):
+    """
+    The value of ``TRIPLETREE_<name>`` as its raw string, else ``fallback``.
+    argparse applies a flag's ``type`` to a string default, so a value from
+    the environment is parsed as the flag's is, and a malformed one exits 2.
+    """
+    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def _build_parser():
@@ -420,33 +423,30 @@ def _build_parser():
     )
     ed = _env_default
     p.add_argument("--mode", required=("TRIPLETREE_MODE" not in os.environ),
-                   default=os.environ.get(ENV_PREFIX + "MODE"),
-                   choices=["topology", "weights", "lower-bound", "calibrate"])
-    p.add_argument("--n", type=int, default=ed("N", 32, int))
+                   default=ed("MODE", None), choices=MODES)
+    p.add_argument("--n", type=int, default=ed("N", 32))
     p.add_argument("--min-edge-weight", type=float,
-                   default=ed("MIN_EDGE_WEIGHT", 0.05, float))
-    p.add_argument("--model", default=ed("MODEL", "homogeneous", str),
+                   default=ed("MIN_EDGE_WEIGHT", 0.05))
+    p.add_argument("--model", default=ed("MODEL", "homogeneous"),
                    help="homogeneous | noiseless | custom:<python file>")
     p.add_argument("--expectation", action="store_true",
                    help="replace sampling with exact expectations")
-    p.add_argument("--trials", type=int, default=ed("TRIALS", 10, int))
-    p.add_argument("--seed", type=int, default=ed("SEED", 0, int))
-    p.add_argument("--c-thr", type=float, default=ed("C_THR", None, float))
-    p.add_argument("--n0", type=int, default=ed("N0", 8, int))
-    p.add_argument("--tol", type=float, default=ed("TOL", 1e-12, float))
-    p.add_argument("--rho", type=float, default=ed("RHO", 0.01, float))
+    p.add_argument("--trials", type=int, default=ed("TRIALS", 10))
+    p.add_argument("--seed", type=int, default=ed("SEED", 0))
+    p.add_argument("--c-thr", type=float, default=ed("C_THR", None))
+    p.add_argument("--n0", type=int, default=ed("N0", 8))
+    p.add_argument("--tol", type=float, default=ed("TOL", 1e-12))
+    p.add_argument("--rho", type=float, default=ed("RHO", 0.01))
     p.add_argument("--allow-zero-inner", action="store_true")
-    p.add_argument("--target", type=float, default=ed("TARGET", 0.9, float))
-    # argparse applies ``type`` to a string default too, so the environment
-    # values are parsed as the flags are
+    p.add_argument("--target", type=float, default=ed("TARGET", 0.9))
     p.add_argument("--sweep-weights", type=_parse_floats,
-                   default=ed("SWEEP_WEIGHTS", "", str),
+                   default=ed("SWEEP_WEIGHTS", ""),
                    help="comma-separated min-edge-weight values")
     p.add_argument("--sweep-c-thr", type=_parse_floats,
-                   default=ed("SWEEP_C_THR", "", str),
+                   default=ed("SWEEP_C_THR", ""),
                    help="comma-separated threshold constants")
-    p.add_argument("--out", default=ed("OUT", None, str))
-    p.add_argument("--jobs", type=int, default=ed("JOBS", 0, int),
+    p.add_argument("--out", default=ed("OUT", None))
+    p.add_argument("--jobs", type=int, default=ed("JOBS", 0),
                    help="parallel trial workers (0 = auto)")
     p.add_argument("--tree-in", default=None, help="Newick input tree")
     p.add_argument("--tree-out", default=None, help="Newick output path")
@@ -458,7 +458,11 @@ def _parse_floats(text):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.mode not in MODES:  # ``choices`` is not applied to a default
+        parser.error(f"argument --mode: invalid choice: {args.mode!r} "
+                     f"(choose from {', '.join(map(repr, MODES))})")
     cfg = ExperimentConfig(**vars(args))
     try:
         if cfg.mode in ("topology", "weights"):

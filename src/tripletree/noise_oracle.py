@@ -22,7 +22,11 @@ answer is a pure function of those inputs and is reproducible across
 runs and platforms; the seed's own hash, the hash base, is taken once per
 oracle.  Under the noiseless model it takes the closest pair.
 ``ExpectationOracle`` stands in for infinitely many samples: it decides a
-new triple with its first most likely slot.
+new triple with its first most likely slot.  Both decide from the three
+distances of the triple (``_decide``): a draw reads the model's
+``slot_probs``, and an oracle that does not draw reads the model's
+``likely_slot``, which the noiseless model answers with two comparisons
+and no probability array.
 
 Each oracle answers two read shapes, and every reader is a case of one of
 them.  ``pass_slots(S)`` answers every triple of the sorted leaf ids
@@ -148,7 +152,8 @@ class NoiseModel:
     given the three pairwise distances of a canonical triple (i < j < k),
     return the probabilities of answering (i,j), (i,k), (j,k).
     ``pair_prob`` reads the probability of one pair of an experiment
-    through it, and a model may override it with a closed form.
+    through it and ``likely_slot`` the first most likely slot of a
+    triple; a model may override either with a closed form.
     """
 
     kind = "abstract"
@@ -156,6 +161,17 @@ class NoiseModel:
 
     def slot_probs(self, d01, d02, d12):
         raise NotImplementedError
+
+    def likely_slot(self, d01, d02, d12):
+        """
+        The first most likely slot, as uint8, of the canonical triples at
+        the distances (d01, d02, d12): ``np.argmax`` over the three
+        ``slot_probs`` picks it, ties included.  Taken without stacking
+        the three: ``np.argmax`` over a stack took 11 times as long on a
+        12,720-row layer.
+        """
+        p0, p1, p2 = self.slot_probs(d01, d02, d12)
+        return np.where(p2 > np.maximum(p0, p1), np.uint8(2), p1 > p0)
 
     def pair_prob(self, dp, dl, dh, top, mid):
         """
@@ -206,6 +222,19 @@ class NoiselessModel(NoiseModel):
         p0 = ((d01 < d02) & (d01 < d12)).astype(np.float64)
         p1 = ((d02 < d01) & (d02 < d12)).astype(np.float64)
         return p0, p1, 1.0 - p0 - p1
+
+    def likely_slot(self, d01, d02, d12):
+        """
+        ``NoiseModel.likely_slot`` in closed form, bit for bit: the slot of
+        probability 1, 2 - 2 [d01 < min(d02, d12)] - [d02 < min(d01,
+        d12)], with no float array.  A subclass that overrides
+        ``slot_probs`` is read through it.
+        """
+        if type(self).slot_probs is not NoiselessModel.slot_probs:
+            return super().likely_slot(d01, d02, d12)
+        a = (d01 < np.minimum(d02, d12)).view(np.uint8)
+        b = (d02 < np.minimum(d01, d12)).view(np.uint8)
+        return np.uint8(2) - (a + a + b)
 
 
 class CustomModel(NoiseModel):
@@ -391,21 +420,20 @@ class _OracleBase:
 
     # -- the answer store ----------------------------------------------- #
 
-    def _decide(self, probs, ids):
+    def _decide(self, dists, ids):
         """
-        Fresh answer slot of canonical triples from the model's slot
-        probabilities ``probs``, as uint8: a keyed draw when the oracle
-        ``_draws`` (an ``OracleState`` over a sampled model), whose ids
-        ``i*n*n + j*n + k`` ``ids()`` gives as a uint64 array that the hash
-        may overwrite, else the first most likely slot, as ``np.argmax``
-        over the three picks it, ties included (under the noiseless model,
-        the one slot of probability 1).  Taken without stacking the three:
-        ``np.argmax`` over a stack took 11 times as long on a 12,720-row
-        layer.
+        Fresh answer slot of canonical triples at the distances ``dists``,
+        (d01, d02, d12), as uint8.  An oracle that ``_draws`` (an
+        ``OracleState`` over a sampled model) takes a keyed draw against
+        the model's ``slot_probs``, whose ids ``i*n*n + j*n + k`` ``ids()``
+        gives as a uint64 array that the hash may overwrite.  Any other
+        takes the model's first most likely slot, ``likely_slot``: under
+        the noiseless model the closest pair, read off two comparisons
+        with no probability array.
         """
-        p0, p1, p2 = probs
         if not self._draws:
-            return np.where(p2 > np.maximum(p0, p1), np.uint8(2), p1 > p0)
+            return self.model.likely_slot(*dists)
+        p0, p1, _ = self.model.slot_probs(*dists)
         u = keyed_uniform(self._base, ids())
         slot = (u >= p0).view(np.uint8)
         slot += u >= p0 + p1
@@ -428,8 +456,7 @@ class _OracleBase:
         fresh, first = np.unique(rank.reshape(-1)[new], return_index=True)
         i, j, k = rows(new[first])
         slot = self._decide(
-            self.model.slot_probs(self._dist(i, j), self._dist(i, k),
-                                  self._dist(j, k)),
+            (self._dist(i, j), self._dist(i, k), self._dist(j, k)),
             lambda: (i * self._n2 + j * self.n_leaves + k).astype(np.uint64))
         shift = shift.reshape(-1)
         bits = (slot + 1) << shift[new[first]]
@@ -475,7 +502,7 @@ class _OracleBase:
                 store = self._store
                 if not (int(store[B0]) & m0 or int(store[B1 - 1]) & m1
                         or store[B0 + 1:B1 - 1].any()):
-                    slot = self._decide(self.model.slot_probs(d01, d02, d12),
+                    slot = self._decide((d01, d02, d12),
                                         lambda: key2[lo:hi] + _U64(k))
                     codes = np.zeros(4 * (B1 - B0), dtype=np.uint8)
                     codes[first - 4 * B0:last + 1 - 4 * B0] = slot + 1

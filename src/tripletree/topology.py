@@ -307,40 +307,37 @@ def _agglomerate(M, size, band=None, keyed=False):
     pair ties, ``_key_tie`` names the pair to merge (the tie rule under
     noise).
 
-    Each row's best value and first column are kept (``rowmax``,
-    ``rowarg``), so the top pair is read in O(m).  A merge changes only
-    columns i and j of the other rows: a row whose best was i or j is
-    scanned again, and every other row keeps its best unless the new
-    entry in column i beats it (an equal value goes to the smaller
-    column).  A merge costs O(m) plus O(m) for each row scanned again.
+    Each row's best value is kept (``rowmax``), so the top pair is read in
+    O(m): its row is the first maximum of ``rowmax`` and its column the
+    first maximum of that row.  A merge changes only columns i and j of the
+    other rows.  A row whose best may have been in one of them, and which
+    the new entry in column i does not reach, is scanned again; every other
+    row takes the larger of its best and the new entry.  A merge costs O(m)
+    plus O(m) for each row scanned again.
     """
     m = len(M)
     merges = []
     if m < 2 or (band is not None and size.max() >= band):
         return merges
-    rowarg = M.argmax(axis=1)
     rowmax = M.max(axis=1)
     alive = np.ones(m, dtype=bool)
     for _ in range(m - 1):
-        p = int(rowmax.argmax())
-        i, j = p, int(rowarg[p])
-        if keyed and np.count_nonzero(rowmax == rowmax[p]) > 2:
-            i, j = _key_tie(M, rowmax[p], np.flatnonzero(alive))
+        i = int(rowmax.argmax())
+        top = rowmax[i]
+        j = int(M[i].argmax())
+        if keyed and np.count_nonzero(rowmax == top) > 2:
+            i, j = _key_tie(M, rowmax, top, alive)
         merges.append((i, j))
         mean = _mean_row(M, size, i, j)  # -inf at i and j
+        stale = np.maximum(M[i], M[j]) == rowmax
+        stale &= mean < rowmax
         size[i] += size[j]
         alive[j] = False
         M[i] = M[:, i] = mean
         M[j] = M[:, j] = -np.inf
-        rowarg[i] = rowarg[j] = i
-        stale = np.flatnonzero((rowarg == i) | (rowarg == j))
-        up = mean > rowmax
-        up |= (mean == rowmax) & (rowarg > i)
-        np.copyto(rowmax, mean, where=up)
-        rowarg[up] = i
-        rows = M[stale]
-        rowarg[stale] = rows.argmax(axis=1)
-        rowmax[stale] = rows.max(axis=1)
+        np.maximum(rowmax, mean, out=rowmax)
+        stale = np.flatnonzero(stale)
+        rowmax[stale] = M[stale].max(axis=1)
         if band is not None and size[i] >= band:
             break
     return merges
@@ -351,16 +348,21 @@ def _mean_row(M, size, i, j):
     return (size[i] * M[i] + size[j] * M[j]) / (size[i] + size[j])
 
 
-def _key_tie(M, top, live):
+def _key_tie(M, rowmax, top, alive):
     """
     Tie rule of ``_agglomerate`` under noise: the pair (i, j), i < j, of
-    live positions (``live``, ascending) scoring ``top`` in ``M`` that
-    ``_tie_key`` picks over the live rows and columns.
+    live positions (``alive``) scoring ``top`` in ``M`` that ``_tie_key``
+    picks over the live columns.  ``top`` is the largest live score, so
+    both rows of a tied pair have ``rowmax == top``: only those rows are
+    read, and the tied pairs and the columns come in the order of the
+    whole live submatrix.
     """
-    sub = M[np.ix_(live, live)]
-    P, Q = np.nonzero(np.triu(sub == top, k=1))  # triu order, so P < Q
-    t = _tie_key(sub, P, Q)
-    return int(live[P[t]]), int(live[Q[t]])
+    T = np.flatnonzero(rowmax == top)
+    P, Q = np.nonzero(M[np.ix_(T, T)] == top)
+    keep = P < Q  # row-major order, so the tied pairs in triu order
+    P, Q = P[keep], Q[keep]
+    t = _tie_key(M[np.ix_(T, np.flatnonzero(alive))], P, Q)
+    return int(T[P[t]]), int(T[Q[t]])
 
 
 def _assemble_by_scores(plans, M, exact):

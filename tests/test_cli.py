@@ -559,6 +559,45 @@ def test_env_sweep_weights_reach_calibrate(tmp_path):
     assert [row["min_edge_weight"] for row in table] == [0.05, 0.1]
 
 
+@pytest.mark.parametrize("name,value,flag", [
+    ("N", "abc", "--n"),
+    ("TRIALS", "2.5", "--trials"),
+    ("C_THR", "x", "--c-thr"),
+    ("JOBS", "", "--jobs"),
+    ("SWEEP_WEIGHTS", "0.05,a", "--sweep-weights"),
+])
+def test_cli_malformed_env_value_exits_2_as_the_flag_does(
+        tmp_path, monkeypatch, capsys, name, value, flag):
+    # the environment's string is parsed by the flag's ``type``: a usage
+    # error naming the flag, exit 2, no traceback and no output
+    out = tmp_path / "run"
+    argv = ["--mode", "topology", "--out", str(out)]
+    with pytest.raises(SystemExit) as by_flag:
+        main(argv + [flag, value])
+    err_flag = capsys.readouterr().err
+    monkeypatch.setenv(f"TRIPLETREE_{name}", value)
+    with pytest.raises(SystemExit) as by_env:
+        main(argv)
+    err_env = capsys.readouterr().err
+    assert by_flag.value.code == by_env.value.code == 2
+    assert err_env == err_flag and f"argument {flag}: invalid" in err_env
+    assert not out.exists()
+
+
+def test_cli_unknown_env_mode_exits_2(tmp_path, monkeypatch, capsys):
+    # ``choices`` is not applied to a default: the mode from the
+    # environment is checked after parsing, and no report is printed
+    monkeypatch.setenv("TRIPLETREE_MODE", "bogus")
+    with pytest.raises(SystemExit) as exc:
+        main(["--n", "8", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --mode: invalid choice: 'bogus'" in err
+    assert not (tmp_path / "run").exists()
+    # the flag still overrides the environment
+    assert main(["--mode", "lower-bound", "--n", "10000", "--rho", "0.01"]) == 0
+
+
 @pytest.mark.parametrize("source,epsilon", [
     ("def p_correct(d1, d2):\n"
      "    return 1.0/3.0 + (d2 - d1) / (6.0 * d2)\n"

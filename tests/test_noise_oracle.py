@@ -818,13 +818,72 @@ def _expectation_model(name):
     }.get(name, lambda: name)()
 
 
+class _SlotsAreDistances(noise_oracle.NoiseModel):
+    """A stub whose slot probabilities are the three distances as given."""
+
+    def slot_probs(self, d01, d02, d12):
+        return d01, d02, d12
+
+
 def test_expectation_decides_the_first_most_likely_slot():
-    # every tie of a small pool: the rule is ``np.argmax`` over the slots
-    eo = ExpectationOracle(tree_from_topology(("a", ("b", "c"))), "homogeneous")
+    # every tie of a small pool: the rule is ``np.argmax`` over the slots,
+    # ``NoiseModel.likely_slot`` read through the oracle's ``_decide``
+    eo = ExpectationOracle(tree_from_topology(("a", ("b", "c"))),
+                           _SlotsAreDistances())
     probs = np.array(list(itertools.product(
         [0.0, 0.25, 1.0 / 3.0, 0.5, 1.0], repeat=3))).T
     np.testing.assert_array_equal(eo._decide(tuple(probs), None),
                                   np.argmax(probs, axis=0))
+
+
+class _FarthestNoiseless(noise_oracle.NoiselessModel):
+    """A noiseless model whose slot of probability 1 is the farthest pair."""
+
+    def slot_probs(self, d01, d02, d12):
+        return super().slot_probs(-d01, -d02, -d12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.5, 1.0, 2.0]),
+                  min_size=1, max_size=3),
+    rows=st.integers(0, 40),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(pool=[0.0], rows=5, seed=0)  # every triple all-equal, at zero
+@example(pool=[0.5], rows=5, seed=0)  # every triple all-equal
+def test_noiseless_likely_slot_is_the_default_rule(pool, rows, seed):
+    # distances drawn from a pool of 1-3 values tie often: all-equal
+    # triples, two tied closest pairs, a tied farthest pair, zeros
+    rng = np.random.default_rng(seed)
+    pool = np.array(pool)
+    d = [pool[rng.integers(len(pool), size=rows)] for _ in range(3)]
+    model = noise_oracle.NoiselessModel()
+    got = model.likely_slot(*d)
+    want = noise_oracle.NoiseModel.likely_slot(model, *d)
+    assert got.dtype == want.dtype == np.uint8
+    assert got.tobytes() == want.tobytes()
+    # a subclass that overrides ``slot_probs`` is read through it
+    far = _FarthestNoiseless()
+    got = far.likely_slot(*d)
+    want = noise_oracle.NoiseModel.likely_slot(far, *d)
+    assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+
+
+def test_noiseless_subclass_slot_probs_decide_the_store():
+    # the closest pair of (0.1, 0.2, 0.3) is slot 0 and the farthest slot 2
+    d = tuple(np.array([x]) for x in (0.1, 0.2, 0.3))
+    assert noise_oracle.NoiselessModel().likely_slot(*d).tolist() == [0]
+    assert _FarthestNoiseless().likely_slot(*d).tolist() == [2]
+    t = generate_random_ultrametric(12, 0.05, seed=3)
+    I, J, K = (np.array(x, dtype=np.int64)
+               for x in zip(*itertools.combinations(range(12), 3)))
+    for oracle in (OracleState(t, _FarthestNoiseless(), seed=0),
+                   ExpectationOracle(t, _FarthestNoiseless())):
+        D = oracle.distances
+        p = _FarthestNoiseless().slot_probs(D[I, J], D[I, K], D[J, K])
+        np.testing.assert_array_equal(oracle.answers(I, J, K),
+                                      np.argmax(np.stack(p), axis=0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -381,6 +381,56 @@ def test_agglomerate_matches_the_reference_loops(m, values, seed, rule, banded):
                                            band if banded else sum(sizes) + 1)
 
 
+def _reference_key_tie(M, top, live):
+    """
+    The ``_key_tie`` of ``_agglomerate`` before it read only the rows at
+    ``top``: ``_tie_key`` over a copy of the whole live submatrix, with the
+    tied pairs from its upper triangle.
+    """
+    sub = M[np.ix_(live, live)]
+    P, Q = np.nonzero(np.triu(sub == top, k=1))
+    t = _tie_key(sub, P, Q)
+    return int(live[P[t]]), int(live[Q[t]])
+
+
+@pytest.mark.parametrize("model,n,seed", [
+    ("noiseless", 20, 0), ("noiseless", 57, 1), ("noiseless", 160, 2),
+    ("homogeneous", 20, 3), ("homogeneous", 57, 4), ("homogeneous", 160, 5),
+])
+def test_agglomerate_matches_the_reference_loops_on_triple_scores(model, n,
+                                                                  seed):
+    # the symmetrised score matrices the driver merges on: noiseless counts
+    # tie by whole clades, sampled ones by chance
+    t = random_tree(n, seed=seed)
+    M = _triple_scores(OracleState(t, model, seed=seed),
+                       np.arange(n, dtype=np.int64))
+    M = np.maximum(M, M.T)
+    key_tie = topology_mod._key_tie
+    calls = []
+
+    def checked_key_tie(A, rowmax, top, alive):
+        got = key_tie(A, rowmax, top, alive)
+        assert got == _reference_key_tie(A, top, np.flatnonzero(alive))
+        calls.append(got)
+        return got
+
+    for band in (ReconstructionConfig().band(n)[0], None):
+        for keyed in (False, True):
+            size = np.ones(n)
+            with mock.patch.object(topology_mod, "_key_tie", checked_key_tie):
+                merges = _agglomerate(M.copy(), size, band=band, keyed=keyed)
+            plans = list(range(n))
+            for i, j in merges:
+                plans[i] = (plans[i], plans[j])
+            got = plans, size.tolist(), merges
+            rule = "key" if keyed else "first"
+            assert got == _reference_assembly_loop(M, [1] * n, rule, band)
+            if not keyed:
+                assert got == _reference_band_loop(
+                    M, [1] * n, band if band is not None else n + 1)
+    assert calls  # ties at the top were keyed
+
+
 def _walk_assemble(ids, M, closest):
     """
     Average linkage over the ascending leaf ids ``ids`` with tied top pairs
